@@ -10,6 +10,7 @@ numbers, which depend on the host.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.bench.wallclock import (_batched_config, main, measure_queue,
                                    measure_read_heavy)
@@ -80,3 +81,19 @@ def test_main_records_baseline_then_current(tmp_path, monkeypatch):
     assert set(payload["speedup_events_per_wall_s"]) >= {"zk", "ezk"}
     for kind in ("zk", "ezk"):
         assert payload["current"][kind]["events_per_wall_s"] > 0
+
+
+def test_guard_fails_on_a_missing_recorded_row(monkeypatch, capsys):
+    """A cell the guard measures but BENCH_core.json never recorded is a
+    failure, not a skip — and the committed file has every row."""
+    import repro.bench.wallclock as wc
+    fast = {"events_per_wall_s": 1e12}
+    for name in ("measure_queue", "measure_kernel", "measure_zipf_hot"):
+        monkeypatch.setattr(wc, name, lambda *args, **kwargs: fast)
+    recorded = json.loads(
+        (Path(__file__).resolve().parents[1] / wc.DEFAULT_OUTPUT).read_text())
+    assert wc.run_guard(recorded) == 0
+    del recorded["raft"]
+    assert wc.run_guard(recorded) == 1
+    out = capsys.readouterr().out
+    assert "raft:zk" in out and "MISSING" in out

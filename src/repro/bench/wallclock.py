@@ -442,14 +442,17 @@ def write_phase_table(rows: Dict[str, dict],
 def run_guard(payload: dict, threshold: float = GUARD_THRESHOLD) -> int:
     """Re-measure quickly; fail if any row regressed more than ``threshold``.
 
-    Compares events/wall-second against the recorded ``current`` (fig8)
-    and ``kernel`` rows in BENCH_core.json. Returns a process exit code.
+    Compares events/wall-second against the recorded ``current`` (fig8),
+    ``raft``, ``kernel`` and ``zipf_hot`` rows in BENCH_core.json. A
+    cell with no recorded row fails: a guard that skips it guards
+    nothing. Returns a process exit code.
     """
     failures = []
 
     def check(label: str, recorded: Optional[dict], measured: dict) -> None:
         if not recorded:
-            print(f"  {label:<18} no recorded row; skipping")
+            print(f"  {label:<18} no recorded row  MISSING")
+            failures.append(label)
             return
         floor = recorded["events_per_wall_s"] * (1.0 - threshold)
         got = measured["events_per_wall_s"]
@@ -476,14 +479,12 @@ def run_guard(payload: dict, threshold: float = GUARD_THRESHOLD) -> int:
         check(f"kernel:{kernel}", kernel_rows.get(kernel),
               measure_kernel(kernel, repeat=2))
     zipf = payload.get("zipf_hot", {}).get("light_load", {})
-    if zipf.get("cached"):
-        # The cache path (leases + client cache + revocation) is new
-        # hot-loop code: guard its kernel throughput like the others.
-        check("zipf_hot:cached", zipf.get("cached"),
-              measure_zipf_hot("zk", cached=True, saturate=False,
-                               repeat=1))
+    # The cache path (leases + client cache + revocation) is hot-loop
+    # code too: guard its kernel throughput like the others.
+    check("zipf_hot:cached", zipf.get("cached"),
+          measure_zipf_hot("zk", cached=True, saturate=False, repeat=1))
     if failures:
-        print(f"wallclock guard FAILED: {', '.join(failures)} dropped "
+        print(f"wallclock guard FAILED: {', '.join(failures)} missing or "
               f">{threshold:.0%} below the recorded rows")
         return 1
     print("wallclock guard passed")

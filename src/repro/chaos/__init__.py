@@ -18,6 +18,7 @@ from .checker import (CheckResult, CounterModel, RegisterModel,
                       check_linearizable, check_queue_history,
                       check_session_log)
 from .explorer import RECIPES, ChaosRun, repro_line, run_chaos
+from .failover import FAILOVER_SCENARIO, run_failover_chaos
 from .history import History, HistoryEvent, OpRecord, RecordingCoord
 from .nemesis import Nemesis
 from .schedule import (FaultAction, Schedule, random_schedule,
@@ -47,6 +48,8 @@ __all__ = [
     "ChaosRun",
     "run_chaos",
     "run_session_chaos",
+    "FAILOVER_SCENARIO",
+    "run_failover_chaos",
     "check_session_log",
     "check_lease_reads",
     "repro_line",

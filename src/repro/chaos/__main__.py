@@ -15,6 +15,7 @@ import sys
 from ..bench.systems import SYSTEMS
 from ..obs import ObsConfig
 from .explorer import RECIPES, run_chaos
+from .failover import FAILOVER_SCENARIO, run_failover_chaos
 from .storms import SESSION_SCENARIOS, run_session_chaos
 
 
@@ -23,7 +24,8 @@ def main(argv=None) -> int:
         prog="repro.chaos", description="replay one seeded chaos run")
     parser.add_argument("--system", required=True, choices=SYSTEMS)
     parser.add_argument("--recipe", required=True,
-                        choices=RECIPES + SESSION_SCENARIOS)
+                        choices=RECIPES + SESSION_SCENARIOS
+                        + (FAILOVER_SCENARIO,))
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--kernel", choices=("zab", "pbft", "raft"),
                         default=None,
@@ -40,7 +42,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     obs_cfg = ObsConfig() if args.trace else None
-    if args.recipe in SESSION_SCENARIOS:
+    if args.recipe == FAILOVER_SCENARIO:
+        run = run_failover_chaos(args.system, args.seed,
+                                 kernel=args.kernel, obs=obs_cfg)
+    elif args.recipe in SESSION_SCENARIOS:
         run = run_session_chaos(args.system, args.recipe, args.seed,
                                 kernel=args.kernel, obs=obs_cfg)
     else:

@@ -51,8 +51,8 @@ from .nemesis import Nemesis
 from .schedule import Schedule, random_storm_schedule
 
 __all__ = ["SESSION_SCENARIOS", "run_session_chaos",
-           "spawn_session_storm", "spawn_watch_storm",
-           "spawn_lease_storm"]
+           "check_committed_sessions", "spawn_session_storm",
+           "spawn_watch_storm", "spawn_lease_storm"]
 
 #: scenario names accepted as ``--recipe`` values by ``repro.chaos``.
 SESSION_SCENARIOS = ("churn", "watch_storm", "lease_storm")
@@ -383,20 +383,24 @@ def run_session_chaos(system: str, scenario: str, seed: int,
     if not _await_consistency(ensemble):
         return verdict(CheckResult(False, "replicas diverged after heal"))
 
+    result = check_committed_sessions(ensemble)
+    if result.ok:
+        result = _check_storm_liveness(scenario, nemesis.storm_stats)
+    return verdict(result)
+
+
+def check_committed_sessions(ensemble) -> CheckResult:
+    """:func:`check_session_log` over a healed ensemble's committed log."""
     leader = ensemble.leader
     if leader is None:
-        return verdict(CheckResult(False, "no leader after quiesce"))
+        return CheckResult(False, "no leader after quiesce")
     committed = [r for r in leader.broadcast.log
                  if r.zxid <= leader.broadcast.committed_zxid]
     owners = {
         server.node_id: set(server.tree._ephemerals)
         for server in ensemble.servers if server._alive
     }
-    result = check_session_log(committed, owners,
-                               set(leader.sessions.ids()))
-    if result.ok:
-        result = _check_storm_liveness(scenario, nemesis.storm_stats)
-    return verdict(result)
+    return check_session_log(committed, owners, set(leader.sessions.ids()))
 
 
 def _base_worker(client, i: int, span_ms: float):

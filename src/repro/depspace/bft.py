@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..obs import M_DELIVER, M_PROPOSE
 from ..sim import Environment
 
-__all__ = ["BftConfig", "BftPeer", "BftRequest"]
+__all__ = ["BftConfig", "BftPeer", "BftRequest", "mark_ordering"]
 
 
 @dataclass
@@ -128,6 +129,21 @@ class _Slot:
     prepared: bool = False
     committed: bool = False
     executed: bool = False
+
+
+def mark_ordering(obs, request_id: RequestId, phase: str, now: float,
+                  node_id: str, epoch: int, seq: int) -> None:
+    """Stamp an ordering milestone on the request's trace.
+
+    ``propose`` is the primary/leader sequencing the request, ``deliver``
+    a replica handing the agreed request to execution; the first of each
+    bounds the trace's broadcast and quorum phases like Zab's and Raft's
+    marks do in the zk family. Callers test ``env.obs is not None``
+    first, so an unobserved run pays one attribute read per site.
+    """
+    if obs.tracer is not None:
+        obs.tracer.mark(request_id.client_id, request_id.seq, phase,
+                        now, node_id, epoch=epoch, zxid=seq)
 
 
 class BftPeer:
@@ -239,6 +255,10 @@ class BftPeer:
         slot.ts = msg.ts
         slot.prepares.add(self.node_id)   # pre-prepare counts as the
         self._fan_out(msg)                # primary's prepare
+        obs = self.env.obs
+        if obs is not None:
+            mark_ordering(obs, request.request_id, M_PROPOSE, self.env.now,
+                          self.node_id, self.leadership_epoch, seq)
 
     # -- protocol messages --------------------------------------------------
 
@@ -378,6 +398,11 @@ class BftPeer:
             if request.request_id in self._executed_ids:
                 continue  # re-proposed duplicate after a view change
             self._executed_ids.add(request.request_id)
+            obs = self.env.obs
+            if obs is not None:
+                mark_ordering(obs, request.request_id, M_DELIVER,
+                              self.env.now, self.node_id,
+                              self.leadership_epoch, self._exec_seq)
             self._execute(request, slot.ts)
 
     # -- view changes ------------------------------------------------------------

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..obs import M_DELIVER, M_PROPOSE
 from ..raft import RaftConfig, RaftPeer
 from ..sim import Environment
-from .bft import BftConfig, BftRequest, RequestId
+from .bft import BftConfig, BftRequest, RequestId, mark_ordering
 
 __all__ = ["RaftOrdering"]
 
@@ -136,7 +137,11 @@ class RaftOrdering:
             return
         self._proposed_ids.add(request.request_id)
         # The leader stamps the agreed timestamp; it rides in meta.
-        self.raft.propose(request, meta=self.env.now)
+        zxid = self.raft.propose(request, meta=self.env.now)
+        obs = self.env.obs
+        if obs is not None:
+            mark_ordering(obs, request.request_id, M_PROPOSE, self.env.now,
+                          self.node_id, self.leadership_epoch, zxid)
 
     # -- protocol ------------------------------------------------------------
 
@@ -156,6 +161,10 @@ class RaftOrdering:
         if request.request_id in self._executed_ids:
             return  # re-proposed duplicate after a leader change
         self._executed_ids.add(request.request_id)
+        obs = self.env.obs
+        if obs is not None:
+            mark_ordering(obs, request.request_id, M_DELIVER, self.env.now,
+                          self.node_id, self.leadership_epoch, record.zxid)
         self._execute(request, record.meta)
 
     def _on_role_change(self) -> None:

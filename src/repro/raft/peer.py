@@ -7,6 +7,14 @@ conformance suite exercises:
   its election timeout from a per-node seeded RNG, so elections stay
   deterministic per (config seed, node id) while still de-synchronizing
   candidacies;
+* **ranked pre-vote** — the timeouts decide *when* an election starts,
+  not who wins it: a follower that has lost the leader too and outranks
+  the poller by ``(last term, last index, node id)`` — Zab's
+  ``(zxid, id)`` rule — stands itself instead of granting, and a poller
+  withdraws for a better one. Equally up-to-date survivors therefore
+  elect the same replica whichever of them timed out first, and two
+  that time out in the same tick no longer deny each other into a
+  second timeout round;
 * **pre-vote** — a follower first runs a non-binding poll at
   ``term + 1``; peers grant it only if they have not heard from a live
   leader recently and the candidate's log is up to date. Real terms are
@@ -210,6 +218,8 @@ class RaftPeer(AtomicBroadcast):
         self._votes: Set[str] = set()
         self._prevote_votes: Set[str] = set()
         self._prevote_term = 0
+        #: the term of the last poll we granted as a follower.
+        self._backed_term = 0
         self._rng = random.Random(f"{self.config.seed}/{node_id}")
         self._timeout_ms = self._draw_timeout()
         self._last_leader_contact = env.now
@@ -392,6 +402,7 @@ class RaftPeer(AtomicBroadcast):
             self._start_candidacy(self.current_term + 1)
             return
         self._prevote_term = self.current_term + 1
+        self._backed_term = 0
         self._prevote_votes = {self.node_id}
         poll = RequestVote(self._prevote_term, self.node_id,
                            self._last_index, self._last_term, pre_vote=True)
@@ -416,10 +427,19 @@ class RaftPeer(AtomicBroadcast):
         for peer in self.peer_ids:
             self._send(peer, ballot)
 
+    @property
+    def _electing(self) -> bool:
+        """Have we polled, or backed someone's poll, for the next term?
+        Either way we have given up on the current leader."""
+        return self.current_term + 1 in (self._prevote_term,
+                                         self._backed_term)
+
     def _fresh_leader(self) -> bool:
         """Have we heard from a live leader within the minimum timeout?
-        (Leader stickiness: the pre-vote guard against partition churn.)"""
-        return (self.leader_id is not None
+        (Leader stickiness: the pre-vote guard against partition churn.)
+        Not once we are electing: ``_start_prevote`` restarts the
+        attempt clock, which is no word from the leader."""
+        return (self.leader_id is not None and not self._electing
                 and (self.env.now - self._last_leader_contact)
                 < self.config.election_timeout_min_ms)
 
@@ -433,9 +453,23 @@ class RaftPeer(AtomicBroadcast):
             return  # observers never vote
         if msg.pre_vote:
             # Non-binding: no term adoption, no vote recorded.
-            granted = (msg.term > self.current_term
-                       and self._log_ok(msg.last_log_term, msg.last_log_index)
-                       and not self._fresh_leader())
+            leaderless = (msg.term > self.current_term
+                          and not self._fresh_leader())
+            granted = leaderless and self._log_ok(msg.last_log_term,
+                                                  msg.last_log_index)
+            if leaderless and self.role is RaftRole.FOLLOWER:
+                ours = (self._last_term, self._last_index, self.node_id)
+                if ours > (msg.last_log_term, msg.last_log_index,
+                           msg.candidate_id):
+                    # We make the better leader: stand instead, unless
+                    # we already do or have backed a better one still.
+                    granted = False
+                    if not self._electing:
+                        self._start_prevote()
+                else:
+                    # Granted (no worse a log than ours); our own
+                    # poll, if one is open, is withdrawn.
+                    self._backed_term = msg.term
             self._send(src, VoteReply(msg.term, self.current_term,
                                       self.node_id, granted, pre_vote=True))
             return
@@ -460,6 +494,7 @@ class RaftPeer(AtomicBroadcast):
         if msg.pre_vote:
             return (self.role is RaftRole.FOLLOWER
                     and msg.term == self._prevote_term
+                    and msg.term != self._backed_term
                     and msg.term == self.current_term + 1)
         return (self.role is RaftRole.CANDIDATE
                 and msg.term == self.current_term)
@@ -543,6 +578,7 @@ class RaftPeer(AtomicBroadcast):
             self.role = RaftRole.FOLLOWER
         changed = self.leader_id != src
         self.leader_id = src
+        self._prevote_term = self._backed_term = 0
         self._last_leader_contact = self.env.now
         if changed and self.on_role_change:
             self.on_role_change()

@@ -16,8 +16,8 @@ from .hotchain import (ChainNode, HotChainConfig, HotChainController,
                        HotChainRouter, PromotionPolicy)
 from .leases import ClientReadCache, LeaseConfig, LeaseTable
 from .overlay import TreeOverlay
-from .server import (Forward, InterceptResult, StateEvent, ZkConfig, ZkServer,
-                     ZkTimings)
+from .server import (Forward, ForwardSettled, InterceptResult, StateEvent,
+                     ZkConfig, ZkServer, ZkTimings)
 from .sessions import ExpiryClock, HeartbeatTracker, Session, SessionTable
 from .txn import (ClientReply, ClientRequest, CreateOp, CreateTxn, DeleteOp,
                   DeleteTxn, ErrorTxn, ExistsOp, GetChildrenOp, GetDataOp,
@@ -35,7 +35,7 @@ __all__ = [
     "SessionTable", "Session", "HeartbeatTracker", "ExpiryClock",
     "WatchManager", "WatchEvent", "EventType",
     "ZabPeer", "ZabConfig", "Role", "NotLeaderError",
-    "Forward", "InterceptResult", "StateEvent",
+    "Forward", "ForwardSettled", "InterceptResult", "StateEvent",
     "ZkError", "NoNodeError", "NodeExistsError", "BadVersionError",
     "NotEmptyError", "NoChildrenForEphemeralsError", "SessionExpiredError",
     "ConnectionLossError", "BadArgumentsError",

@@ -22,6 +22,12 @@ client upgrade its next local read to a linearizable one. Replicas may
 also be **observers** — non-voting learners that apply the committed
 stream and serve reads but never widen the write quorum (§ DESIGN 7).
 
+Updates and syncs that enter at a non-leader are relayed to the leader
+as a :class:`Forward` and remembered until settled; when leadership
+moves, what is left is re-routed to the new leader, so a request in
+flight to a leader that died costs its client one election rather than
+its RPC deadline (§ DESIGN 10.8).
+
 Extensible ZooKeeper hooks in at exactly the points §5.1.2 describes,
 via three attributes that default to ``None``:
 
@@ -67,8 +73,13 @@ from ..raft import RaftConfig
 from .watches import EventType, WatchEvent, WatchManager
 from .zab import ZabConfig
 
-__all__ = ["ZkTimings", "ZkConfig", "ZkServer", "Forward", "SessionPing",
-           "InterceptResult", "StateEvent"]
+__all__ = ["ZkTimings", "ZkConfig", "ZkServer", "Forward", "ForwardSettled",
+           "SessionPing", "InterceptResult", "StateEvent"]
+
+#: A relayed request this old has been given up on: the client library's
+#: RPC deadline (``client._DEFAULT_TIMEOUT_MS``) has fired and the call
+#: was retried, possibly through another replica.
+_RELAY_TTL_MS = 3000.0
 
 
 @dataclass
@@ -132,6 +143,21 @@ class Forward:
 
 
 @dataclass
+class ForwardSettled:
+    """Leader -> origin replica: a relayed request was answered directly.
+
+    Committed updates settle at the origin when their record applies
+    there. Every *other* answer (sync result, bounce, fence, contained
+    extension error, applied duplicate) goes straight from the leader to
+    the client; this notice, off the reply path, lets the origin forget
+    the request.
+    """
+
+    client_node: str
+    xid: int
+
+
+@dataclass
 class SessionPing:
     session_id: int
 
@@ -190,6 +216,16 @@ class ZkServer:
         #: reads waiting for this replica to catch up to a session's zxid:
         #: (required zxid, meta, op, wants_lease), drained as txns apply.
         self._parked_reads: List[Tuple[int, RequestMeta, Op, bool]] = []
+        #: non-leader: (client_node, xid) -> (request, relayed_at,
+        #: leader, epoch) for every update/sync of a local client this
+        #: replica has handed to the leader and not yet seen settled
+        #: (its record applied here, a reply for it left this replica,
+        #: or the leader said it answered). A role change re-routes the
+        #: entries addressed to any *other* leadership, so a forward
+        #: that died with the old leader costs its client one election,
+        #: not its RPC deadline. Entries the client has given up on are
+        #: aged out by the sweep loop (``_RELAY_TTL_MS``).
+        self._relayed: Dict[Tuple[str, int], tuple] = {}
         #: leader-only: (client_node, xid) -> zxid for every update this
         #: leadership has proposed, rebuilt from the log on election.
         #: Clients reuse the xid when they retry after a timeout, so a
@@ -305,6 +341,9 @@ class ZkServer:
         self.broadcast.crash()
         self._parked_reads.clear()
         self._lease_waits.clear()
+        # Local clients lose their connection with us; whatever we had
+        # relayed for them is theirs to retry once their deadline fires.
+        self._relayed.clear()
 
     def recover(self) -> None:
         self._alive = True
@@ -325,6 +364,8 @@ class ZkServer:
             return
         elif isinstance(msg, Forward):
             self._on_forward(msg)
+        elif isinstance(msg, ForwardSettled):
+            self._relayed.pop((msg.client_node, msg.xid), None)
         elif isinstance(msg, SessionPing):
             self.heartbeats.touch(msg.session_id, self.env.now)
         elif isinstance(msg, LeaseRequest):
@@ -407,18 +448,39 @@ class ZkServer:
         obs = self.env.obs
         if obs is not None:
             obs.metrics.inc("zk.writes", self.node_id)
+        self._to_leader(meta, req)
+
+    def _route_sync(self, meta: RequestMeta, req: ClientRequest) -> None:
+        """ZooKeeper ``sync``: a flush to the leader with no transaction."""
+        self.local_sessions[meta.session_id] = meta.client_node
+        self._to_leader(meta, req)
+
+    def _to_leader(self, meta: RequestMeta, req: ClientRequest) -> None:
+        """Run a local client's update or sync here if we lead, else
+        relay it to the leader and remember it until it is settled."""
         if self.broadcast.is_leader:
-            if self._lease_table is not None:
-                self._gate_or_prep(meta, req.op)
-            else:
-                self._enter_prep(meta, req.op)
-        elif self.broadcast.leader_id is not None:
-            if obs is not None:
-                obs.metrics.inc("zk.forwards", self.node_id)
-            self.net.send(self.node_id, self.broadcast.leader_id,
-                          Forward(req, self.node_id, meta.client_node))
-        else:
+            self._lead(meta, req.op)
+            return
+        leader = self.broadcast.leader_id
+        if leader is None:
             self._reply_error(meta, ConnectionLossError("no leader known"))
+            return
+        self._relayed[(meta.client_node, meta.xid)] = (
+            req, self.env.now, leader, self.broadcast.leadership_epoch)
+        obs = self.env.obs
+        if obs is not None:
+            obs.metrics.inc("zk.forwards", self.node_id)
+        self.net.send(self.node_id, leader,
+                      Forward(req, self.node_id, meta.client_node))
+
+    def _lead(self, meta: RequestMeta, op: Op) -> None:
+        """Leader ingress for an update or sync, local or forwarded."""
+        if isinstance(op, SyncOp):
+            self._answer_sync(meta)
+        elif self._lease_table is not None:
+            self._gate_or_prep(meta, op)
+        else:
+            self._enter_prep(meta, op)
 
     def _on_forward(self, fwd: Forward) -> None:
         meta = RequestMeta(fwd.origin_replica, fwd.client_node,
@@ -432,26 +494,42 @@ class ZkServer:
             self._reply_error(meta, SessionExpiredError(
                 f"session {meta.session_id} expired"))
             return
-        if isinstance(fwd.request.op, SyncOp):
-            self._answer_sync(meta)
+        self._lead(meta, fwd.request.op)
+
+    def _reroute_stranded(self) -> None:
+        """Leadership moved: settle every request waiting on the old one.
+
+        Requests this replica relayed for its own clients go, in xid
+        order, wherever :meth:`_to_leader` now sends them — into prep if
+        we lead, to the new leader, or back to the client when nobody
+        leads. A request the old leader did replicate is in the new
+        leader's log, so its at-most-once guard answers it instead of
+        running it twice.
+        """
+        if not self._relayed:
             return
-        if self._lease_table is not None:
-            self._gate_or_prep(meta, fwd.request.op)
-        else:
-            self._enter_prep(meta, fwd.request.op)
+        # A kernel may also report a mere resync with the leader we
+        # already follow; what is addressed to it is still in flight.
+        leading = self.broadcast.is_leader
+        current = (self.broadcast.leader_id, self.broadcast.leadership_epoch)
+        stranded = sorted((item for item in self._relayed.items()
+                           if leading or item[1][2:] != current),
+                          key=lambda item: item[0][1])
+        obs = self.env.obs
+        rerouted = current[0] is not None
+        for (client_node, xid), (req, relayed_at, _, _) in stranded:
+            del self._relayed[(client_node, xid)]
+            if obs is not None:
+                obs.metrics.inc("zk.forwards_rerouted" if rerouted
+                                else "zk.forwards_bounced", self.node_id)
+                if obs.tracer is not None:
+                    obs.tracer.aux(client_node, xid, "reroute", relayed_at,
+                                   self.env.now, self.node_id,
+                                   detail=f"to={self.broadcast.leader_id}")
+            self._to_leader(RequestMeta(self.node_id, client_node,
+                                        req.session_id, xid), req)
 
     # -- sync (leader round-trip, no txn) -----------------------------------
-
-    def _route_sync(self, meta: RequestMeta, req: ClientRequest) -> None:
-        """ZooKeeper ``sync``: a flush to the leader with no transaction."""
-        self.local_sessions[meta.session_id] = meta.client_node
-        if self.broadcast.is_leader:
-            self._answer_sync(meta)
-        elif self.broadcast.leader_id is not None:
-            self.net.send(self.node_id, self.broadcast.leader_id,
-                          Forward(req, self.node_id, meta.client_node))
-        else:
-            self._reply_error(meta, ConnectionLossError("no leader known"))
 
     def _answer_sync(self, meta: RequestMeta) -> None:
         """Leader side: answer with the current commit point.
@@ -471,8 +549,7 @@ class ZkServer:
             self._reply_error(meta, ConnectionLossError("leadership moved"))
             return
         zxid = self.broadcast.sync_barrier()
-        self._reply(meta.client_node,
-                    ZxidReply(meta.xid, True, zxid, zxid=zxid))
+        self._answer(meta, ZxidReply(meta.xid, True, zxid, zxid=zxid))
 
     # -- read fast path ------------------------------------------------------
 
@@ -956,10 +1033,10 @@ class ZkServer:
         if self.config.local_reads:
             if meta.session_id:
                 self.read_floors.note(meta.session_id, record.zxid)
-            self._reply(meta.client_node,
-                        ZxidReply(meta.xid, True, value, zxid=record.zxid))
+            self._answer(meta,
+                         ZxidReply(meta.xid, True, value, zxid=record.zxid))
             return
-        self._reply(meta.client_node, ClientReply(meta.xid, True, value))
+        self._answer(meta, ClientReply(meta.xid, True, value))
 
     def _translate(self, meta: RequestMeta, op: Op, spec: DataTree) -> Txn:
         """Turn a validated update op into a deterministic txn (mutates spec)."""
@@ -1043,6 +1120,7 @@ class ZkServer:
             self._spec_tree = None
             self._proposed_xids = {}
             self._closing_sessions = set()
+        self._reroute_stranded()
 
     def _lease_reset_for_role(self) -> None:
         """Leases are leader-soft state: a role change wipes the book.
@@ -1077,6 +1155,11 @@ class ZkServer:
                             M_DELIVER, self.env.now, self.node_id,
                             epoch=self.broadcast.leadership_epoch,
                             zxid=record.zxid)
+        if self._relayed and record.meta is not None:
+            # Settled: from here the reply (even a deferred ``block``
+            # one) is ours to send, whoever leads.
+            self._relayed.pop((record.meta.client_node, record.meta.xid),
+                              None)
         result, error, events = self._apply(record)
         if record.zxid > self._applied_zxid:
             self._applied_zxid = record.zxid
@@ -1227,6 +1310,14 @@ class ZkServer:
             yield self.env.timeout(self.config.expiry_sweep_ms)
             if not self._alive or not self.broadcast.is_leader:
                 self._expiry_paused = True
+                if self._relayed:
+                    # What no record, reply or notice ever settled (a
+                    # forward lost to a partition the kernel rode out):
+                    # the client has long since retried it.
+                    horizon = self.env.now - _RELAY_TTL_MS
+                    self._relayed = {
+                        key: entry for key, entry in self._relayed.items()
+                        if entry[1] > horizon}
                 continue
             if self._expiry_paused:
                 # First healthy sweep after a crash or a spell out of
@@ -1275,6 +1366,7 @@ class ZkServer:
                 f"zxid: {self._applied_zxid:#x}",
                 f"sessions: {len(self.sessions)}",
                 f"parked_reads: {len(self._parked_reads)}",
+                f"outstanding_forwards: {len(self._relayed)}",
             ]
             return "\n".join(lines)
         if command == "mntr":
@@ -1283,6 +1375,7 @@ class ZkServer:
                 f"zk_applied_zxid\t{self._applied_zxid}",
                 f"zk_epoch\t{self.broadcast.leadership_epoch}",
                 f"zk_sessions\t{len(self.sessions)}",
+                f"zk_outstanding_forwards\t{len(self._relayed)}",
             ]
             obs = self.env.obs
             if obs is not None:
@@ -1296,6 +1389,9 @@ class ZkServer:
     # -- replies -----------------------------------------------------------
 
     def _reply(self, client_node: str, payload: object) -> None:
+        if self._relayed and isinstance(payload, ClientReply):
+            # Whatever answers the client settles the request it names.
+            self._relayed.pop((client_node, payload.xid), None)
         obs = self.env.obs
         if obs is not None and obs.tracer is not None \
                 and isinstance(payload, ClientReply):
@@ -1305,8 +1401,19 @@ class ZkServer:
                             self.env.now, self.node_id)
         self.net.send(self.node_id, client_node, payload)
 
+    def _answer(self, meta: RequestMeta, reply: ClientReply) -> None:
+        """Answer a request that ends without a transaction of its own.
+
+        No record will apply at the origin to settle a forwarded one, so
+        the origin is told separately (see :class:`ForwardSettled`).
+        """
+        self._reply(meta.client_node, reply)
+        if meta.origin_replica != self.node_id:
+            self.net.send(self.node_id, meta.origin_replica,
+                          ForwardSettled(meta.client_node, meta.xid))
+
     def _reply_error(self, meta: RequestMeta, error: ZkError) -> None:
-        self._reply(meta.client_node, ClientReply(
+        self._answer(meta, ClientReply(
             meta.xid, False, None, to_code(error), str(error)))
 
 

@@ -200,13 +200,79 @@ class TestIntrospection:
         server.recover()
 
 
+class TestFailoverReroute:
+    """The obs plane shows where a failover write waited."""
+
+    @pytest.fixture(params=("zab", "raft"))
+    def stranded(self, request):
+        """A write relayed to a leader that just died, not yet rescued."""
+        from repro.raft import RaftConfig
+
+        obs_cfg = ObsConfig()
+        config = ZkConfig(kernel=request.param, obs=obs_cfg,
+                          raft=RaftConfig(seed=7))
+        ensemble = ZkEnsemble(n_replicas=3, seed=7, config=config)
+        ensemble.start()
+        env = ensemble.env
+        client = ensemble.client(replica=ensemble.replica_ids[-1])
+
+        def setup():
+            yield from client.connect()
+            yield from client.create("/a", b"0")
+
+        env.run(until=env.process(setup()))
+        ensemble.leader.crash()
+        call = env.process(client.set_data("/a", b"1"))
+        env.run(until=env.now + 1.0)
+        return ensemble, obs_cfg.runtime, client, call
+
+    def test_four_letter_words_count_outstanding_forwards(self, stranded):
+        ensemble, _obs, client, _call = stranded
+        stat = probe(ensemble.env, ensemble.net, client.replica, "stat")
+        assert "outstanding_forwards: 1" in stat
+        mntr = probe(ensemble.env, ensemble.net, client.replica, "mntr")
+        assert "zk_outstanding_forwards\t1" in mntr
+
+    def test_reroute_counter_and_aux_span(self, stranded):
+        ensemble, obs, client, call = stranded
+        relayed_at = ensemble.env.now - 1.0
+        ensemble.env.run(until=call)
+        assert obs.metrics.total("zk.forwards_rerouted") == 1
+        assert obs.metrics.total("zk.forwards_bounced") == 0
+        trace = next(t.to_dict() for t in obs.tracer.traces()
+                     if t.client == client.node_id and t.op == "SetDataOp")
+        assert check_trace(trace) is None
+        (name, t0, t1, node, _detail), = trace["aux"]
+        assert (name, node) == ("reroute", client.replica)
+        assert t0 == pytest.approx(relayed_at, abs=0.5)
+        # The span ends when the election did: it *is* the wait.
+        assert t1 - t0 > 100.0
+        assert t1 <= trace["marks"][-1][1]
+        assert "~reroute" in format_waterfall(trace)
+        stat = probe(ensemble.env, ensemble.net, client.replica, "stat")
+        assert "outstanding_forwards: 0" in stat
+
+    def test_role_change_with_no_leader_bounces(self, stranded):
+        ensemble, obs, client, call = stranded
+        origin = ensemble.server(client.replica)
+        # A role change that leaves nobody to route to hands the request
+        # back; the client backs off and retries once a leader exists.
+        origin.broadcast.leader_id = None
+        origin._on_role_change()
+        assert obs.metrics.total("zk.forwards_bounced") == 1
+        assert not origin._relayed
+        assert ensemble.env.run(until=call).version == 1
+
+
 class TestDepSpace:
-    def test_traced_ds_run(self):
+    @pytest.mark.parametrize("kernel", ("pbft", "raft"))
+    def test_traced_ds_run(self, kernel):
         from repro.depspace import DsEnsemble
         from repro.depspace.server import DsConfig
 
         obs_cfg = ObsConfig()
-        ensemble = DsEnsemble(f=1, seed=11, config=DsConfig(obs=obs_cfg))
+        ensemble = DsEnsemble(f=1, seed=11,
+                              config=DsConfig(kernel=kernel, obs=obs_cfg))
         ensemble.start()
         client = ensemble.client()
 
@@ -223,10 +289,16 @@ class TestDepSpace:
         traces = [t.to_dict() for t in obs.tracer.traces()]
         defects = [d for d in map(check_trace, traces) if d]
         assert defects == []
-        recon = breakdown(traces)["read"]["_recon"]
+        # Ordered requests carry propose/deliver marks, so the BFT row
+        # decomposes like the Zab and Raft ones: agreement is its own
+        # pair of phases instead of hiding inside "execute".
+        write = breakdown(traces)["write"]
+        recon = write["_recon"]
         assert recon["traces"] == 7
         assert recon["phase_sum_ms"] == pytest.approx(
             recon["end_to_end_ms"], rel=0.01)
+        assert write["broadcast"]["mean_ms"] > 0
+        assert write["quorum"]["mean_ms"] > 0
         assert obs.metrics.total("ds.requests") > 0
         assert obs.metrics.total("ds.ordered") > 0
         payload = probe(ensemble.env, ensemble.net,

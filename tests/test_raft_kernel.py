@@ -78,6 +78,49 @@ def test_pre_vote_spares_the_term_from_partition_churn():
     assert cluster.endpoints["n0"].kernel.current_term == term_before
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_ranked_pre_vote_picks_the_winner_not_the_timeouts(n):
+    # The seeded timeouts pick who *starts* the election; the ranked
+    # pre-vote picks the winner among equally up-to-date survivors, in
+    # one round. With three replicas the poller needs the one other
+    # survivor, so the outcome is unique: the higher id, whoever timed
+    # out first. With five, two lower-ranked grants can carry a poller
+    # before a higher-ranked survivor's own poll lands, so the winner
+    # is only never *below* the first poller.
+    first_to_poll = set()
+    for seed in range(12):
+        cluster = BroadcastCluster("raft", n=n, seed=seed)
+        cluster.try_propose("v1")
+        cluster.run(300.0)
+        survivors = [cluster.endpoints[i].kernel for i in cluster.node_ids[1:]]
+        first = min(survivors, key=lambda k: k._timeout_ms).node_id
+        first_to_poll.add(first)
+        cluster.crash("n0")
+        crashed_at = cluster.env.now
+        leader = cluster.await_leader(step_ms=10.0)
+        assert leader is not None and leader.node_id >= first
+        if n == 3:
+            assert leader.node_id == "n2"
+        config = leader.kernel.config
+        assert cluster.env.now - crashed_at < \
+            config.election_timeout_max_ms + 2 * config.heartbeat_ms
+        assert [k.current_term for k in survivors] == [2] * len(survivors), \
+            "one real election: no split vote, no second round"
+    assert len(first_to_poll) > 1, "seeds must vary who times out first"
+
+
+def test_longer_log_outranks_higher_id():
+    for seed in range(6):
+        cluster = BroadcastCluster("raft", seed=seed)
+        cluster.partition(["n2"])
+        cluster.try_propose("only-n0-and-n1-hold-this")
+        cluster.run(100.0)
+        cluster.crash("n0")
+        cluster.heal()
+        leader = cluster.await_leader()
+        assert leader is not None and leader.node_id == "n1"
+
+
 def test_deposed_leader_rejoins_as_follower():
     cluster = BroadcastCluster("raft")
     assert cluster.await_leader() is not None
