@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench.wallclock import (_batched_config, main, measure_queue,
-                                   measure_read_heavy)
+from repro.bench.wallclock import main, measure_queue, measure_read_heavy
 
 EXPECT_KEYS = {"wall_s", "sim_events", "events_per_wall_s", "sim_ops_per_s",
                "mean_latency_ms", "client_kb_per_op", "completed_ops"}
@@ -34,13 +33,6 @@ def test_measure_queue_deterministic_sim_metrics():
     for key in ("sim_events", "sim_ops_per_s", "mean_latency_ms",
                 "client_kb_per_op", "completed_ops"):
         assert a[key] == b[key]
-
-
-def test_batched_config_available():
-    """The batching knobs exist, so the +batch rows are measurable."""
-    config = _batched_config()
-    assert config is not None
-    assert config.zab.batch_max_txns > 1
 
 
 def test_measure_read_heavy_scales():

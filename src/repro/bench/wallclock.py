@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..sim import Environment, default_kernel, kernel_backend
+from ..sim import Environment, default_kernel
 from .workload import run_queue_workload, run_read_heavy_workload
 
 __all__ = ["measure_queue", "measure_read_heavy", "measure_kernel",
@@ -77,17 +77,6 @@ def _consensus_config(kernel: str):
     return ZkConfig(kernel=kernel)
 
 
-def _batched_config():
-    """A ZkConfig with Zab batching enabled, or None pre-batching."""
-    from ..zk.server import ZkConfig
-    from ..zk.zab import ZabConfig
-    try:
-        zab = ZabConfig(batch_window_ms=1.0, batch_max_txns=8)
-    except TypeError:        # knobs not present (pre-change baseline)
-        return None
-    return ZkConfig(zab=zab)
-
-
 def measure_queue(kind: str, config=None, repeat: int = 3,
                   clients: int = CLIENTS,
                   measure_ms: float = MEASURE_MS) -> Dict[str, float]:
@@ -117,23 +106,13 @@ def measure_queue(kind: str, config=None, repeat: int = 3,
     return best
 
 
-def run_bench(repeat: int = 3, include_batched: bool = True,
+def run_bench(repeat: int = 3,
               kernel: str = "zab") -> Dict[str, Dict[str, float]]:
-    """Measure every system; adds ``<kind>+batch`` rows when available.
-
-    ``kernel`` selects the consensus backend ("zab"/"raft"); batched
-    rows are a Zab knob and are skipped for other kernels."""
+    """Measure every system over the ``kernel`` consensus backend
+    ("zab"/"raft")."""
     consensus = _consensus_config(kernel)
-    rows: Dict[str, Dict[str, float]] = {}
-    for kind in SYSTEMS:
-        rows[kind] = measure_queue(kind, config=consensus, repeat=repeat)
-    if include_batched and kernel == "zab":
-        config = _batched_config()
-        if config is not None:
-            for kind in SYSTEMS:
-                rows[f"{kind}+batch"] = measure_queue(
-                    kind, config=config, repeat=repeat)
-    return rows
+    return {kind: measure_queue(kind, config=consensus, repeat=repeat)
+            for kind in SYSTEMS}
 
 
 def measure_read_heavy(kind: str, scaled: bool, repeat: int = 3,
@@ -236,7 +215,6 @@ def measure_kernel(kernel: Optional[str] = None, repeat: int = 3,
                 "events_per_wall_s": round(events / wall_s, 1),
             }
     best["kernel"] = kernel
-    best["backend"] = kernel_backend()
     return best
 
 
@@ -541,8 +519,7 @@ def main(argv: Optional[list] = None) -> int:
         payload = _load(args.output)
         payload["kernel"] = rows
         for kernel, row in rows.items():
-            print(f"  {kernel:<9} events/s={row['events_per_wall_s']:>12.1f}"
-                  f"  ({row['backend']})")
+            print(f"  {kernel:<9} events/s={row['events_per_wall_s']:>12.1f}")
         if rows["heap"]["events_per_wall_s"]:
             ratio = (rows["calendar"]["events_per_wall_s"]
                      / rows["heap"]["events_per_wall_s"])
@@ -607,8 +584,7 @@ def main(argv: Optional[list] = None) -> int:
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         return 0
 
-    rows = run_bench(repeat=args.repeat, include_batched=not args.baseline,
-                     kernel=args.kernel)
+    rows = run_bench(repeat=args.repeat, kernel=args.kernel)
     payload = _load(args.output)
     if args.kernel != "zab":
         # Non-default kernels live in their own section: the baseline /
@@ -632,8 +608,7 @@ def main(argv: Optional[list] = None) -> int:
         payload["current"] = rows
         speedup = {}
         for kind, row in rows.items():
-            base_kind = kind.split("+")[0]
-            base = payload["baseline"].get(base_kind)
+            base = payload["baseline"].get(kind)
             if base:
                 speedup[kind] = round(
                     row["events_per_wall_s"] / base["events_per_wall_s"], 3)

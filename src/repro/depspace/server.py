@@ -225,9 +225,6 @@ class DsReplica:
             attempt += 1
             yield self.env.timeout(self.config.bft.request_timeout_ms)
 
-    def _any_peer(self) -> str:
-        return next(p for p in self.replica_ids if p != self.node_id)
-
     # -- wiring ------------------------------------------------------------
 
     def _bft_send(self, dst: str, msg: object) -> None:

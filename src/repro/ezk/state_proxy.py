@@ -41,13 +41,6 @@ class ZkBufferedState(AbstractState):
 
     # -- helpers -----------------------------------------------------------
 
-    def _seq_of(self, path: str, czxid: int) -> int:
-        if czxid:
-            return czxid
-        # Created inside this extension invocation: younger than anything
-        # committed, ordered among themselves by creation order.
-        return _PENDING_SEQ_BASE + self._pending_order.get(path, 0)
-
     def to_multi_txn(self, result=None) -> MultiTxn:
         """The recorded write-set as one atomic multi-transaction."""
         return MultiTxn(list(self.overlay.txns), result_payload=result,

@@ -7,8 +7,7 @@ generator-process kernel (:mod:`~repro.sim.events`,
 (:mod:`~repro.sim.stats`).
 """
 
-from .environment import (Environment, Infeasible, default_kernel,
-                          kernel_backend)
+from .environment import Environment, Infeasible, default_kernel
 from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Process,
                      Timeout)
 from .network import (MESSAGE_HEADER_BYTES, LatencyModel, Network,
@@ -20,7 +19,6 @@ __all__ = [
     "Environment",
     "Infeasible",
     "default_kernel",
-    "kernel_backend",
     "Event",
     "Timeout",
     "Callback",

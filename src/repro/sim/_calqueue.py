@@ -31,9 +31,9 @@ either kernel.  The argument:
   pushed later than any equal-time snapshot entry, so the snapshot wins
   ties.
 
-The class is written to stay compiled-extension friendly (mypyc or
-Cython may shadow this file with a native module — see ``build_ext``):
-slotted attributes, tuple-based entries, no closures on the hot path.
+The hot path keeps to slotted attributes, tuple-based entries and no
+closures, which keeps the interpreter's per-push and per-pop overhead
+low.
 """
 
 from __future__ import annotations

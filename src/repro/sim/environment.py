@@ -27,7 +27,7 @@ from typing import Any, Generator, Iterable, Optional
 from ._calqueue import CalendarQueue
 from .events import AllOf, AnyOf, Callback, Event, Process, Timeout
 
-__all__ = ["Environment", "Infeasible", "default_kernel", "kernel_backend"]
+__all__ = ["Environment", "Infeasible", "default_kernel"]
 
 KERNELS = ("calendar", "heap")
 
@@ -39,13 +39,6 @@ def default_kernel() -> str:
         raise ValueError(
             f"REPRO_SIM_KERNEL={kernel!r}: expected one of {KERNELS}")
     return kernel
-
-
-def kernel_backend() -> str:
-    """'compiled' when a native _calqueue extension is loaded, else 'pure'."""
-    from . import _calqueue
-    path = getattr(_calqueue, "__file__", "") or ""
-    return "pure" if path.endswith(".py") else "compiled"
 
 
 class Infeasible(RuntimeError):

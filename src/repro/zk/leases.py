@@ -340,13 +340,6 @@ class LeaseTable:
                     ready.append(gate)
         return ready
 
-    def release_session(self, session_id: int) -> List[WriteGate]:
-        """Voluntarily release every lease a session holds (sync())."""
-        ready: List[WriteGate] = []
-        for lease_id in sorted(self.by_session.get(session_id, ())):
-            ready.extend(self.revoked(lease_id))
-        return ready
-
     def purge(self, lease_ids) -> None:
         """Force-drop leases that ran out their term unacked."""
         for lease_id in list(lease_ids):

@@ -112,14 +112,6 @@ class ZkConfig:
     #: park reads until they catch up. Off by default — the figure
     #: benchmarks reproduce the seed bit-for-bit with this off.
     local_reads: bool = False
-    #: Expiry fencing: a request stamped with a session id whose close
-    #: has been *applied* (or, at the leader, proposed) is rejected with
-    #: ``SESSION_EXPIRED`` instead of silently executed. Fencing keys on
-    #: the recorded closed-set, never on mere table absence, so a
-    #: lagging replica that has not applied a session's creation yet
-    #: never fences a healthy client. On by default: the default figure
-    #: workloads never close sessions, so their traffic is unchanged.
-    expiry_fencing: bool = True
     #: Leader-granted read leases for client-side caching (see
     #: ``leases.py``). ``None`` (the default) keeps every path — wire
     #: sizes, scheduling, replies — bit-identical to a lease-free build;
@@ -396,7 +388,7 @@ class ZkServer:
         creation has not applied yet. ``CloseSessionOp`` is exempt so a
         client retrying its own close still gets an answer.
         """
-        if not self.config.expiry_fencing or not session_id:
+        if not session_id:
             return False
         if isinstance(op, CloseSessionOp):
             return False

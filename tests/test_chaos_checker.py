@@ -227,7 +227,7 @@ def _counter_run_with_lagging_follower(skip_parking: bool) -> object:
             # Lag replication to c1's follower, then land one more
             # increment the follower will not have applied yet.
             ensemble.net.add_delay_rule(
-                1500.0, msg_types=("Proposal", "BatchProposal", "Commit"),
+                1500.0, msg_types=("Proposal", "Commit"),
                 dst=frozenset({raw[1].replica}))
             yield from coords[0].mark("inc", "/ctr", None,
                                       counter0.increment())

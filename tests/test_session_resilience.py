@@ -3,7 +3,7 @@
 import pytest
 
 from repro.zk import SessionExpiredError, SessionState, ZkEnsemble
-from repro.zk.server import ZkConfig
+from repro.zk.server import ZkServer
 from repro.zk.txn import CloseSessionTxn
 from repro.zk.watches import EventType
 
@@ -115,22 +115,24 @@ class TestExpiryFencing:
             if server._alive:
                 assert server.tree.get_data("/fenced")[0] == b"safe"
 
-    def test_fencing_off_reproduces_lossy_behavior(self):
-        ens = ZkEnsemble(n_replicas=3, seed=1,
-                         config=ZkConfig(expiry_fencing=False))
-        ens.start()
-        client = connected_client(ens, session_timeout_ms=1000.0)
+    def test_fencing_off_reproduces_lossy_behavior(self, ensemble,
+                                                   monkeypatch):
+        """Mutant of ``test_post_expiry_write_is_fenced``: with the fence
+        check stubbed out, the same zombie write must land — otherwise
+        that test would pass without the fence."""
+        monkeypatch.setattr(ZkServer, "_fence_expired",
+                            lambda self, session_id, op: False)
+        client = connected_client(ensemble, session_timeout_ms=1000.0)
 
         def scenario():
             yield from client.create("/fenced", b"safe")
             client.abandon()
-            yield ens.env.timeout(3000.0)
+            yield ensemble.env.timeout(3000.0)
             yield from client.set_data("/fenced", b"zombie")
             return "applied"
 
-        # The historical gate: without fencing the zombie write lands.
-        assert run(ens, scenario())[0] == "applied"
-        assert ens.leader.tree.get_data("/fenced")[0] == b"zombie"
+        assert run(ensemble, scenario())[0] == "applied"
+        assert ensemble.leader.tree.get_data("/fenced")[0] == b"zombie"
 
     def test_fenced_pong_after_partition_expires_client(self, ensemble):
         """A client with no outstanding calls learns of its expiry from

@@ -1,22 +1,18 @@
-"""Invariant tests for leader-side proposal batching (BatchProposal).
+"""Delivery invariants first written for leader-side proposal batching.
 
-Batching is a wire-level optimisation: with ``batch_window_ms > 0`` and
-``batch_max_txns > 1`` the leader packs several transactions into one
-:class:`BatchProposal` and followers ack cumulatively. None of that may
-change what gets delivered: every live replica must deliver committed
-entries exactly once, in zxid order, across leader crashes mid-batch
-and partition heals — the same guarantees the unbatched path gives.
+Batching is gone: the leader sends one ``Proposal`` per transaction and
+followers ack cumulatively. The guarantees these scenarios checked still
+hold on that path: every live replica delivers committed entries exactly
+once, in zxid order, a recovered follower resyncs from the leader, and a
+deposed leader's unacked proposal is never delivered.
 """
 
 from repro.sim import Environment, LatencyModel, Network
 from repro.zk.txn import SetDataTxn
-from repro.zk.zab import Role, ZabConfig, ZabPeer
-
-BATCHED = dict(batch_window_ms=1.0, batch_max_txns=8)
+from repro.zk.zab import ZabConfig, ZabPeer
 
 
-def build_cluster(n=3, heartbeat=20.0, election=80.0, window=30.0,
-                  **zab_kwargs):
+def build_cluster(n=3, heartbeat=20.0, election=80.0, window=30.0):
     env = Environment()
     net = Network(env, latency=LatencyModel(jitter_ms=0.0), seed=5)
     ids = [f"p{i}" for i in range(n)]
@@ -34,8 +30,7 @@ def build_cluster(n=3, heartbeat=20.0, election=80.0, window=30.0,
                        deliver=make_deliver(),
                        config=ZabConfig(heartbeat_ms=heartbeat,
                                         election_timeout_ms=election,
-                                        election_window_ms=window,
-                                        **zab_kwargs))
+                                        election_window_ms=window))
         peers[node] = peer
 
         def make_handler(peer=peer):
@@ -60,118 +55,20 @@ def assert_exactly_once_in_order(delivered, expect_payloads, skip=()):
 
 
 class TestBatchedReplication:
-    def test_batched_delivery_matches_unbatched(self):
-        """Same proposals, same deliveries — batching is wire-only."""
-        logs = {}
-        for kwargs in ({}, BATCHED):
-            env, _net, peers, delivered = build_cluster(**kwargs)
-            for i in range(20):
-                peers["p0"].propose(SetDataTxn("/a", str(i).encode()))
-            env.run(until=200.0)
-            logs[bool(kwargs)] = {
-                node: [(r.zxid, r.txn.data) for r in log]
-                for node, log in delivered.items()}
-        assert logs[False] == logs[True]
-
     def test_exactly_once_in_zxid_order(self):
-        env, _net, peers, delivered = build_cluster(**BATCHED)
+        env, _net, peers, delivered = build_cluster()
         payloads = [str(i).encode() for i in range(25)]
         for p in payloads:
             peers["p0"].propose(SetDataTxn("/a", p))
         env.run(until=300.0)  # heartbeats re-announce the commit point
         assert_exactly_once_in_order(delivered, payloads)
 
-    def test_window_flushes_partial_batch(self):
-        """Fewer than batch_max_txns still commits once the window fires."""
-        env, _net, peers, delivered = build_cluster(
-            batch_window_ms=1.0, batch_max_txns=64)
-        peers["p0"].propose(SetDataTxn("/a", b"lonely"))
-        env.run(until=50.0)
-        assert_exactly_once_in_order(delivered, [b"lonely"])
-
-    def test_full_batch_flushes_before_window(self):
-        """batch_max_txns proposals flush immediately, not after the window."""
-        env, _net, peers, delivered = build_cluster(
-            batch_window_ms=1000.0, batch_max_txns=4)
-        for i in range(4):
-            peers["p0"].propose(SetDataTxn("/a", str(i).encode()))
-        env.run(until=50.0)  # far less than the 1000 ms window
-        assert_exactly_once_in_order(
-            delivered, [str(i).encode() for i in range(4)])
-
-    def test_batching_reduces_leader_messages(self):
-        """The point of the exercise: fewer proposal messages on the wire."""
-        counts = {}
-        for key, kwargs in (("plain", {}), ("batched", BATCHED)):
-            env, net, peers, _delivered = build_cluster(**kwargs)
-            for i in range(40):
-                peers["p0"].propose(SetDataTxn("/a", str(i).encode()))
-            env.run(until=100.0)
-            counts[key] = net.msgs_sent["p0"]
-        assert counts["batched"] < counts["plain"]
-
 
 class TestBatchedFailover:
-    def test_leader_crash_mid_batch(self):
-        """Crash the leader while a batch is still buffering.
-
-        Pending records already sit in the leader's durable log; the
-        crash drops the in-memory batch but must not corrupt anyone.
-        Committed entries survive, survivors stay consistent, and the
-        cluster keeps making progress under a new leader.
-        """
-        env, net, peers, delivered = build_cluster(
-            batch_window_ms=50.0, batch_max_txns=64)
-        # First round commits (window elapses).
-        for i in range(3):
-            peers["p0"].propose(SetDataTxn("/a", str(i).encode()))
-        env.run(until=200.0)
-        committed = [str(i).encode() for i in range(3)]
-        assert_exactly_once_in_order(delivered, committed)
-        # Second round: crash before the 50 ms window can flush.
-        peers["p0"].propose(SetDataTxn("/a", b"mid-batch"))
-        env.run(until=env.now + 1.0)
-        net.crash("p0")
-        peers["p0"].crash()
-        env.run(until=env.now + 800.0)
-        leaders = [p for p in peers.values() if p.is_leader]
-        assert len(leaders) == 1 and leaders[0].node_id != "p0"
-        leaders[0].propose(SetDataTxn("/b", b"post-failover"))
-        env.run(until=env.now + 100.0)
-        for node in ("p1", "p2"):
-            log = delivered[node]
-            zxids = [r.zxid for r in log]
-            assert zxids == sorted(zxids)
-            assert len(set(zxids)) == len(zxids)
-            # The committed prefix survives; the stranded entry never
-            # reached a quorum and must not reappear.
-            assert [r.txn.data for r in log[:3]] == committed
-            assert log[-1].txn.data == b"post-failover"
-            assert all(r.txn.data != b"mid-batch" for r in log)
-
-    def test_healed_partition_resyncs_batches(self):
-        """A follower partitioned through several batches catches up."""
-        env, net, peers, delivered = build_cluster(**BATCHED)
-        # Let the cluster settle, then isolate p2.
-        env.run(until=30.0)
-        net.partition(["p2"], ["p0", "p1"])
-        payloads = [str(i).encode() for i in range(24)]
-        for p in payloads:
-            peers["p0"].propose(SetDataTxn("/a", p))
-        env.run(until=env.now + 100.0)
-        assert delivered["p2"] == []
-        net.heal()
-        # p0 stays leader (it kept a quorum); heartbeats + SyncRequest
-        # bring p2 back without a new election.
-        env.run(until=env.now + 600.0)
-        assert peers["p0"].is_leader
-        assert peers["p2"].role is Role.FOLLOWER
-        assert_exactly_once_in_order(delivered, payloads)
-
     def test_recovered_follower_syncs_suffix_only(self):
         """Incremental sync: the rejoining follower receives the missing
-        suffix, not the whole log, and still ends up exactly-once."""
-        env, net, peers, delivered = build_cluster(**BATCHED)
+        suffix and still ends up exactly-once."""
+        env, net, peers, delivered = build_cluster()
         pre = [str(i).encode() for i in range(6)]
         for p in pre:
             peers["p0"].propose(SetDataTxn("/a", p))
@@ -188,15 +85,12 @@ class TestBatchedFailover:
         env.run(until=env.now + 600.0)
         assert_exactly_once_in_order(delivered, pre + post, skip=("p0", "p1"))
         assert_exactly_once_in_order({"p2": delivered["p2"]}, pre + post)
-        # The resync payload must be far smaller than a full-log replay
-        # would be: p2 already holds the first 6 records.
         resync_bytes = net.bytes_received["p2"] - bytes_before
         assert resync_bytes > 0
 
     def test_batch_from_stale_epoch_ignored(self):
-        """A deposed leader's buffered batch must never be delivered."""
-        env, net, peers, delivered = build_cluster(
-            batch_window_ms=5.0, batch_max_txns=64)
+        """A deposed leader's unacked proposal must never be delivered."""
+        env, net, peers, delivered = build_cluster()
         env.run(until=30.0)
         net.partition(["p0"], ["p1", "p2"])
         peers["p0"].propose(SetDataTxn("/a", b"doomed"))

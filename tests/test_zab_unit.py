@@ -167,6 +167,60 @@ class TestElection:
         env.run(until=env.now + 600.0)
         assert len(delivered["p2"]) == 4
 
+    def test_healed_follower_catches_up_without_election(self):
+        """A follower partitioned through many commits — but for less
+        than the election timeout, and with no proposal after the heal
+        to trip its gap check — learns from the leader's heartbeats that
+        it is behind and fetches the missing suffix; nobody elects."""
+        env, net, peers, delivered = build_cluster()
+        env.run(until=30.0)
+        net.partition(["p2"], ["p0", "p1"])
+        payloads = [str(i).encode() for i in range(24)]
+        for p in payloads:
+            peers["p0"].propose(SetDataTxn("/a", p))
+        env.run(until=env.now + 50.0)
+        assert delivered["p2"] == []
+        net.heal()
+        env.run(until=env.now + 600.0)
+        assert peers["p0"].is_leader
+        assert all(p.epoch == 1 for p in peers.values())
+        assert peers["p2"].role is Role.FOLLOWER
+        for node, log in delivered.items():
+            assert [r.txn.data for r in log] == payloads, node
+
+    def test_unacked_proposal_of_crashed_leader_never_delivered(self):
+        """A proposal no follower received dies with its leader: the
+        committed prefix survives, the new leader keeps committing, and
+        the orphan is never delivered — not even by the old leader,
+        whose log still ends in it when it recovers and hears the new
+        leader's heartbeats before its resync gets through."""
+        env, net, peers, delivered = build_cluster()
+        committed = [str(i).encode() for i in range(3)]
+        for p in committed:
+            peers["p0"].propose(SetDataTxn("/a", p))
+        env.run(until=200.0)
+        net.add_drop_rule(msg_types=("Proposal",), src="p0")
+        peers["p0"].propose(SetDataTxn("/a", b"orphan"))
+        env.run(until=env.now + 1.0)
+        net.crash("p0")
+        peers["p0"].crash()
+        env.run(until=env.now + 800.0)
+        leaders = [p for p in peers.values() if p.is_leader]
+        assert len(leaders) == 1 and leaders[0].node_id != "p0"
+        leaders[0].propose(SetDataTxn("/b", b"post-failover"))
+        env.run(until=env.now + 100.0)
+        net.clear_rules()
+        net.add_drop_rule(msg_types=("SyncRequest",), src="p0")
+        net.recover("p0")
+        peers["p0"].recover()
+        env.run(until=env.now + 200.0)
+        assert [r.txn.data for r in delivered["p0"]] == committed
+        net.clear_rules()
+        env.run(until=env.now + 600.0)
+        for node, log in delivered.items():
+            data = [r.txn.data for r in log]
+            assert data == committed + [b"post-failover"], node
+
     def test_no_election_while_leader_healthy(self):
         env, _net, peers, _delivered = build_cluster()
         env.run(until=1000.0)
