@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs import M_DELIVER, M_PROPOSE
-from ..sim import Environment
+from ..sim import Environment, estimate_size
 
 __all__ = ["BftConfig", "BftPeer", "BftRequest", "mark_ordering"]
 
@@ -47,8 +47,22 @@ class BftConfig:
 
 @dataclass(frozen=True)
 class RequestId:
+    """Client-assigned request identity.
+
+    Ids key every dedup and pending table, so the hash is computed once
+    (the same value the generated ``__hash__`` would return). It lives
+    outside the dataclass fields: equality, repr and the wire-size
+    estimate see only ``client_id`` and ``seq``.
+    """
+
     client_id: str
     seq: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.client_id, self.seq)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass
@@ -67,7 +81,6 @@ class BftRequest:
     def wire_size(self) -> int:
         size = self._wire_size
         if size is None:
-            from ..sim import estimate_size
             # Mirrors the generic dataclass estimate for the real fields.
             size = 2 + estimate_size(self.request_id) + estimate_size(self.op)
             self._wire_size = size
@@ -266,28 +279,21 @@ class BftPeer:
         """Process an ordering-protocol message; False if not ours."""
         if not self._alive:
             return True
-        if isinstance(msg, (PrePrepare, Prepare, Commit)):
-            self._note_view(msg.view)
-            if msg.seq > self._max_seen_seq:
-                self._max_seen_seq = msg.seq
-        if isinstance(msg, Status):
-            self._note_view(msg.view)
-            if msg.exec_seq > self._max_seen_seq:
-                self._max_seen_seq = msg.exec_seq
-            return True
-        if isinstance(msg, PrePrepare):
-            self._on_preprepare(src, msg)
-        elif isinstance(msg, Prepare):
-            self._on_prepare(msg)
-        elif isinstance(msg, Commit):
-            self._on_commit(msg)
-        elif isinstance(msg, ViewChange):
-            self._on_view_change(msg)
-        elif isinstance(msg, NewView):
-            self._on_new_view(src, msg)
-        else:
+        handler = _HANDLERS.get(msg.__class__)
+        if handler is None:
             return False
+        handler(self, src, msg)
         return True
+
+    def _note_progress(self, view: int, seq: int) -> None:
+        """Evidence from a peer: it is in ``view`` and ``seq`` exists."""
+        if view > self.view:
+            self._note_view(view)
+        if seq > self._max_seen_seq:
+            self._max_seen_seq = seq
+
+    def _on_status(self, src: str, msg: Status) -> None:
+        self._note_progress(msg.view, msg.exec_seq)
 
     def _note_view(self, view: int) -> None:
         """Catch up to a view we missed the change for.
@@ -319,6 +325,8 @@ class BftPeer:
         return slot
 
     def _on_preprepare(self, src: str, msg: PrePrepare) -> None:
+        if msg.view > self.view or msg.seq > self._max_seen_seq:
+            self._note_progress(msg.view, msg.seq)
         if msg.view != self.view or src != self.primary_id:
             return
         if msg.request.request_id in self._executed_ids:
@@ -337,40 +345,42 @@ class BftPeer:
         prepare = Prepare(self.view, msg.seq, msg.request.request_id,
                           self.node_id)
         self._fan_out(prepare)
-        self._check_prepared(msg.seq)
+        self._check_prepared(msg.seq, slot)
 
-    def _on_prepare(self, msg: Prepare) -> None:
+    def _on_prepare(self, src: str, msg: Prepare) -> None:
+        if msg.view > self.view or msg.seq > self._max_seen_seq:
+            self._note_progress(msg.view, msg.seq)
         if msg.view != self.view:
             return
         slot = self._slot(msg.seq)
         if slot is None:
             return
         slot.prepares.add(msg.replica_id)
-        self._check_prepared(msg.seq)
+        self._check_prepared(msg.seq, slot)
 
-    def _check_prepared(self, seq: int) -> None:
-        slot = self._slots.get(seq)
-        if (slot is None or slot.prepared or slot.request is None
+    def _check_prepared(self, seq: int, slot: _Slot) -> None:
+        if (slot.prepared or slot.request is None
                 or len(slot.prepares) < 2 * self.f + 1):
             return
         slot.prepared = True
         slot.commits.add(self.node_id)
         commit = Commit(self.view, seq, slot.request.request_id, self.node_id)
         self._fan_out(commit)
-        self._check_committed(seq)
+        self._check_committed(slot)
 
-    def _on_commit(self, msg: Commit) -> None:
+    def _on_commit(self, src: str, msg: Commit) -> None:
+        if msg.view > self.view or msg.seq > self._max_seen_seq:
+            self._note_progress(msg.view, msg.seq)
         if msg.view != self.view:
             return
         slot = self._slot(msg.seq)
         if slot is None:
             return
         slot.commits.add(msg.replica_id)
-        self._check_committed(msg.seq)
+        self._check_committed(slot)
 
-    def _check_committed(self, seq: int) -> None:
-        slot = self._slots.get(seq)
-        if (slot is None or slot.committed or not slot.prepared
+    def _check_committed(self, slot: _Slot) -> None:
+        if (slot.committed or not slot.prepared
                 or len(slot.commits) < 2 * self.f + 1):
             return
         slot.committed = True
@@ -452,7 +462,7 @@ class BftPeer:
         self._fan_out(msg)
         self._maybe_install_view(new_view)
 
-    def _on_view_change(self, msg: ViewChange) -> None:
+    def _on_view_change(self, src: str, msg: ViewChange) -> None:
         if msg.new_view <= self.view:
             return
         votes = self._view_votes.setdefault(msg.new_view, {})
@@ -499,3 +509,14 @@ class BftPeer:
         self._slots = {}
         self._proposed_ids = set()
         self._next_seq = self._exec_seq
+
+
+#: Exact-type dispatch for :meth:`BftPeer.handle` (no message subclasses).
+_HANDLERS = {
+    PrePrepare: BftPeer._on_preprepare,
+    Prepare: BftPeer._on_prepare,
+    Commit: BftPeer._on_commit,
+    ViewChange: BftPeer._on_view_change,
+    NewView: BftPeer._on_new_view,
+    Status: BftPeer._on_status,
+}

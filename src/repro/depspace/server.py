@@ -19,6 +19,7 @@ the same tuples at the same logical instant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -121,19 +122,22 @@ class DsReplica:
         self._reply_cache: Dict[str, DsReply] = {}
 
         kernel = getattr(self.config, "kernel", "pbft")
+        send = functools.partial(net.send, node_id)
+        # Fan-out path: size the payload once for the whole broadcast.
+        send_many = functools.partial(net.broadcast, node_id)
         if kernel == "pbft":
             self.ordering = BftPeer(env, node_id, replica_ids,
-                                    send=self._bft_send,
+                                    send=send,
                                     execute=self._execute_request,
                                     config=self.config.bft,
-                                    send_many=self._bft_send_many)
+                                    send_many=send_many)
         elif kernel == "raft":
             self.ordering = RaftOrdering(env, node_id, replica_ids,
-                                         send=self._bft_send,
+                                         send=send,
                                          execute=self._execute_request,
                                          config=self.config.bft,
                                          raft_config=self.config.raft,
-                                         send_many=self._bft_send_many)
+                                         send_many=send_many)
         else:
             raise ValueError(f"unknown kernel {kernel!r} (expected one "
                              f"of {DS_KERNELS})")
@@ -227,31 +231,20 @@ class DsReplica:
 
     # -- wiring ------------------------------------------------------------
 
-    def _bft_send(self, dst: str, msg: object) -> None:
-        self.net.send(self.node_id, dst, msg)
-
-    def _bft_send_many(self, dsts, msg: object) -> None:
-        # Fan-out path: size the payload once for the whole broadcast.
-        self.net.broadcast(self.node_id, dsts, msg)
-
     def handle_message(self, src: str, msg: object) -> None:
         if not self._alive:
             return
-        if isinstance(msg, BftRequest):
-            self._on_client_request(src, msg)
-            return
-        if isinstance(msg, StateRequest):
-            self._on_state_request(src, msg)
-            return
-        if isinstance(msg, StateResponse):
-            self._on_state_response(src, msg)
-            return
-        if isinstance(msg, FourLetterRequest):
-            self.net.send(self.node_id, src,
-                          FourLetterReply(msg.xid, msg.command,
-                                          self._four_letter(msg.command)))
-            return
-        self.ordering.handle(src, msg)
+        handler = _INBOX.get(msg.__class__)
+        if handler is None:
+            self.ordering.handle(src, msg)
+        else:
+            handler(self, src, msg)
+
+    def _on_four_letter_request(self, src: str,
+                                msg: FourLetterRequest) -> None:
+        self.net.send(self.node_id, src,
+                      FourLetterReply(msg.xid, msg.command,
+                                      self._four_letter(msg.command)))
 
     # -- request intake ----------------------------------------------------
 
@@ -388,67 +381,94 @@ class DsReplica:
         client's privileges — the paper's sandbox requirement).
         """
         space = self.space(op.space)
-        if isinstance(op, OutOp):
-            self._check_layers("out", client_id, op.entry, op.space)
-            lease = self._lease_for(client_id, op.lease_ms, ts)
-            space.out(op.entry, lease=lease)
+        run = _OPS.get(op.__class__)
+        if run is None:
+            raise BadTupleError(f"unknown operation: {op!r}")
+        return run(self, client_id, op, space, ts, events, request_id, wake)
+
+    # One runner per operation type, dispatched from _execute_op; all
+    # share its signature: (client_id, op, space, ts, events,
+    # request_id, wake).
+
+    def _run_out(self, client_id, op, space, ts, events, request_id, wake):
+        self._check_layers("out", client_id, op.entry, op.space)
+        self._insert(client_id, op, space, ts, events, wake)
+        return True
+
+    def _run_rdp(self, client_id, op, space, ts, events, request_id, wake):
+        self._check_layers("rdp", client_id, op.template, op.space)
+        return space.rdp(op.template)
+
+    def _run_inp(self, client_id, op, space, ts, events, request_id, wake):
+        taken = self._take(client_id, op.space, op.template, events)
+        return taken[0] if taken is not None else None
+
+    def _run_rdall(self, client_id, op, space, ts, events, request_id, wake):
+        self._check_layers("rdall", client_id, op.template, op.space)
+        return space.rdall(op.template)
+
+    def _run_cas(self, client_id, op, space, ts, events, request_id, wake):
+        self._check_layers("cas", client_id, op.entry, op.space)
+        if space.rdp(op.template) is not None:
+            return False
+        self._insert(client_id, op, space, ts, events, wake)
+        return True
+
+    def _run_replace(self, client_id, op, space, ts, events, request_id,
+                     wake):
+        self._check_layers("replace", client_id, op.entry, op.space)
+        old = space.replace(op.template, op.entry)
+        if old is not None:
+            events.append(DsEvent("removed", op.space, old))
             events.append(DsEvent("inserted", op.space, tuple(op.entry)))
             if wake:
                 self._wake_waiters(op.space, ts, events)
-            return True
-        if isinstance(op, RdpOp):
-            self._check_layers("rdp", client_id, op.template, op.space)
-            return space.rdp(op.template)
-        if isinstance(op, InpOp):
-            self._check_layers("inp", client_id, op.template, op.space)
-            taken = space.inp(op.template)
-            if taken is not None:
-                events.append(DsEvent("removed", op.space, taken))
-            return taken
-        if isinstance(op, RdAllOp):
-            self._check_layers("rdall", client_id, op.template, op.space)
-            return space.rdall(op.template)
-        if isinstance(op, CasOp):
-            self._check_layers("cas", client_id, op.entry, op.space)
-            if space.rdp(op.template) is not None:
-                return False
-            lease = self._lease_for(client_id, op.lease_ms, ts)
-            space.out(op.entry, lease=lease)
-            events.append(DsEvent("inserted", op.space, tuple(op.entry)))
-            if wake:
-                self._wake_waiters(op.space, ts, events)
-            return True
-        if isinstance(op, ReplaceOp):
-            self._check_layers("replace", client_id, op.entry, op.space)
-            old = space.replace(op.template, op.entry)
-            if old is not None:
-                events.append(DsEvent("removed", op.space, old))
-                events.append(DsEvent("inserted", op.space, tuple(op.entry)))
-                if wake:
-                    self._wake_waiters(op.space, ts, events)
-            return old
-        if isinstance(op, RenewOp):
-            self._check_layers("renew", client_id, None, op.space)
-            return space.renew_leases(client_id, ts + self.config.lease_ms)
-        if isinstance(op, (RdOp, InOp)):
-            name = "in" if isinstance(op, InOp) else "rd"
-            self._check_layers(name, client_id, op.template, op.space)
-            take = isinstance(op, InOp)
-            if take:
-                found = space.inp(op.template)
-                if found is not None:
-                    events.append(DsEvent("removed", op.space, found))
-            else:
-                found = space.rdp(op.template)
-            if found is not None:
-                return found
-            if request_id is None:
-                raise BadTupleError(
-                    "blocking operations cannot be nested in extensions")
-            self._waiters.setdefault(op.space, []).append(
-                Waiter(request_id, op, take))
-            return BLOCKED
-        raise BadTupleError(f"unknown operation: {op!r}")
+        return old
+
+    def _run_renew(self, client_id, op, space, ts, events, request_id, wake):
+        self._check_layers("renew", client_id, None, op.space)
+        return space.renew_leases(client_id, ts + self.config.lease_ms)
+
+    def _run_blocking(self, client_id, op, space, ts, events, request_id,
+                      wake):
+        take = op.__class__ is InOp
+        if take:
+            taken = self._take(client_id, op.space, op.template, events, "in")
+            found = taken[0] if taken is not None else None
+        else:
+            self._check_layers("rd", client_id, op.template, op.space)
+            found = space.rdp(op.template)
+        if found is not None:
+            return found
+        if request_id is None:
+            raise BadTupleError(
+                "blocking operations cannot be nested in extensions")
+        self._waiters.setdefault(op.space, []).append(
+            Waiter(request_id, op, take))
+        return BLOCKED
+
+    def _insert(self, client_id: str, op, space: TupleSpace, ts: float,
+                events: List[DsEvent], wake: bool) -> None:
+        """The insert half of ``out``/``cas``, after the layer checks."""
+        space.out(op.entry, lease=self._lease_for(client_id, op.lease_ms, ts))
+        events.append(DsEvent("inserted", op.space, tuple(op.entry)))
+        if wake:
+            self._wake_waiters(op.space, ts, events)
+
+    def _take(self, client_id: str, space_name: str, template,
+              events: List[DsEvent], op_name: str = "inp") -> Optional[
+                  Tuple[Tuple[Any, ...], Optional[LeaseRecord]]]:
+        """A take through policy -> access -> space, in one lookup.
+
+        Returns ``(entry, lease)`` or None; the lease lets the EDS proxy
+        undo a delete exactly.
+        """
+        space = self.space(space_name)
+        self._check_layers(op_name, client_id, template, space_name)
+        taken = space.take(template)
+        if taken is not None:
+            events.append(DsEvent("removed", space_name, taken[0]))
+        return taken
 
     def _lease_for(self, client_id: str, lease_ms: Optional[float],
                    ts: float) -> Optional[LeaseRecord]:
@@ -638,3 +658,22 @@ class DsReplica:
         return acc
 
 
+#: Exact-type dispatch tables (no message or op subclasses exist).
+_INBOX = {
+    BftRequest: DsReplica._on_client_request,
+    StateRequest: DsReplica._on_state_request,
+    StateResponse: DsReplica._on_state_response,
+    FourLetterRequest: DsReplica._on_four_letter_request,
+}
+
+_OPS = {
+    OutOp: DsReplica._run_out,
+    RdpOp: DsReplica._run_rdp,
+    InpOp: DsReplica._run_inp,
+    RdAllOp: DsReplica._run_rdall,
+    CasOp: DsReplica._run_cas,
+    ReplaceOp: DsReplica._run_replace,
+    RenewOp: DsReplica._run_renew,
+    RdOp: DsReplica._run_blocking,
+    InOp: DsReplica._run_blocking,
+}

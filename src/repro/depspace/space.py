@@ -20,6 +20,24 @@ Lookups are indexed on the first field — the object convention
 exact-value bucket index plus a sorted name list for ``Prefix``
 templates, so matching cost stays logarithmic as the space grows.
 
+Index-aware matching: when the template's first field is a ``str``
+(answered from its bucket) or a ``Prefix`` (answered from the name
+range), every candidate the index returns already satisfies field 0,
+so only the arity and the remaining non-``ANY`` fields are tested. This
+is exact, not a heuristic, because of two invariants the index keeps:
+
+* a ``str`` bucket holds exactly the keys whose first field equals that
+  string (no other primitive compares equal to a ``str``, and ``bool``
+  can never equal one, so the ``True``/``1`` rule cannot apply);
+* the name list holds exactly the keys whose first field is a ``str``,
+  sorted by ``(name, key)``, so the half-open range
+  ``[prefix, successor(prefix))`` is exactly the names starting with
+  ``prefix``.
+
+Every other first field (``ANY``, numbers, bytes, ``None``, unhashable
+values) goes through the full :func:`~.tuples.matches`: an int bucket
+also holds ``True`` and ``1.0``, which only the full test separates.
+
 Lease tuples (DepSpace's client-failure detection, Table 2's
 ``monitor``): a tuple may be registered with a lease; replicas purge
 expired leases deterministically using the agreed timestamp that the
@@ -29,18 +47,51 @@ ordering protocol attaches to every delivered request.
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from .tuples import BadTupleError, Prefix, _Any, is_template, matches
+from .tuples import (BadTupleError, Prefix, _Any, _field_matches, is_template,
+                     matches)
 
 __all__ = ["TupleSpace", "LeaseRecord"]
+
+#: The highest code point; a prefix ending in it has no one-char successor.
+_MAX_CHAR = chr(0x10FFFF)
 
 
 @dataclass
 class LeaseRecord:
     owner: str
     expires_at: float
+
+
+def _successor(prefix: str) -> Optional[str]:
+    """Least string above every string that starts with ``prefix``.
+
+    None when no such string exists (``""`` or all ``_MAX_CHAR``): the
+    prefix range then runs to the end of the name list.
+    """
+    stem = prefix.rstrip(_MAX_CHAR)
+    if not stem:
+        return None
+    return stem[:-1] + chr(ord(stem[-1]) + 1)
+
+
+#: Test an entry of the template's arity must pass; None when it always does.
+_Test = Optional[Callable[[Tuple[Any, ...]], bool]]
+
+
+def _tail_test(template: Sequence[Any]) -> _Test:
+    """Test for candidates whose first field the index already proved."""
+    rest = [(index, pattern) for index, pattern in enumerate(template)
+            if index and not isinstance(pattern, _Any)]
+    if not rest:
+        return None
+    return lambda entry: all(
+        _field_matches(pattern, entry[index]) for index, pattern in rest)
 
 
 class TupleSpace:
@@ -50,6 +101,9 @@ class TupleSpace:
         self._entries: Dict[int, Tuple[Any, ...]] = {}
         self._next_key = 0
         self._leases: Dict[int, LeaseRecord] = {}
+        #: no lease expires before this instant (a lower bound: removing
+        #: a lease can only raise the true minimum, so it is left alone).
+        self._lease_floor = math.inf
         #: exact first field -> insertion-ordered set of keys.
         self._buckets: Dict[Any, Dict[int, None]] = {}
         #: sorted (string first field, key) pairs for Prefix queries.
@@ -91,27 +145,32 @@ class TupleSpace:
             if index < len(self._names) and self._names[index] == (first, key):
                 del self._names[index]
 
-    def _candidates(self, template: Sequence[Any]) -> Iterator[int]:
-        """Keys to test against ``template``, in insertion order."""
+    def _candidates(self, template: Sequence[Any]) -> Tuple[Iterable[int],
+                                                             _Test]:
+        """Keys to test against ``template`` in insertion order, and the
+        test an entry of the right arity must also pass (see the module
+        docstring)."""
         if not template:
-            return iter(())
+            return (), None
         first = template[0]
-        if isinstance(first, _Any):
-            return iter(self._entries)
+        if first.__class__ is str:
+            return self._buckets.get(first, ()), _tail_test(template)
         if isinstance(first, Prefix):
-            low = bisect.bisect_left(self._names, (first.prefix, -1))
-            keys = []
-            for name, key in self._names[low:]:
-                if not name.startswith(first.prefix):
-                    break
-                keys.append(key)
+            names = self._names
+            low = bisect.bisect_left(names, (first.prefix, -1))
+            upper = _successor(first.prefix)
+            high = (len(names) if upper is None
+                    else bisect.bisect_left(names, (upper, -1), low))
+            keys = [key for _name, key in names[low:high]]
             keys.sort()
-            return iter(keys)
+            return keys, _tail_test(template)
+        full = functools.partial(matches, template)
+        if isinstance(first, _Any):
+            return self._entries, full
         try:
-            bucket = self._buckets.get(first)
+            return self._buckets.get(first, ()), full
         except TypeError:
-            return iter(self._entries)
-        return iter(bucket) if bucket is not None else iter(())
+            return self._entries, full
 
     # -- core operations ---------------------------------------------------
 
@@ -128,10 +187,16 @@ class TupleSpace:
         self._index_add(key, entry)
         if lease is not None:
             self._leases[key] = lease
+            if lease.expires_at < self._lease_floor:
+                self._lease_floor = lease.expires_at
 
     def _find(self, template: Sequence[Any]) -> Optional[int]:
-        for key in self._candidates(template):
-            if matches(template, self._entries[key]):
+        keys, test = self._candidates(template)
+        entries = self._entries
+        arity = len(template)
+        for key in keys:
+            entry = entries[key]
+            if len(entry) == arity and (test is None or test(entry)):
                 return key
         return None
 
@@ -146,6 +211,15 @@ class TupleSpace:
         self._leases.pop(key, None)
         return entry
 
+    def take(self, template: Sequence[Any]) -> Optional[
+            Tuple[Tuple[Any, ...], Optional[LeaseRecord]]]:
+        """Remove the oldest match; returns ``(entry, its lease)`` or None."""
+        key = self._find(template)
+        if key is None:
+            return None
+        lease = self._leases.get(key)
+        return self._remove(key), lease
+
     def inp(self, template: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
         """Remove and return the oldest matching tuple, or None."""
         key = self._find(template)
@@ -153,10 +227,10 @@ class TupleSpace:
 
     def rdall(self, template: Sequence[Any]) -> List[Tuple[Any, ...]]:
         """Every matching tuple, oldest first."""
-        return [
-            self._entries[key] for key in self._candidates(template)
-            if matches(template, self._entries[key])
-        ]
+        keys, test = self._candidates(template)
+        arity = len(template)
+        return [entry for entry in map(self._entries.__getitem__, keys)
+                if len(entry) == arity and (test is None or test(entry))]
 
     def cas(self, template: Sequence[Any], entry: Sequence[Any]) -> bool:
         """Insert ``entry`` iff no tuple matches ``template``."""
@@ -183,19 +257,32 @@ class TupleSpace:
             if lease.owner == owner:
                 lease.expires_at = new_expiry
                 count += 1
+        if count and new_expiry < self._lease_floor:
+            self._lease_floor = new_expiry
         return count
 
     def purge_expired(self, now: float) -> List[Tuple[Any, ...]]:
-        """Remove tuples whose lease expired; returns them (oldest first)."""
-        doomed_keys = [
-            key for key, lease in self._leases.items()
-            if lease.expires_at <= now
-        ]
+        """Remove tuples whose lease expired; returns them (oldest first).
+
+        O(1) while ``now`` is below the earliest expiry; otherwise one
+        pass over the leases, which also re-tightens that bound.
+        """
+        if now < self._lease_floor:
+            return []
+        doomed_keys = []
+        floor = math.inf
+        for key, lease in self._leases.items():
+            if lease.expires_at <= now:
+                doomed_keys.append(key)
+            elif lease.expires_at < floor:
+                floor = lease.expires_at
+        self._lease_floor = floor
         return [self._remove(key) for key in sorted(doomed_keys)]
 
     def lease_of(self, entry: Sequence[Any]) -> Optional[LeaseRecord]:
         entry = tuple(entry)
-        for key in self._candidates(entry):
+        keys, _test = self._candidates(entry)
+        for key in keys:
             if self._entries[key] == entry and key in self._leases:
                 return self._leases[key]
         return None
@@ -219,6 +306,9 @@ class TupleSpace:
             key: LeaseRecord(owner, expires)
             for key, (owner, expires) in snapshot["leases"].items()
         }
+        self._lease_floor = min(
+            (lease.expires_at for lease in self._leases.values()),
+            default=math.inf)
         self._buckets = {}
         self._names = []
         pairs = []

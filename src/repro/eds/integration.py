@@ -38,44 +38,66 @@ EM_SPACE = "_em"
 _MAX_EVENT_DEPTH = 8
 
 
-def _is_any(value: Any) -> bool:
-    return isinstance(value, _Any)
+def _by_template(op_type: str):
+    """Describe an op whose ``(name, ANY)`` template names the object."""
+    def describe(op, client_id: str) -> Optional[OperationRequest]:
+        template = op.template
+        if (len(template) == 2 and isinstance(template[0], str)
+                and isinstance(template[1], _Any)):
+            return OperationRequest(op_type, template[0], client_id)
+        return None
+    return describe
+
+
+def _by_entry(op_type: str):
+    """Describe an op whose ``(name, data)`` entry writes the object."""
+    def describe(op, client_id: str) -> Optional[OperationRequest]:
+        entry = op.entry
+        if len(entry) == 2 and isinstance(entry[0], str):
+            return OperationRequest(
+                op_type, entry[0], client_id,
+                entry[1] if isinstance(entry[1], bytes) else b"")
+        return None
+    return describe
+
+
+def _describe_cas(op: CasOp, client_id: str) -> Optional[OperationRequest]:
+    # The adapter realizes the object model's duplicate-rejecting create
+    # as a name-unique conditional insert (cas) — same object operation.
+    template, entry = op.template, op.entry
+    if (len(template) == 2 and isinstance(template[0], str)
+            and isinstance(template[1], _Any)
+            and len(entry) == 2 and entry[0] == template[0]):
+        return OperationRequest(
+            "create", entry[0], client_id,
+            entry[1] if isinstance(entry[1], bytes) else b"")
+    return None
+
+
+def _describe_rdall(op: RdAllOp, client_id: str) -> Optional[OperationRequest]:
+    if len(op.template) == 2 and isinstance(op.template[0], Prefix):
+        prefix = op.template[0].prefix.rstrip("/")
+        return OperationRequest("sub_objects", prefix, client_id)
+    return None
+
+
+#: Exact-type dispatch for :func:`describe_ds_op` (no op subclasses).
+_DESCRIBE = {
+    RdpOp: _by_template("read"),
+    RdOp: _by_template("block"),
+    InOp: _by_template("block"),
+    InpOp: _by_template("delete"),
+    OutOp: _by_entry("create"),
+    CasOp: _describe_cas,
+    ReplaceOp: _by_entry("update"),
+    RdAllOp: _describe_rdall,
+}
 
 
 def describe_ds_op(op: DsOp, client_id: str) -> Optional[OperationRequest]:
     """Normalize a DepSpace op under the (name, payload) object convention."""
-    if isinstance(op, RdpOp) and len(op.template) == 2 and \
-            isinstance(op.template[0], str) and _is_any(op.template[1]):
-        return OperationRequest("read", op.template[0], client_id)
-    if isinstance(op, (RdOp, InOp)) and len(op.template) == 2 and \
-            isinstance(op.template[0], str) and _is_any(op.template[1]):
-        return OperationRequest("block", op.template[0], client_id)
-    if isinstance(op, OutOp) and len(op.entry) == 2 and \
-            isinstance(op.entry[0], str):
-        return OperationRequest("create", op.entry[0], client_id,
-                                op.entry[1] if isinstance(op.entry[1], bytes)
-                                else b"")
-    # The adapter realizes the object model's duplicate-rejecting create
-    # as a name-unique conditional insert (cas) — same object operation.
-    if isinstance(op, CasOp) and len(op.template) == 2 and \
-            isinstance(op.template[0], str) and _is_any(op.template[1]) and \
-            len(op.entry) == 2 and op.entry[0] == op.template[0]:
-        return OperationRequest("create", op.entry[0], client_id,
-                                op.entry[1] if isinstance(op.entry[1], bytes)
-                                else b"")
-    if isinstance(op, InpOp) and len(op.template) == 2 and \
-            isinstance(op.template[0], str) and _is_any(op.template[1]):
-        return OperationRequest("delete", op.template[0], client_id)
-    if isinstance(op, ReplaceOp) and len(op.entry) == 2 and \
-            isinstance(op.entry[0], str):
-        return OperationRequest("update", op.entry[0], client_id,
-                                op.entry[1] if isinstance(op.entry[1], bytes)
-                                else b"")
-    if isinstance(op, RdAllOp) and len(op.template) == 2 and \
-            isinstance(op.template[0], Prefix):
-        prefix = op.template[0].prefix.rstrip("/")
-        return OperationRequest("sub_objects", prefix, client_id)
-    return None
+    describe = _DESCRIBE.get(op.__class__)
+    return describe(op, client_id) if describe is not None else None
 
 
 def _event_notice(event: DsEvent) -> Optional[EventNotice]:

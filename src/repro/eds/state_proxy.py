@@ -19,8 +19,7 @@ from typing import Any, Callable, List, Optional
 from ..core.api import AbstractState, ObjectRecord
 from ..core.errors import CoordStateError, NoObjectError, ObjectExistsError
 from ..depspace.bft import RequestId
-from ..depspace.protocol import (InpOp, OutOp, RdAllOp, RdOp, RdpOp,
-                                 ReplaceOp)
+from ..depspace.protocol import OutOp, RdAllOp, RdOp, RdpOp, ReplaceOp
 from ..depspace.server import BLOCKED, DsEvent, DsReplica
 from ..depspace.space import LeaseRecord
 from ..depspace.tuples import ANY, Prefix
@@ -70,14 +69,13 @@ class DsDirectState(AbstractState):
         return object_id
 
     def delete(self, object_id: str) -> None:
-        raw = self._replica.space(self._space)
-        old = raw.rdp((object_id, ANY))
-        lease = raw.lease_of(old) if old is not None else None
-        taken = self._exec(InpOp((object_id, ANY), space=self._space))
+        taken = self._replica._take(self._client_id, self._space,
+                                    (object_id, ANY), self._events)
         if taken is None:
             raise NoObjectError(object_id)
+        entry, lease = taken
         self._undo.append(
-            lambda raw, taken=taken, lease=lease: raw.out(taken, lease=lease))
+            lambda raw, entry=entry, lease=lease: raw.out(entry, lease=lease))
 
     def read(self, object_id: str) -> bytes:
         found = self._exec(RdpOp((object_id, ANY), space=self._space))
@@ -111,10 +109,8 @@ class DsDirectState(AbstractState):
         prefix = object_id.rstrip("/") + "/"
         found = self._exec(
             RdAllOp((Prefix(prefix), ANY), space=self._space))
-        return [
-            ObjectRecord(entry[0], entry[1], seq=index)
-            for index, entry in enumerate(found)
-        ]
+        return [ObjectRecord(name, data, index)
+                for index, (name, data) in enumerate(found)]
 
     def block(self, object_id: str) -> None:
         if self._request_id is None:

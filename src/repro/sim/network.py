@@ -15,7 +15,6 @@ clients). It provides:
 from __future__ import annotations
 
 import dataclasses
-import operator
 import random
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, Optional
@@ -43,8 +42,12 @@ def _container_size(obj) -> int:
     total = 4
     sizers = _SIZERS
     for item in obj:
-        sizer = sizers.get(item.__class__)
-        total += sizer(item) if sizer is not None else estimate_size(item)
+        cls = item.__class__
+        if cls is str and item.isascii():
+            total += 4 + len(item)
+        else:
+            sizer = sizers.get(cls)
+            total += sizer(item) if sizer is not None else estimate_size(item)
     return total
 
 
@@ -81,37 +84,49 @@ _FIXED_FIELD_BYTES = {"int": 8, "float": 8, "bool": 1,
                       int: 8, float: 8, bool: 1}
 
 
-def _register_sizer(cls: type, obj: Any) -> Optional[Callable[[Any], int]]:
+def _dataclass_sizer(cls: type) -> Callable[[Any], int]:
+    """One flat sizer for any dataclass.
+
+    Fixed-size fields fold into one per-class constant, so a message
+    like Ack(epoch, zxid) costs no field reads at all. The rest are read
+    by name; ASCII strings are sized inline and every other value goes
+    straight to its type's cached sizer (a nested dataclass included),
+    so a message costs one Python frame per dataclass level, not one
+    per field.
+    """
+    const = 2
+    dynamic = []
+    for f in dataclasses.fields(cls):
+        fixed = _FIXED_FIELD_BYTES.get(f.type)
+        if fixed is None:
+            dynamic.append(f.name)
+        else:
+            const += fixed
+    names = tuple(dynamic)
+    sizers = _SIZERS
+
+    def sizer(obj: Any) -> int:
+        total = const
+        for name in names:
+            value = getattr(obj, name)
+            value_cls = value.__class__
+            if value_cls is str and value.isascii():
+                total += 4 + len(value)
+            else:
+                size = sizers.get(value_cls)
+                total += (size(value) if size is not None
+                          else estimate_size(value))
+        return total
+
+    return sizer
+
+
+def _register_sizer(cls: type) -> Optional[Callable[[Any], int]]:
     """Build (and cache) a sizer for a newly seen payload type."""
     if callable(getattr(cls, "wire_size", None)):
         sizer = lambda o: int(o.wire_size())  # noqa: E731
     elif dataclasses.is_dataclass(cls):
-        # Fold fixed-size fields into one constant; only fields whose
-        # size depends on the value are fetched and walked. Protocol
-        # messages like Ack(epoch, zxid) become pure constants.
-        const = 2
-        dynamic = []
-        for f in dataclasses.fields(cls):
-            fixed = _FIXED_FIELD_BYTES.get(f.type)
-            if fixed is None:
-                dynamic.append(f.name)
-            else:
-                const += fixed
-        if not dynamic:
-            sizer = lambda o, _const=const: _const  # noqa: E731
-        elif len(dynamic) == 1:
-            getter = operator.attrgetter(dynamic[0])
-            sizer = (lambda o, _const=const, _getter=getter:  # noqa: E731
-                     _const + estimate_size(_getter(o)))
-        else:
-            # attrgetter fetches every dynamic field in one C call.
-            getter = operator.attrgetter(*dynamic)
-
-            def sizer(o, _const=const, _getter=getter):
-                total = _const
-                for value in _getter(o):
-                    total += estimate_size(value)
-                return total
+        sizer = _dataclass_sizer(cls)
     else:
         return None
     _SIZERS[cls] = sizer
@@ -130,7 +145,7 @@ def estimate_size(obj: Any) -> int:
     sizer = _SIZERS.get(cls)
     if sizer is not None:
         return sizer(obj)
-    sizer = _register_sizer(cls, obj)
+    sizer = _register_sizer(cls)
     if sizer is not None:
         return sizer(obj)
     # Uncached slow path: instance-level wire_size overrides, subclasses
@@ -388,50 +403,74 @@ class Network:
         that is how a real NIC counter behaves, and it keeps the client
         cost figures honest under retries.
         """
-        return self._send_sized(src, dst, msg,
-                                MESSAGE_HEADER_BYTES + estimate_size(msg))
+        return self.broadcast(src, (dst,), msg)
 
-    def _send_sized(self, src: str, dst: str, msg: Any, size: int) -> int:
-        self.bytes_sent[src] += size
-        self.msgs_sent[src] += 1
+    def broadcast(self, src: str, dsts: Iterable[str], msg: Any) -> int:
+        """Send ``msg`` to every destination; returns total billed bytes.
+
+        This is the one send loop (:meth:`send` is a one-destination
+        broadcast), and a broadcast is exactly one :meth:`send` per
+        destination, in order: same arrivals, RNG draws and counters.
+        Fault state, the latency constants and the observability plane
+        cannot change while the loop runs (it only schedules), so the
+        payload is sized and they are read once per fan-out; everything
+        drawn or decided per message — drops, jitter, delay rules, FIFO
+        clamping, pruning, obs counters — stays inside the loop.
+        """
+        size = MESSAGE_HEADER_BYTES + estimate_size(msg)
+        env = self.env
         # Metric increments are dict writes only — no RNG draw, no
         # scheduling — so instrumented runs keep the exact event stream.
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("net.msgs_sent", src)
-            obs.metrics.inc("net.bytes_sent", src, size)
+        obs = env.obs
         # Fast path: no faults injected, nothing can block the message.
         faults = (self._crashed or self._partitions or self._oneway
                   or self.drop_probability or self._rules)
-        if faults and self._blocked(src, dst, msg):
-            if obs is not None:
-                obs.metrics.inc("net.dropped", src)
-            return size
-        handler = self._handlers.get(dst)
-        if handler is None:
-            return size
-        env = self.env
+        handlers = self._handlers
         # Inlined LatencyModel.latency (uniform(0, j) == j * random()).
         lat = self.latency
-        delay = lat.base_ms + size / lat.bandwidth_bytes_per_ms
-        if lat.jitter_ms:
-            delay += lat.jitter_ms * self._rng.random()
-        if self._rules:
-            delay += self._extra_delay(src, dst, msg)
-        arrival = env._now + delay
-        if self._fifo:
-            # TCP-like channels: per-(src, dst) deliveries never reorder.
-            channel = (src, dst)
-            last = self._last_delivery.get(channel)
-            if last is not None and last > arrival:
-                arrival = last
-            self._last_delivery[channel] = arrival
-            self._sends_until_prune -= 1
-            if self._sends_until_prune <= 0:
-                self._prune()
-        # Inlined env.schedule (hot path: one push per message).
-        env._push(arrival, _Delivery(self, src, dst, msg, size, handler))
-        return size
+        base = lat.base_ms + size / lat.bandwidth_bytes_per_ms
+        jitter = lat.jitter_ms
+        rules = self._rules
+        now = env._now
+        count = 0
+        for dst in dsts:
+            count += 1
+            if obs is not None:
+                obs.metrics.inc("net.msgs_sent", src)
+                obs.metrics.inc("net.bytes_sent", src, size)
+            if faults and self._blocked(src, dst, msg):
+                if obs is not None:
+                    obs.metrics.inc("net.dropped", src)
+                continue
+            handler = handlers.get(dst)
+            if handler is None:
+                continue
+            delay = base
+            if jitter:
+                delay += jitter * self._rng.random()
+            if rules:
+                delay += self._extra_delay(src, dst, msg)
+            arrival = now + delay
+            if self._fifo:
+                # TCP-like channels: per-(src, dst) deliveries never reorder.
+                channel = (src, dst)
+                last = self._last_delivery.get(channel)
+                if last is not None and last > arrival:
+                    arrival = last
+                self._last_delivery[channel] = arrival
+                self._sends_until_prune -= 1
+                if self._sends_until_prune <= 0:
+                    self._prune()
+            # Inlined env.schedule (hot path: one push per message).
+            env._push(arrival, _Delivery(self, src, dst, msg, size, handler))
+        if not count:
+            return 0
+        # Nothing reads the counters while the loop schedules, so one
+        # update per fan-out bills exactly what per-message updates would.
+        total = size * count
+        self.bytes_sent[src] += total
+        self.msgs_sent[src] += count
+        return total
 
     def _prune(self) -> None:
         """Drop FIFO bookkeeping that no longer constrains ordering.
@@ -448,11 +487,3 @@ class Network:
         for channel in stale:
             del self._last_delivery[channel]
         self._sends_until_prune = _PRUNE_INTERVAL
-
-    def broadcast(self, src: str, dsts: Iterable[str], msg: Any) -> int:
-        """Send ``msg`` to every destination; returns total billed bytes.
-
-        The payload is sized once, not per destination.
-        """
-        size = MESSAGE_HEADER_BYTES + estimate_size(msg)
-        return sum(self._send_sized(src, dst, msg, size) for dst in dsts)

@@ -139,6 +139,55 @@ class TestLeases:
         space.inp(("a",))
         assert space.purge_expired(now=1000.0) == []
 
+    def test_purge_skips_scan_before_earliest_expiry(self):
+        space = TupleSpace()
+        space.out(("late",), lease=LeaseRecord("c1", expires_at=300.0))
+        space.out(("early",), lease=LeaseRecord("c2", expires_at=100.0))
+        # A tampered record proves the early return: no lease is read
+        # while ``now`` is below the tracked earliest expiry.
+        space._leases[0].expires_at = 0.0
+        assert space.purge_expired(now=99.0) == []
+        space._leases[0].expires_at = 300.0
+        assert space.purge_expired(now=100.0) == [("early",)]
+        assert space.purge_expired(now=299.0) == []
+
+    def test_purge_bound_follows_renew_and_remove(self):
+        space = TupleSpace()
+        space.out(("c1-a",), lease=LeaseRecord("c1", expires_at=100.0))
+        space.out(("c2",), lease=LeaseRecord("c2", expires_at=200.0))
+        space.out(("c1-b",), lease=LeaseRecord("c1", expires_at=150.0))
+        space.renew_leases("c1", new_expiry=50.0)     # renewal may lower it
+        assert space.purge_expired(now=60.0) == [("c1-a",), ("c1-b",)]
+        space.out(("c3",), lease=LeaseRecord("c3", expires_at=120.0))
+        space.inp(("c3",))                            # removal keeps it safe
+        assert space.purge_expired(now=150.0) == []
+        assert space.purge_expired(now=200.0) == [("c2",)]
+
+    def test_restore_rebuilds_purge_bound(self):
+        space = TupleSpace()
+        space.out(("a",), lease=LeaseRecord("c1", expires_at=40.0))
+        clone = TupleSpace()
+        clone.restore(space.snapshot())
+        assert clone.purge_expired(now=40.0) == [("a",)]
+
+    def test_replica_purge_renewed_survives_expired_in_key_order(self):
+        from repro.depspace import DsReplica
+        from repro.sim import Environment, Network
+        env = Environment()
+        replica = DsReplica(env, Network(env), "r0", ["r0", "r1", "r2", "r3"])
+        space = replica.space()
+        space.out(("b",), lease=LeaseRecord("gone", expires_at=10.0))
+        space.out(("kept",), lease=LeaseRecord("alive", expires_at=10.0))
+        space.out(("a",), lease=LeaseRecord("gone", expires_at=5.0))
+        events = []
+        replica._purge_leases(4.0, events)
+        assert events == []
+        space.renew_leases("alive", new_expiry=30.0)
+        replica._purge_leases(20.0, events)
+        assert [(e.kind, e.entry) for e in events] == [
+            ("expired", ("b",)), ("expired", ("a",))]
+        assert space.rdall((ANY,)) == [("kept",)]
+
 
 class TestSnapshot:
     def test_round_trip_preserves_order_and_leases(self):

@@ -74,6 +74,18 @@ class _NaiveSpace:
     def rdall(self, template):
         return [item for item in self.items if matches(template, item)]
 
+    def cas(self, template, entry):
+        if self.rdp(template) is not None:
+            return False
+        self.out(entry)
+        return True
+
+    def replace(self, template, entry):
+        old = self.inp(template)
+        if old is not None:
+            self.out(entry)
+        return old
+
 
 _SPACE_OPS = st.lists(
     st.one_of(
@@ -85,23 +97,65 @@ _SPACE_OPS = st.lists(
     max_size=40,
 )
 
+# Templates that reach every index path: a str first field (bucket), a
+# Prefix first field (name range, Prefix("") and prefixes ending in the
+# highest code point included), ANY anywhere (full scan or tail test),
+# and True/1/1.0 first fields sharing one bucket. The small alphabets
+# make collisions, and so matches, common; the pairs of neighbouring
+# code points put names right at the edge of a prefix range.
+_NAMES = st.text(alphabet=st.sampled_from(
+    ["a", "b", "/", "\u00e9", "\uffff", "\U00010000", "\U0010fffe",
+     "\U0010ffff"]), max_size=3)
+_MODEL_FIELDS = st.one_of(
+    _NAMES,
+    st.sampled_from([0, 1, True, False, 1.0, -1, None, b"", b"a"]),
+)
+_MODEL_TUPLES = st.lists(_MODEL_FIELDS, min_size=1, max_size=3).map(tuple)
+_PATTERNS = st.one_of(_MODEL_FIELDS, st.just(ANY), st.builds(Prefix, _NAMES))
+_TEMPLATES = st.one_of(
+    _MODEL_TUPLES,
+    st.tuples(_PATTERNS).flatmap(
+        lambda head: st.lists(_PATTERNS, max_size=2).map(
+            lambda tail: head + tuple(tail))),
+)
 
-@settings(max_examples=100, deadline=None)
-@given(_SPACE_OPS)
-def test_space_matches_naive_model(ops):
+_MODEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("out"), _MODEL_TUPLES),
+        st.tuples(st.sampled_from(["rdp", "inp", "rdall"]), _TEMPLATES),
+        st.tuples(st.sampled_from(["cas", "replace"]),
+                  st.tuples(_TEMPLATES, _MODEL_TUPLES)),
+    ),
+    max_size=50,
+)
+
+
+def _check_against_model(ops):
     space = TupleSpace()
     model = _NaiveSpace()
     for op, arg in ops:
         if op == "out":
             space.out(arg)
             model.out(arg)
-        elif op == "rdp":
-            assert space.rdp(arg) == model.rdp(arg)
-        elif op == "inp":
-            assert space.inp(arg) == model.inp(arg)
+        elif op in ("cas", "replace"):
+            assert getattr(space, op)(*arg) == getattr(model, op)(*arg)
         else:
-            assert space.rdall(arg) == model.rdall(arg)
+            assert getattr(space, op)(arg) == getattr(model, op)(arg)
     assert sorted(map(repr, space)) == sorted(map(repr, model.items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPACE_OPS)
+def test_space_matches_naive_model(ops):
+    _check_against_model(ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MODEL_OPS)
+def test_index_paths_match_naive_model(ops):
+    """Index-aware matching agrees with the naive ``matches`` scan on
+    wildcard, prefix, unicode, bool-vs-int and mixed-arity templates."""
+    _check_against_model(ops)
 
 
 @settings(max_examples=100, deadline=None)

@@ -118,6 +118,70 @@ def test_broadcast_bills_sum():
     assert net.msgs_sent["a"] == 3
 
 
+def _no_faults(net):
+    pass
+
+
+def _crash(net):
+    net.crash("c")
+
+
+def _partition(net):
+    net.partition(["a"], ["d"])
+
+
+def _drop_rule(net):
+    net.add_drop_rule(0.5, msg_types=[Ping], dst={"b", "e"})
+
+
+def _delay_rule(net):
+    net.add_delay_rule(0.3, dst="e")
+
+
+def _obs_on(net):
+    from repro.obs import ObsConfig, Observability
+    Observability.install(net.env, ObsConfig())
+
+
+def _fan_out_run(use_broadcast, fault):
+    """Twelve fan-outs from "a" (one destination has no handler), with
+    jitter, shrinking payloads (FIFO clamping) and an early prune."""
+    env = Environment()
+    net = Network(env, latency=LatencyModel(jitter_ms=0.05), seed=3)
+    arrivals = []
+    for node in ("b", "c", "d", "e"):
+        net.register(node, lambda src, msg, node=node: arrivals.append(
+            (env.now, node, src, msg.payload)))
+    fault(net)
+    net._sends_until_prune = 7
+    dsts = ["b", "c", "ghost", "d", "e"]
+    billed = []
+    for i in range(12):
+        msg = Ping(bytes(24 - 2 * i))
+        if use_broadcast:
+            billed.append(net.broadcast("a", dsts, msg))
+        else:
+            billed.append(sum(net.send("a", dst, msg) for dst in dsts))
+        env.run(until=env.now + 0.02)
+    env.run()
+    counters = dict(env.obs.metrics.counters) if env.obs else None
+    return (arrivals, billed, net._rng.getstate(), dict(net.bytes_sent),
+            dict(net.msgs_sent), dict(net.bytes_received), counters,
+            net._sends_until_prune, dict(net._last_delivery))
+
+
+@pytest.mark.parametrize("fault", [_no_faults, _crash, _partition,
+                                   _drop_rule, _delay_rule, _obs_on])
+def test_broadcast_equals_one_send_per_destination(fault):
+    assert (_fan_out_run(True, fault) == _fan_out_run(False, fault))
+
+
+def test_broadcast_to_nobody_bills_nothing():
+    _env, net = make_net()
+    assert net.broadcast("a", [], Ping(b"x")) == 0
+    assert "a" not in net.bytes_sent and "a" not in net.msgs_sent
+
+
 def test_duplicate_registration_rejected():
     _env, net = make_net()
     net.register("a", lambda src, msg: None)
