@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..sim import Environment, default_kernel
+from ..sim import Environment
 from .workload import run_queue_workload, run_read_heavy_workload
 
 __all__ = ["measure_queue", "measure_read_heavy", "measure_kernel",
@@ -198,11 +198,10 @@ def _kernel_spin(kernel: str, chains: int = 64,
     return env.events_processed
 
 
-def measure_kernel(kernel: Optional[str] = None, repeat: int = 3,
+def measure_kernel(kernel: str, repeat: int = 3,
                    chains: int = 64,
                    horizon_ms: float = 2000.0) -> Dict[str, float]:
     """Events/wall-second of the bare queue kernel (no model code)."""
-    kernel = kernel or default_kernel()
     best = None
     for _ in range(repeat):
         start = time.perf_counter()

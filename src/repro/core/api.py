@@ -40,7 +40,7 @@ OP_TYPES = ("create", "delete", "read", "update", "cas", "sub_objects",
 EVENT_TYPES = ("created", "deleted", "changed")
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectRecord:
     """One data object as seen through the abstract API.
 

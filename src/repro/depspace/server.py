@@ -257,9 +257,8 @@ class DsReplica:
                                 request.request_id.seq, M_INGRESS,
                                 self.env.now, self.node_id)
         if self._is_fast_read(request):
-            work = self.cpu.submit(self.timings.verify_ms
-                                   + self.timings.fast_read_ms)
-            work.add_callback(lambda _e: self._execute_fast_read(request))
+            self.cpu.submit(self.timings.verify_ms + self.timings.fast_read_ms,
+                            self._execute_fast_read, request)
             return
         if request.request_id in self.ordering._executed_ids:
             cached = self._reply_cache.get(request.request_id.client_id)
@@ -267,8 +266,8 @@ class DsReplica:
                     == (request.request_id.client_id, request.request_id.seq)):
                 self.net.send(self.node_id, src, cached)
             return
-        work = self.cpu.submit(self.timings.verify_ms + self.timings.order_ms)
-        work.add_callback(lambda _e: self.ordering.on_request(request))
+        self.cpu.submit(self.timings.verify_ms + self.timings.order_ms,
+                        self.ordering.on_request, request)
 
     def _is_fast_read(self, request: BftRequest) -> bool:
         if not self.config.unordered_reads:
@@ -312,8 +311,8 @@ class DsReplica:
     # -- ordered execution ------------------------------------------------------
 
     def _execute_request(self, request: BftRequest, ts: float) -> None:
-        work = self.cpu.submit(self.timings.execute_ms)
-        work.add_callback(lambda _e: self._execute_now(request, ts))
+        self.cpu.submit(self.timings.execute_ms, self._execute_now,
+                        request, ts)
 
     def _execute_now(self, request: BftRequest, ts: float) -> None:
         if not self._alive:

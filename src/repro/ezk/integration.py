@@ -40,29 +40,58 @@ __all__ = ["EzkBinding", "EM_ROOT", "describe_zk_op", "pack_registration",
            "unpack_registration"]
 
 EM_ROOT = "/em"
+_EM_PREFIX = EM_ROOT + "/"
 _ACK_PREFIX = "ack-"
 
 
 def describe_zk_op(op: Op, client_id: str) -> Optional[OperationRequest]:
     """Normalize a ZooKeeper operation for subscription matching."""
-    if isinstance(op, GetDataOp):
-        return OperationRequest("read", op.path, client_id)
-    if isinstance(op, SetDataOp):
-        return OperationRequest("update", op.path, client_id, op.data,
-                                {"version": op.version})
-    if isinstance(op, CreateOp):
-        return OperationRequest("create", op.path, client_id, op.data,
-                                {"ephemeral": op.ephemeral,
-                                 "sequential": op.sequential})
-    if isinstance(op, DeleteOp):
-        return OperationRequest("delete", op.path, client_id,
-                                params={"version": op.version})
-    if isinstance(op, GetChildrenOp):
-        return OperationRequest("sub_objects", op.path, client_id)
-    if isinstance(op, ExistsOp):
-        kind = "block" if op.watch else "exists"
-        return OperationRequest(kind, op.path, client_id)
-    return None
+    describe = _DESCRIBERS.get(op.__class__)
+    return describe(op, client_id) if describe is not None else None
+
+
+# One describer per operation type, dispatched from describe_zk_op.
+
+def _describe_get_data(op: GetDataOp, client_id: str) -> OperationRequest:
+    return OperationRequest("read", op.path, client_id)
+
+
+def _describe_set_data(op: SetDataOp, client_id: str) -> OperationRequest:
+    return OperationRequest("update", op.path, client_id, op.data,
+                            {"version": op.version})
+
+
+def _describe_create(op: CreateOp, client_id: str) -> OperationRequest:
+    return OperationRequest("create", op.path, client_id, op.data,
+                            {"ephemeral": op.ephemeral,
+                             "sequential": op.sequential})
+
+
+def _describe_delete(op: DeleteOp, client_id: str) -> OperationRequest:
+    return OperationRequest("delete", op.path, client_id,
+                            params={"version": op.version})
+
+
+def _describe_get_children(op: GetChildrenOp,
+                           client_id: str) -> OperationRequest:
+    return OperationRequest("sub_objects", op.path, client_id)
+
+
+def _describe_exists(op: ExistsOp, client_id: str) -> OperationRequest:
+    kind = "block" if op.watch else "exists"
+    return OperationRequest(kind, op.path, client_id)
+
+
+#: Exact-type dispatch for :func:`describe_zk_op`; other ops (sessions,
+#: multi, ping, sync) match no subscription.
+_DESCRIBERS = {
+    GetDataOp: _describe_get_data,
+    SetDataOp: _describe_set_data,
+    CreateOp: _describe_create,
+    DeleteOp: _describe_delete,
+    GetChildrenOp: _describe_get_children,
+    ExistsOp: _describe_exists,
+}
 
 
 def pack_registration(owner: str, source: str) -> bytes:
@@ -75,17 +104,13 @@ def unpack_registration(data: bytes) -> Tuple[str, str]:
     return owner, source
 
 
-def _event_notice(event_type: EventType, path: str,
-                  data: bytes = b"") -> Optional[EventNotice]:
-    mapping = {
-        EventType.NODE_CREATED: "created",
-        EventType.NODE_DELETED: "deleted",
-        EventType.NODE_DATA_CHANGED: "changed",
-    }
-    kind = mapping.get(event_type)
-    if kind is None:
-        return None
-    return EventNotice(kind, path, data)
+#: State-change kinds event extensions subscribe to (children-changed
+#: has no abstract counterpart).
+_NOTICE_KINDS = {
+    EventType.NODE_CREATED: "created",
+    EventType.NODE_DELETED: "deleted",
+    EventType.NODE_DATA_CHANGED: "changed",
+}
 
 
 def _as_zk_error(exc: ExtensionError) -> ZkError:
@@ -152,7 +177,7 @@ class EzkBinding:
         """Verify-and-rewrite ``create("/em/<name>", code)`` at prep time."""
         if not isinstance(op, CreateOp):
             return None
-        if not op.path.startswith(EM_ROOT + "/"):
+        if not op.path.startswith(_EM_PREFIX):
             return None
         relative = op.path[len(EM_ROOT) + 1:]
         if "/" in relative:
@@ -171,15 +196,19 @@ class EzkBinding:
     # -- apply-stage hooks (every replica) ------------------------------------
 
     def _on_events(self, events: List[StateEvent], server: ZkServer) -> None:
+        # Event extensions run only at the leader; a follower has nothing
+        # to do for an event outside /em, so it builds no notice for it.
+        leader = server.broadcast.is_leader
         for event in events:
-            if event.path.startswith(EM_ROOT + "/"):
+            if event.path.startswith(_EM_PREFIX):
                 self._handle_em_event(event)
                 continue
-            notice = _event_notice(event.event_type, event.path, event.data)
-            if notice is None:
+            if not leader:
                 continue
-            if server.is_leader:
-                self._run_event_extensions(notice, server)
+            kind = _NOTICE_KINDS.get(event.event_type)
+            if kind is not None:
+                self._run_event_extensions(
+                    EventNotice(kind, event.path, event.data), server)
 
     def _run_event_extensions(self, notice: EventNotice,
                               server: ZkServer) -> None:
@@ -222,10 +251,11 @@ class EzkBinding:
 
     def _suppress_notification(self, session_id: int,
                                event: WatchEvent) -> bool:
-        notice = _event_notice(event.event_type, event.path)
-        if notice is None:
+        kind = _NOTICE_KINDS.get(event.event_type)
+        if kind is None:
             return False
-        return self.manager.suppresses_notification(str(session_id), notice)
+        return self.manager.suppresses_notification(
+            str(session_id), EventNotice(kind, event.path))
 
     # -- recovery (§3.8) --------------------------------------------------------
 

@@ -10,7 +10,6 @@ and a crash simply discards the overlay.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List, Optional
 
 from ..core.api import AbstractState, ObjectRecord
@@ -25,9 +24,6 @@ __all__ = ["ZkBufferedState"]
 
 #: Overlay-created nodes sort after every committed node ("youngest").
 _PENDING_SEQ_BASE = 1 << 62
-
-#: Sub-object listing order: creation order, object id as tiebreaker.
-_RECORD_ORDER = operator.attrgetter("seq", "object_id")
 
 
 class ZkBufferedState(AbstractState):
@@ -107,14 +103,15 @@ class ZkBufferedState(AbstractState):
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
         pending = self._pending_order
-        records = []
+        rows = []
         for child, node in pairs:
             seq = node.stat.czxid
             if not seq:
                 seq = _PENDING_SEQ_BASE + pending.get(child, 0)
-            records.append(ObjectRecord(child, node.data, seq))
-        records.sort(key=_RECORD_ORDER)
-        return records
+            rows.append((seq, child, node.data))
+        # (seq, child) is unique, so the sort never compares data.
+        rows.sort()
+        return [ObjectRecord(child, data, seq) for seq, child, data in rows]
 
     def block(self, object_id: str) -> None:
         if self.block_path is not None:

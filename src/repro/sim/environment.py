@@ -6,7 +6,7 @@ in **milliseconds** throughout the code base, which matches the units the
 paper's figures use.
 
 Two interchangeable queue kernels back the environment (selected per
-instance, or globally via ``REPRO_SIM_KERNEL``):
+instance with ``Environment(kernel=...)``):
 
 * ``calendar`` (default) — the bucketed timing-wheel in
   :mod:`repro.sim._calqueue`: O(1) pushes, far-future timers parked in
@@ -21,24 +21,19 @@ figure results do not depend on the kernel choice.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Generator, Iterable, Optional
 
 from ._calqueue import CalendarQueue
 from .events import AllOf, AnyOf, Callback, Event, Process, Timeout
 
-__all__ = ["Environment", "Infeasible", "default_kernel"]
+__all__ = ["Environment", "Infeasible"]
 
 KERNELS = ("calendar", "heap")
 
-
-def default_kernel() -> str:
-    """Kernel used when :class:`Environment` is built without an override."""
-    kernel = os.environ.get("REPRO_SIM_KERNEL", "calendar")
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"REPRO_SIM_KERNEL={kernel!r}: expected one of {KERNELS}")
-    return kernel
+#: Kernel of an :class:`Environment` built without one. Nothing in the
+#: program changes it; the test suite swaps it to replay whole ensembles
+#: (which build their own environment) on the heap kernel as an oracle.
+DEFAULT_KERNEL = "calendar"
 
 
 class Infeasible(RuntimeError):
@@ -68,8 +63,8 @@ class Environment:
         #: single attribute-read-plus-comparison.
         self.obs = None
         if kernel is None:
-            kernel = default_kernel()
-        elif kernel not in KERNELS:
+            kernel = DEFAULT_KERNEL
+        if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}: expected {KERNELS}")
         self.kernel = kernel
         if kernel == "heap":

@@ -69,10 +69,7 @@ class Event:
     attachment order, when the environment processes the event.
     """
 
-    # _pending_value is set externally by FifoResource.submit (the value a
-    # resource completion will succeed with); slotting it here keeps that
-    # hot path working without a per-instance __dict__.
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_pending_value")
+    __slots__ = ("env", "callbacks", "_value", "_ok")
 
     def __init__(self, env: "Environment"):  # noqa: F821 - forward ref
         self.env = env
@@ -111,8 +108,8 @@ class Event:
             raise RuntimeError("event has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined env.schedule(self): succeed() fires once per resource
-        # completion and per RPC reply, so the call overhead is hot.
+        # Inlined env.schedule(self): succeed() fires once per RPC reply
+        # and per process exit, so the call overhead is hot.
         env = self.env
         env._push(env._now, self)
         return self

@@ -10,18 +10,22 @@ growth under load in Figures 6–13.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from .environment import Environment
-from .events import Event
+from .events import Callback
 
 __all__ = ["FifoResource"]
+
+
+def _idle() -> None:
+    """Completion of an item nobody waits on."""
 
 
 class FifoResource:
     """A single server that processes submitted work items in FIFO order.
 
-    ``submit(cost_ms)`` returns an event that triggers once the item has
+    ``submit(cost_ms, fn, *args)`` runs ``fn(*args)`` once the item has
     been serviced. Utilization statistics are tracked so benchmarks can
     report saturation.
     """
@@ -29,7 +33,8 @@ class FifoResource:
     def __init__(self, env: Environment, name: str = "cpu"):
         self.env = env
         self.name = name
-        self._queue: Deque[Tuple[float, Event]] = deque()
+        self._queue: Deque[Tuple[float, Optional[Callable[..., None]],
+                                 tuple]] = deque()
         self._busy = False
         self.busy_ms = 0.0
         self.items_served = 0
@@ -38,31 +43,38 @@ class FifoResource:
     def queue_length(self) -> int:
         return len(self._queue) + (1 if self._busy else 0)
 
-    def submit(self, cost_ms: float, value=None) -> Event:
-        """Enqueue a work item taking ``cost_ms``; returns completion event."""
+    def submit(self, cost_ms: float,
+               fn: Optional[Callable[..., None]] = None, *args) -> None:
+        """Enqueue a work item taking ``cost_ms``; ``fn(*args)`` runs
+        when it completes (``fn`` None: the item only occupies the CPU).
+        """
         if cost_ms < 0:
             raise ValueError(f"negative cost: {cost_ms!r}")
-        done = Event(self.env)
-        done._pending_value = value
-        self._queue.append((cost_ms, done))
+        self._queue.append((cost_ms, fn, args))
         if not self._busy:
             self._serve_next()
-        return done
 
     def _serve_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
+        """Start servicing the item at the head of the (non-empty) queue."""
         self._busy = True
-        cost_ms, done = self._queue.popleft()
+        item = self._queue.popleft()
+        cost_ms = item[0]
         self.busy_ms += cost_ms
         self.items_served += 1
-        # Lightweight completion timer: no Timeout event + closure pair.
-        self.env.defer(cost_ms, self._finish, done)
+        env = self.env
+        env._push(env._now + cost_ms, Callback(self._finish, item))
 
-    def _finish(self, done: Event) -> None:
-        done.succeed(getattr(done, "_pending_value", None))
-        self._serve_next()
+    def _finish(self, _cost_ms: float, fn: Optional[Callable[..., None]],
+                args: tuple) -> None:
+        # The completion is a kernel occurrence of its own (one event
+        # per item, callback or not), queued behind whatever is already
+        # due at this instant and ahead of anything queued there later.
+        env = self.env
+        env._push(env._now, Callback(_idle if fn is None else fn, args))
+        if self._queue:
+            self._serve_next()
+        else:
+            self._busy = False
 
     def utilization(self, elapsed_ms: float) -> float:
         """Fraction of ``elapsed_ms`` this resource spent busy."""

@@ -157,24 +157,26 @@ class DataTree:
         validate_path(path)
         if not isinstance(data, bytes):
             raise BadArgumentsError("znode data must be bytes")
-        parent_path, _name = split_path(path)
+        parent_path, name = split_path(path)
         parent = self._nodes.get(parent_path)
         if parent is None:
             raise NoNodeError(f"parent missing: {parent_path}")
-        if parent.is_ephemeral:
+        if parent.stat.ephemeral_owner is not None:
             raise NoChildrenForEphemeralsError(parent_path)
         if sequential:
-            actual = f"{path}{parent.sequence_counter:010d}"
+            suffix = f"{parent.sequence_counter:010d}"
             parent.sequence_counter += 1
+            actual = path + suffix
+            name += suffix
         else:
             actual = path
         if actual in self._nodes:
             raise NodeExistsError(actual)
 
-        stat = Stat(czxid=zxid, mzxid=zxid, ctime=now, mtime=now,
-                    ephemeral_owner=ephemeral_owner, data_length=len(data))
-        self._nodes[actual] = ZNode(data=data, stat=stat)
-        _parent, name = split_path(actual)
+        # Stat(czxid, mzxid, ctime, mtime, version, cversion,
+        #      ephemeral_owner, data_length)
+        stat = Stat(zxid, zxid, now, now, 0, 0, ephemeral_owner, len(data))
+        self._nodes[actual] = ZNode(data, stat)
         parent.children.add(name)
         parent.stat.cversion += 1
         parent.stat.num_children = len(parent.children)

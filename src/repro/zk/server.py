@@ -44,6 +44,7 @@ via three attributes that default to ``None``:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -63,8 +64,8 @@ from .txn import (ClientReply, ClientRequest, CloseSessionOp, CloseSessionTxn,
                   DeleteOp, DeleteTxn, ErrorTxn, ExistsOp, GetChildrenOp,
                   GetDataOp, MultiOp, MultiTxn, Op, PingOp, RequestMeta,
                   SetDataOp, SetDataTxn, SyncOp, Txn, TxnRecord,
-                  WatchNotification, ZxidReply, ZxidWatchNotification,
-                  is_update)
+                  WatchNotification, ZxidClientRequest, ZxidReply,
+                  ZxidWatchNotification)
 from ..core.broadcast import make_zk_kernel
 from ..obs import (M_DELIVER, M_INGRESS, M_PROPOSE, M_REPLY,
                    FourLetterReply, FourLetterRequest, Observability,
@@ -262,10 +263,11 @@ class ZkServer:
         # site below goes through the contract, never the protocol.
         voting = peer_ids if is_observer else [node_id] + list(peer_ids)
         self.broadcast = make_zk_kernel(
-            env, node_id, voting, send=self._zab_send,
+            env, node_id, voting, send=functools.partial(net.send, node_id),
             deliver=self._on_deliver, config=self.config,
             observer_ids=observer_ids, is_observer=is_observer,
-            send_many=self._zab_send_many,
+            # Fan-out path: size the payload once for the whole broadcast.
+            send_many=functools.partial(net.broadcast, node_id),
             # Raft's post-election barrier entry: an error txn with no
             # meta applies as a no-op (no reply, no tree change) but
             # still advances the zxid stream gaplessly.
@@ -302,13 +304,6 @@ class ZkServer:
         env.process(self._expiry_loop())
 
     # -- wiring ----------------------------------------------------------
-
-    def _zab_send(self, dst: str, msg: object) -> None:
-        self.net.send(self.node_id, dst, msg)
-
-    def _zab_send_many(self, dsts, msg: object) -> None:
-        # Fan-out path: size the payload once for the whole broadcast.
-        self.net.broadcast(self.node_id, dsts, msg)
 
     def start(self, leader_id: str) -> None:
         """Bootstrap with a known initial leader (no election round)."""
@@ -349,33 +344,22 @@ class ZkServer:
     def handle_message(self, src: str, msg: object) -> None:
         if not self._alive:
             return
-        # Client traffic dominates; dispatch it before the Zab ladder.
-        if isinstance(msg, ClientRequest):
-            self._on_client_request(src, msg)
-        elif self.broadcast.handle(src, msg):
-            return
-        elif isinstance(msg, Forward):
-            self._on_forward(msg)
-        elif isinstance(msg, ForwardSettled):
-            self._relayed.pop((msg.client_node, msg.xid), None)
-        elif isinstance(msg, SessionPing):
-            self.heartbeats.touch(msg.session_id, self.env.now)
-        elif isinstance(msg, LeaseRequest):
-            self._on_lease_request(src, msg)
-        elif isinstance(msg, LeaseGrant):
-            self._on_lease_grant(msg)
-        elif isinstance(msg, LeaseDeny):
-            self._finish_lease_wait(msg.grant_key)
-        elif isinstance(msg, LeaseRevokeAck):
-            self._on_lease_revoked(msg.lease_id)
-        elif isinstance(msg, LeaseRelease):
-            self._on_lease_release(msg)
-        elif isinstance(msg, FourLetterRequest):
-            # Introspection probes sit at the end of the ladder: real
-            # traffic never pays for the isinstance check chain above,
-            # and no probe exists unless a test or driver sends one.
-            self.net.send(self.node_id, src, FourLetterReply(
-                msg.xid, msg.command, self._four_letter(msg.command)))
+        handler = _INBOX.get(msg.__class__)
+        if handler is None:
+            self.broadcast.handle(src, msg)
+        else:
+            handler(self, src, msg)
+
+    def _on_forward_settled(self, src: str, msg: ForwardSettled) -> None:
+        self._relayed.pop((msg.client_node, msg.xid), None)
+
+    def _on_session_ping(self, src: str, msg: SessionPing) -> None:
+        self.heartbeats.touch(msg.session_id, self.env.now)
+
+    def _on_four_letter_request(self, src: str,
+                                msg: FourLetterRequest) -> None:
+        self.net.send(self.node_id, src, FourLetterReply(
+            msg.xid, msg.command, self._four_letter(msg.command)))
 
     # -- client requests ---------------------------------------------------
 
@@ -390,17 +374,17 @@ class ZkServer:
         """
         if not session_id:
             return False
-        if isinstance(op, CloseSessionOp):
+        if op.__class__ is CloseSessionOp:
             return False
         if self.sessions.is_closed(session_id):
             return True
-        return self.broadcast.is_leader and session_id in self._closing_sessions
+        return session_id in self._closing_sessions and self.broadcast.is_leader
 
     def _on_client_request(self, src: str, req: ClientRequest) -> None:
         op = req.op
+        route = _OP_ROUTES.get(op.__class__, _READ)
         obs = self.env.obs
-        if obs is not None and obs.tracer is not None \
-                and not isinstance(op, PingOp):
+        if obs is not None and obs.tracer is not None and route is not _PING:
             obs.tracer.mark(src, req.xid, M_INGRESS, self.env.now,
                             self.node_id)
         if self._fence_expired(req.session_id, op):
@@ -408,23 +392,23 @@ class ZkServer:
                 req.xid, False, None, SessionExpiredError.code,
                 f"session {req.session_id} expired"))
             return
-        if isinstance(op, PingOp):
+        if route is _PING:
             self._on_ping(src, req)
             return
         meta = RequestMeta(self.node_id, src, req.session_id, req.xid)
-        if isinstance(op, SyncOp):
+        if route is _SYNC:
             self._route_sync(meta, req)
             return
         routed_by_extension = (
             self.extension_router is not None
             and self.extension_router(req.session_id, op))
-        if is_update(op) or routed_by_extension:
+        if route is _UPDATE or routed_by_extension:
             self._route_update(meta, req)
         else:
             self._handle_read(meta, op, getattr(req, "last_zxid", 0),
                               wants_lease=(self._lease_table is not None
-                                           and isinstance(
-                                               req, LeaseClientRequest)))
+                                           and req.__class__
+                                           is LeaseClientRequest))
 
     def _on_ping(self, src: str, req: ClientRequest) -> None:
         self.local_sessions.setdefault(req.session_id, src)
@@ -467,14 +451,14 @@ class ZkServer:
 
     def _lead(self, meta: RequestMeta, op: Op) -> None:
         """Leader ingress for an update or sync, local or forwarded."""
-        if isinstance(op, SyncOp):
+        if op.__class__ is SyncOp:
             self._answer_sync(meta)
         elif self._lease_table is not None:
             self._gate_or_prep(meta, op)
         else:
             self._enter_prep(meta, op)
 
-    def _on_forward(self, fwd: Forward) -> None:
+    def _on_forward(self, src: str, fwd: Forward) -> None:
         meta = RequestMeta(fwd.origin_replica, fwd.client_node,
                            fwd.request.session_id, fwd.request.xid)
         if not self.broadcast.is_leader:
@@ -531,8 +515,7 @@ class ZkServer:
         observes every write that completed before the sync was issued.
         """
         self.heartbeats.touch(meta.session_id, self.env.now)
-        work = self.cpu.submit(self.timings.read_execute_ms)
-        work.add_callback(lambda _e: self._finish_sync(meta))
+        self.cpu.submit(self.timings.read_execute_ms, self._finish_sync, meta)
 
     def _finish_sync(self, meta: RequestMeta) -> None:
         if not self._alive:
@@ -563,13 +546,11 @@ class ZkServer:
 
     def _submit_read(self, meta: RequestMeta, op: Op,
                      wants_lease: bool = False) -> None:
-        work = self.cpu.submit(self.timings.read_execute_ms)
-        work.add_callback(lambda _e: self._execute_read(meta, op, wants_lease))
+        self.cpu.submit(self.timings.read_execute_ms, self._execute_read,
+                        meta, op, wants_lease)
 
     def _drain_parked_reads(self) -> None:
         """Run every parked read the applied state now satisfies."""
-        if not self._parked_reads:
-            return
         applied = self._applied_zxid
         still_parked = []
         for entry in self._parked_reads:
@@ -715,7 +696,7 @@ class ZkServer:
             msg.grant_key, lease.lease_id, lease.expires_at,
             self.broadcast.leadership_epoch, auth_stat.mzxid))
 
-    def _on_lease_grant(self, msg: LeaseGrant) -> None:
+    def _on_lease_grant(self, src: str, msg: LeaseGrant) -> None:
         entry = self._lease_waits.pop(msg.grant_key, None)
         if entry is None:
             return                # timed out; the grant just expires unused
@@ -732,6 +713,9 @@ class ZkServer:
             meta.xid, True, value, zxid=zxid,
             lease_id=msg.lease_id, lease_expires_at=msg.expires_at,
             lease_epoch=msg.epoch))
+
+    def _on_lease_deny(self, src: str, msg: LeaseDeny) -> None:
+        self._finish_lease_wait(msg.grant_key)
 
     def _finish_lease_wait(self, grant_key: int) -> None:
         """Deny or grant-timeout: answer the parked read plain."""
@@ -804,13 +788,13 @@ class ZkServer:
                           LeaseRevoke(blocker.path, blocker.lease_id))
         self.env.defer(max(0.0, not_before - now), self._gate_deadline, gate)
 
-    def _on_lease_revoked(self, lease_id: int) -> None:
+    def _on_lease_revoke_ack(self, src: str, msg: LeaseRevokeAck) -> None:
         if self._lease_table is None:
             return
-        for gate in self._lease_table.revoked(lease_id):
+        for gate in self._lease_table.revoked(msg.lease_id):
             self._maybe_fire_gate(gate)
 
-    def _on_lease_release(self, msg: LeaseRelease) -> None:
+    def _on_lease_release(self, src: str, msg: LeaseRelease) -> None:
         """Voluntary early release (client sync barrier)."""
         if self._lease_table is None:
             return
@@ -898,9 +882,8 @@ class ZkServer:
     def _enter_prep(self, meta: RequestMeta, op: Op,
                     lease_paths: Optional[Tuple[str, ...]] = None) -> None:
         self.heartbeats.touch(meta.session_id, self.env.now)
-        cost = self.timings.prep_ms + self.timings.log_write_ms
-        work = self.cpu.submit(cost)
-        work.add_callback(lambda _e: self._prep(meta, op, lease_paths))
+        self.cpu.submit(self.timings.prep_ms + self.timings.log_write_ms,
+                        self._prep, meta, op, lease_paths)
 
     def _prep(self, meta: RequestMeta, op: Op,
               lease_paths: Optional[Tuple[str, ...]] = None) -> None:
@@ -997,7 +980,7 @@ class ZkServer:
             return
         record = log[idx - 1]
         if zxid > self._applied_zxid:
-            record.meta = meta
+            record.repoint(meta)
             return
         txn = record.txn
         if isinstance(txn, ErrorTxn):
@@ -1155,41 +1138,57 @@ class ZkServer:
         result, error, events = self._apply(record)
         if record.zxid > self._applied_zxid:
             self._applied_zxid = record.zxid
-        self._drain_parked_reads()
-        work = self.cpu.submit(self.timings.apply_ms)
-        work.add_callback(
-            lambda _e: self._after_apply(record, result, error, events))
+        if self._parked_reads:
+            self._drain_parked_reads()
+        self.cpu.submit(self.timings.apply_ms, self._after_apply,
+                        record, result, error, events)
 
     def _apply(self, record: TxnRecord
                ) -> Tuple[Any, Optional[ZkError], List[StateEvent]]:
         """Mutate replicated state; returns (result, error, state events)."""
         txn = record.txn
-        now = self.env.now
         events: List[StateEvent] = []
+        apply_to_tree = _TREE_APPLIERS.get(txn.__class__)
         try:
-            if isinstance(txn, ErrorTxn):
-                from .errors import from_code
-                return (None, from_code(txn.code, txn.message), events)
-            if isinstance(txn, CreateSessionTxn):
-                session_id = record.zxid
-                self.sessions.create(session_id, txn.timeout_ms, txn.client_id)
-                if self.broadcast.is_leader:
-                    self.heartbeats.track(session_id, txn.timeout_ms, now)
-                if record.meta is not None and record.meta.origin_replica == self.node_id:
-                    self.local_sessions[session_id] = record.meta.client_node
-                return (session_id, None, events)
-            if isinstance(txn, CloseSessionTxn):
-                self._close_session(txn.session_id, events)
-                return (True, None, events)
-            result = _apply_txn_to_tree(self.tree, txn, record.zxid, now,
-                                        events=events)
-            if record.meta is not None:
-                for event in events:
-                    event.origin_session = record.meta.session_id
-            return (result, None, events)
+            if apply_to_tree is None:
+                apply_here = _SERVER_APPLIERS.get(txn.__class__)
+                if apply_here is None:
+                    raise ZkError(f"unknown txn: {txn!r}")
+                return apply_here(self, record, events)
+            result = apply_to_tree(self.tree, txn, record.zxid, self.env.now,
+                                   events)
         except ZkError as error:
             # Should not happen (prep validated); surface as an error reply.
             return (None, error, events)
+        meta = record.meta
+        if meta is not None:
+            for event in events:
+                event.origin_session = meta.session_id
+        return (result, None, events)
+
+    # One applier per txn class whose effect lies outside the tree,
+    # dispatched from _apply; all share its (record, events) signature.
+
+    def _apply_error(self, record: TxnRecord, events: List[StateEvent]):
+        txn = record.txn
+        return (None, from_code(txn.code, txn.message), events)
+
+    def _apply_create_session(self, record: TxnRecord,
+                              events: List[StateEvent]):
+        txn = record.txn
+        session_id = record.zxid
+        self.sessions.create(session_id, txn.timeout_ms, txn.client_id)
+        if self.broadcast.is_leader:
+            self.heartbeats.track(session_id, txn.timeout_ms, self.env.now)
+        meta = record.meta
+        if meta is not None and meta.origin_replica == self.node_id:
+            self.local_sessions[session_id] = meta.client_node
+        return (session_id, None, events)
+
+    def _apply_close_session(self, record: TxnRecord,
+                             events: List[StateEvent]):
+        self._close_session(record.txn.session_id, events)
+        return (True, None, events)
 
     def _close_session(self, session_id: int, events: List[StateEvent]) -> None:
         if session_id not in self.sessions:
@@ -1221,10 +1220,11 @@ class ZkServer:
         meta = record.meta
         if meta is None or meta.origin_replica != self.node_id:
             return
-        blocked = isinstance(record.txn, MultiTxn) and any(
-            effect[0] == "block" for effect in record.txn.effects)
-        if blocked:
-            for effect in record.txn.effects:
+        txn = record.txn
+        multi = txn.__class__ is MultiTxn
+        if multi and txn.effects and any(effect[0] == "block"
+                                         for effect in txn.effects):
+            for effect in txn.effects:
                 if effect[0] == "block":
                     self._register_deferred_block(meta, effect[1])
             return
@@ -1232,8 +1232,8 @@ class ZkServer:
             self._reply_error(meta, error)
         else:
             value = result
-            if isinstance(record.txn, MultiTxn) and record.txn.payload_set:
-                value = record.txn.result_payload
+            if multi and txn.payload_set:
+                value = txn.result_payload
             if self.config.local_reads:
                 # The write's zxid becomes the session's read floor, so a
                 # subsequent read at any replica observes this write.
@@ -1260,6 +1260,8 @@ class ZkServer:
             (meta.session_id, meta.xid, meta.client_node))
 
     def _fire_watches(self, events: List[StateEvent], zxid: int = 0) -> None:
+        if not (self.watches.armed or self._deferred_blocks):
+            return                # nothing can fire: no watch, no block
         notifications: List[Tuple[int, WatchEvent]] = []
         for event in events:
             notifications.extend(
@@ -1422,33 +1424,105 @@ def _copy_tree(tree: DataTree) -> DataTree:
 def _apply_txn_to_tree(tree: DataTree, txn: Txn, zxid: int, now: float,
                        events: Optional[List[StateEvent]] = None) -> Any:
     """Apply one txn; optionally collect state events. Returns the result."""
-    if isinstance(txn, CreateTxn):
-        actual = tree.create(txn.path, txn.data,
-                             ephemeral_owner=txn.ephemeral_owner,
-                             zxid=zxid, now=now)
-        if events is not None:
-            events.append(StateEvent(EventType.NODE_CREATED, actual, txn.data))
-        return actual
-    if isinstance(txn, SetDataTxn):
-        stat = tree.set_data(txn.path, txn.data, version=-1, zxid=zxid, now=now)
-        if events is not None:
-            events.append(StateEvent(EventType.NODE_DATA_CHANGED, txn.path,
-                                     txn.data))
-        return stat
-    if isinstance(txn, DeleteTxn):
-        tree.delete(txn.path, version=-1)
-        if events is not None:
-            events.append(StateEvent(EventType.NODE_DELETED, txn.path))
-        return None
-    if isinstance(txn, MultiTxn):
-        results = [
-            _apply_txn_to_tree(tree, sub, zxid, now, events=events)
-            for sub in txn.txns
-        ]
-        return results
-    if isinstance(txn, CreateSessionTxn):
-        return None  # session txns are handled by the server, not the tree
-    if isinstance(txn, CloseSessionTxn):
-        tree.kill_session(txn.session_id)
-        return None
-    raise ZkError(f"unknown txn: {txn!r}")
+    apply = _TXN_APPLIERS.get(txn.__class__)
+    if apply is None:
+        raise ZkError(f"unknown txn: {txn!r}")
+    return apply(tree, txn, zxid, now, events)
+
+
+# One tree applier per txn class; all share the signature
+# (tree, txn, zxid, now, events) and append state events when
+# ``events`` is a list.
+
+def _apply_create(tree, txn, zxid, now, events):
+    actual = tree.create(txn.path, txn.data,
+                         ephemeral_owner=txn.ephemeral_owner,
+                         zxid=zxid, now=now)
+    if events is not None:
+        events.append(StateEvent(EventType.NODE_CREATED, actual, txn.data))
+    return actual
+
+
+def _apply_set_data(tree, txn, zxid, now, events):
+    stat = tree.set_data(txn.path, txn.data, version=-1, zxid=zxid, now=now)
+    if events is not None:
+        events.append(StateEvent(EventType.NODE_DATA_CHANGED, txn.path,
+                                 txn.data))
+    return stat
+
+
+def _apply_delete(tree, txn, zxid, now, events):
+    tree.delete(txn.path, version=-1)
+    if events is not None:
+        events.append(StateEvent(EventType.NODE_DELETED, txn.path))
+    return None
+
+
+def _apply_multi(tree, txn, zxid, now, events):
+    return [_apply_txn_to_tree(tree, sub, zxid, now, events)
+            for sub in txn.txns]
+
+
+def _session_create_on_tree(tree, txn, zxid, now, events):
+    return None  # session txns are handled by the server, not the tree
+
+
+def _session_close_on_tree(tree, txn, zxid, now, events):
+    tree.kill_session(txn.session_id)
+    return None
+
+
+#: Txns that change the committed tree: :meth:`ZkServer._apply` looks
+#: here first, since nearly every committed txn is one of these.
+_TREE_APPLIERS = {
+    CreateTxn: _apply_create,
+    SetDataTxn: _apply_set_data,
+    DeleteTxn: _apply_delete,
+    MultiTxn: _apply_multi,
+}
+
+#: Every txn a bare tree understands (the leader's speculative tree,
+#: members of a multi): session txns only reap ephemerals here.
+_TXN_APPLIERS = {
+    **_TREE_APPLIERS,
+    CreateSessionTxn: _session_create_on_tree,
+    CloseSessionTxn: _session_close_on_tree,
+}
+
+#: Txns :meth:`ZkServer._apply` hands to the server rather than the tree.
+_SERVER_APPLIERS = {
+    ErrorTxn: ZkServer._apply_error,
+    CreateSessionTxn: ZkServer._apply_create_session,
+    CloseSessionTxn: ZkServer._apply_close_session,
+}
+
+#: Exact-type dispatch for :meth:`ZkServer.handle_message`; anything
+#: else is a message for the consensus kernel (``ZkServer.broadcast``).
+_INBOX = {
+    ClientRequest: ZkServer._on_client_request,
+    ZxidClientRequest: ZkServer._on_client_request,
+    LeaseClientRequest: ZkServer._on_client_request,
+    Forward: ZkServer._on_forward,
+    ForwardSettled: ZkServer._on_forward_settled,
+    SessionPing: ZkServer._on_session_ping,
+    LeaseRequest: ZkServer._on_lease_request,
+    LeaseGrant: ZkServer._on_lease_grant,
+    LeaseDeny: ZkServer._on_lease_deny,
+    LeaseRevokeAck: ZkServer._on_lease_revoke_ack,
+    LeaseRelease: ZkServer._on_lease_release,
+    FourLetterRequest: ZkServer._on_four_letter_request,
+}
+
+# How _on_client_request routes a client op, by exact type; anything
+# unlisted takes the read path (which rejects non-reads).
+_PING, _SYNC, _UPDATE, _READ = "ping", "sync", "update", "read"
+_OP_ROUTES = {
+    PingOp: _PING,
+    SyncOp: _SYNC,
+    CreateOp: _UPDATE,
+    DeleteOp: _UPDATE,
+    SetDataOp: _UPDATE,
+    MultiOp: _UPDATE,
+    CreateSessionOp: _UPDATE,
+    CloseSessionOp: _UPDATE,
+}

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+from ..sim import estimate_size
+
 __all__ = [
     # client operations
     "Op", "CreateOp", "DeleteOp", "SetDataOp", "GetDataOp", "GetChildrenOp",
@@ -24,7 +26,7 @@ __all__ = [
     # envelopes
     "RequestMeta", "ClientRequest", "ClientReply", "WatchNotification",
     "ZxidClientRequest", "ZxidReply", "ZxidWatchNotification",
-    "TxnRecord", "is_update",
+    "TxnRecord",
 ]
 
 
@@ -108,15 +110,6 @@ class SyncOp(Op):
     sync-then-read linearizable (every write committed before the sync
     is visible to the read).
     """
-
-
-_UPDATE_OPS = (CreateOp, DeleteOp, SetDataOp, MultiOp,
-               CreateSessionOp, CloseSessionOp)
-
-
-def is_update(op: Op) -> bool:
-    """True for operations that must flow through the ordered pipeline."""
-    return isinstance(op, _UPDATE_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +264,12 @@ class ZxidWatchNotification(WatchNotification):
 class TxnRecord:
     """One slot in the replicated log.
 
-    Records are immutable once appended, so the wire-size estimate is
-    computed once and reused — the leader ships the same record to every
-    follower (and again during syncs), which made the recursive size
-    walk one of the hottest paths in the simulation.
+    The wire-size estimate is computed once and reused — the leader
+    ships the same record to every follower (and again during syncs),
+    which made the recursive size walk one of the hottest paths in the
+    simulation. ``zxid`` and ``txn`` never change once the record is
+    appended; ``meta`` changes only through :meth:`repoint`, which drops
+    the cached size with it.
     """
 
     zxid: int
@@ -282,10 +277,14 @@ class TxnRecord:
     meta: Optional[RequestMeta] = None
     _wire_size: Optional[int] = field(default=None, repr=False, compare=False)
 
+    def repoint(self, meta: RequestMeta) -> None:
+        """Route the reply for this record through ``meta`` instead."""
+        self.meta = meta
+        self._wire_size = None
+
     def wire_size(self) -> int:
         size = self._wire_size
         if size is None:
-            from ..sim import estimate_size
             # Mirrors the generic dataclass estimate for the real fields:
             # 2 (tag) + 8 (zxid) + txn + meta.
             size = 10 + estimate_size(self.txn) + estimate_size(self.meta)

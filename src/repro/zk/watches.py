@@ -73,6 +73,11 @@ class WatchManager:
                  + sum(len(owners) for owners in self._child_watches.values()))
         return len(paths), total
 
+    @property
+    def armed(self) -> bool:
+        """True while any data or child watch waits to fire."""
+        return bool(self._data_watches or self._child_watches)
+
     def data_watchers(self, path: str) -> Set[int]:
         return set(self._data_watches.get(path, ()))
 
@@ -89,12 +94,16 @@ class WatchManager:
         parent child-watch notifications are produced by
         :meth:`trigger_children` so callers can distinguish the two.
         """
+        watchers = self._data_watches.pop(path, None)
+        if not watchers:
+            return []
         event = WatchEvent(event_type, path)
-        watchers = self._data_watches.pop(path, set())
         return [(session_id, event) for session_id in sorted(watchers)]
 
     def trigger_children(self, parent: str) -> List[Tuple[int, WatchEvent]]:
         """Fire and clear child watches on ``parent``."""
+        watchers = self._child_watches.pop(parent, None)
+        if not watchers:
+            return []
         event = WatchEvent(EventType.NODE_CHILDREN_CHANGED, parent)
-        watchers = self._child_watches.pop(parent, set())
         return [(session_id, event) for session_id in sorted(watchers)]

@@ -302,27 +302,11 @@ class ZabPeer(AtomicBroadcast):
     def handle(self, src: str, msg: object) -> bool:
         """Process a protocol message; returns False if not a Zab message."""
         if not self._alive:
-            return True
-        if isinstance(msg, Proposal):
-            self._on_proposal(src, msg)
-        elif isinstance(msg, Ack):
-            self._on_ack(src, msg)
-        elif isinstance(msg, Commit):
-            self._on_commit(src, msg)
-        elif isinstance(msg, Heartbeat):
-            self._on_heartbeat(src, msg)
-        elif isinstance(msg, Vote):
-            self._on_vote(src, msg)
-        elif isinstance(msg, CurrentLeader):
-            self._on_current_leader(src, msg)
-        elif isinstance(msg, NewLeader):
-            self._on_new_leader(src, msg)
-        elif isinstance(msg, NewLeaderAck):
-            self._on_new_leader_ack(src, msg)
-        elif isinstance(msg, SyncRequest):
-            self._on_sync_request(src, msg)
-        else:
+            return True           # a crashed peer swallows everything
+        handler = _HANDLERS.get(msg.__class__)
+        if handler is None:
             return False
+        handler(self, src, msg)
         return True
 
     # -- replication ---------------------------------------------------------
@@ -338,21 +322,25 @@ class ZabPeer(AtomicBroadcast):
             # last-zxid prefix check cannot see it. The pending
             # NewLeader reply carries these entries anyway.
             return
+        record = msg.record
+        zxid = record.zxid
+        log = self.log
+        last = log[-1].zxid if log else 0
         # FIFO channels make proposals arrive in order within an epoch.
-        if self.log and msg.record.zxid <= self.last_zxid:
+        if log and zxid <= last:
             return  # duplicate
-        zxid = msg.record.zxid
-        if zxid_epoch(self.last_zxid) == zxid_epoch(zxid):
-            expected = self.last_zxid + 1
+        epoch = zxid >> 32                     # zxid_epoch, inlined
+        if last >> 32 == epoch:
+            expected = last + 1
         else:
-            expected = make_zxid(zxid_epoch(zxid), 1)
+            expected = make_zxid(epoch, 1)
         if zxid != expected:
             # We missed something (e.g. a healed partition): resync.
-            self._send(src, SyncRequest(self.last_zxid))
+            self._send(src, SyncRequest(last))
             return
-        self.log.append(msg.record)
+        log.append(record)
         if not self.is_observer:
-            self._send(src, Ack(self.epoch, msg.record.zxid))
+            self._send(src, Ack(self.epoch, zxid))
 
     def _on_ack(self, src: str, msg: Ack) -> None:
         if self.role is not Role.LEADER or msg.epoch != self.epoch:
@@ -640,3 +628,17 @@ class ZabPeer(AtomicBroadcast):
             suffix = list(self.log)
         self._send(src, NewLeader(self.epoch, suffix,
                                   self.committed_zxid, prefix_zxid))
+
+
+#: Exact-type dispatch for :meth:`ZabPeer.handle` (no message subclasses).
+_HANDLERS = {
+    Proposal: ZabPeer._on_proposal,
+    Ack: ZabPeer._on_ack,
+    Commit: ZabPeer._on_commit,
+    Heartbeat: ZabPeer._on_heartbeat,
+    Vote: ZabPeer._on_vote,
+    CurrentLeader: ZabPeer._on_current_leader,
+    NewLeader: ZabPeer._on_new_leader,
+    NewLeaderAck: ZabPeer._on_new_leader_ack,
+    SyncRequest: ZabPeer._on_sync_request,
+}

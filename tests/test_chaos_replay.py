@@ -28,7 +28,7 @@ def test_same_seed_replays_byte_identical(system, recipe, seed):
 
 @pytest.mark.parametrize("system,recipe,seed", CELLS)
 def test_replay_byte_identical_across_kernels(system, recipe, seed,
-                                              monkeypatch):
+                                              sim_kernel):
     """Replay lines must not depend on the event-queue kernel.
 
     A seed found by the explorer under the fast calendar-queue kernel
@@ -37,7 +37,7 @@ def test_replay_byte_identical_across_kernels(system, recipe, seed,
     """
     runs = {}
     for kernel in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        sim_kernel(kernel)
         runs[kernel] = run_chaos(system, recipe, seed)
     heap, cal = runs["heap"], runs["calendar"]
     assert heap.schedule.describe() == cal.schedule.describe()

@@ -127,10 +127,10 @@ def test_openloop_session_knobs_require_zk_family(kind):
         run_openloop_workload(kind, Workload(watch_fanout=2, **SMALL))
 
 
-def test_openloop_identical_across_kernels(monkeypatch):
+def test_openloop_identical_across_kernels(sim_kernel):
     results = {}
     for kernel in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        sim_kernel(kernel)
         results[kernel] = run_openloop_workload(
             "zk", Workload(**SMALL), warmup_ms=50.0, measure_ms=200.0)
     assert results["heap"] == results["calendar"]

@@ -115,13 +115,13 @@ def test_soup_with_step_and_peek_identical():
 
 
 @pytest.mark.parametrize("system", ["zk", "ezk"])
-def test_protocol_workload_identical_across_kernels(system, monkeypatch):
+def test_protocol_workload_identical_across_kernels(system, sim_kernel):
     """A full ensemble workload produces the same result on both kernels."""
     from repro.bench.workload import run_queue_workload
 
     results = {}
     for kernel in KERNELS:
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        sim_kernel(kernel)
         results[kernel] = run_queue_workload(
             system, n_clients=8, warmup_ms=50.0, measure_ms=300.0)
     heap, cal = results["heap"], results["calendar"]
@@ -129,16 +129,21 @@ def test_protocol_workload_identical_across_kernels(system, monkeypatch):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_environment_kernel_override_beats_env_var(kernel, monkeypatch):
+def test_environment_kernel_override_beats_env_var(kernel, sim_kernel,
+                                                   monkeypatch):
+    """The explicit argument wins over the test-side default, and no
+    environment variable selects a kernel."""
     other = "calendar" if kernel == "heap" else "heap"
     monkeypatch.setenv("REPRO_SIM_KERNEL", other)
-    env = Environment(kernel=kernel)
-    assert env.kernel == kernel
+    assert Environment().kernel == "calendar"
+    sim_kernel(other)
+    assert Environment(kernel=kernel).kernel == kernel
+    assert Environment().kernel == other
 
 
-def test_unknown_kernel_rejected(monkeypatch):
+def test_unknown_kernel_rejected(sim_kernel):
     with pytest.raises(ValueError):
         Environment(kernel="btree")
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "btree")
+    sim_kernel("btree")
     with pytest.raises(ValueError):
         Environment()

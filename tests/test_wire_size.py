@@ -141,3 +141,18 @@ def test_flat_sizer_matches_reference_walk(cls, data):
 @given(_VALUES)
 def test_plain_values_match_reference_walk(value):
     assert estimate_size(value) == reference_size(value)
+
+
+def test_repointed_record_sizes_like_a_fresh_one():
+    """A duplicate answered before its record applies repoints the
+    record's meta; a size cached under the old meta must not survive."""
+    from repro.zk.txn import CreateTxn, RequestMeta, TxnRecord
+
+    txn = CreateTxn("/q/item-0000000007", b"payload")
+    record = TxnRecord(7, txn, RequestMeta("zk1", "client-3", 11, 42))
+    record.wire_size()            # cached, as after the first fan-out
+    retry = RequestMeta("observer-12", "client-3", 11, 42)
+    record.repoint(retry)
+    assert record.meta is retry
+    assert record.wire_size() == TxnRecord(7, txn, retry).wire_size()
+    assert record.wire_size() == estimate_size(record)

@@ -41,6 +41,27 @@ class TestWatchManager:
     def test_trigger_unwatched_path_is_empty(self):
         assert WatchManager().trigger("/x", EventType.NODE_CREATED) == []
 
+    def test_unwatched_triggers_leave_armed_watches_alone(self):
+        manager = WatchManager()
+        assert not manager.armed
+        manager.add_data_watch("/a", 1)
+        manager.add_child_watch("/p", 2)
+        assert manager.armed
+        assert manager.trigger("/b", EventType.NODE_CREATED) == []
+        assert manager.trigger("/p", EventType.NODE_DELETED) == []
+        assert manager.trigger_children("/a") == []
+        assert manager.trigger_children("/q") == []
+        fired = manager.trigger("/a", EventType.NODE_DATA_CHANGED)
+        assert [(sid, e.event_type, e.path) for sid, e in fired] == [
+            (1, EventType.NODE_DATA_CHANGED, "/a")]
+        assert manager.trigger("/a", EventType.NODE_DATA_CHANGED) == []
+        assert manager.armed
+        fired = manager.trigger_children("/p")
+        assert [(sid, e.event_type, e.path) for sid, e in fired] == [
+            (2, EventType.NODE_CHILDREN_CHANGED, "/p")]
+        assert manager.trigger_children("/p") == []
+        assert not manager.armed
+
 
 class TestSessionTable:
     def test_create_close(self):
@@ -96,8 +117,7 @@ class TestFifoResource:
         cpu = FifoResource(env)
         finished = []
         for i, cost in enumerate((5.0, 3.0, 2.0)):
-            cpu.submit(cost).add_callback(
-                lambda _e, i=i: finished.append((i, env.now)))
+            cpu.submit(cost, lambda i=i: finished.append((i, env.now)))
         env.run()
         assert finished == [(0, 5.0), (1, 8.0), (2, 10.0)]
 
@@ -126,14 +146,40 @@ class TestFifoResource:
         with pytest.raises(ValueError):
             FifoResource(env).submit(-1.0)
 
-    def test_value_passthrough(self):
+    def test_args_passthrough(self):
         env = Environment()
         cpu = FifoResource(env)
         seen = []
-        cpu.submit(1.0, value="payload").add_callback(
-            lambda e: seen.append(e.value))
+        cpu.submit(1.0, seen.append, "payload")
+        cpu.submit(1.0, lambda *args: seen.append(args), 1, "two", None)
         env.run()
-        assert seen == ["payload"]
+        assert seen == ["payload", (1, "two", None)]
+
+    @pytest.mark.parametrize("kernel", ["heap", "calendar"])
+    def test_completion_order_within_its_instant(self, kernel):
+        """A completion is one occurrence filed when the item finishes:
+        after everything already queued for that instant, before
+        anything queued there later."""
+        env = Environment(kernel=kernel)
+        cpu = FifoResource(env)
+        log = []
+
+        def queued_after_the_timer():
+            log.append("after")
+            env.defer(0.0, log.append, "later")
+
+        env.defer(5.0, log.append, "before")
+        cpu.submit(5.0, log.append, "done")
+        env.defer(5.0, queued_after_the_timer)
+        env.defer(3.0, env.defer, 2.0, log.append, "from-3ms")
+        env.run()
+        assert log == ["before", "after", "from-3ms", "done", "later"]
+        # Two kernel events per item (the service timer, the completion),
+        # with or without a callback.
+        assert env.events_processed == 7
+        cpu.submit(1.0)
+        env.run()
+        assert env.events_processed == 9
 
 
 class TestStats:
