@@ -10,7 +10,8 @@
 * :mod:`~repro.core.sandbox` — restricted execution, the budgeted state
   proxy, and crash containment (§4.1.2);
 * :mod:`~repro.core.manager` — the extension manager: lifecycle,
-  matching, execution, recovery (§3.5–3.8).
+  matching, execution, recovery (§3.5–3.8);
+* :mod:`~repro.core.binding` — the integration loop EZK and EDS share.
 """
 
 from .api import (EVENT_TYPES, OP_TYPES, AbstractState, EventNotice,

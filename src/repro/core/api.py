@@ -103,8 +103,12 @@ class AbstractState:
         raise NotImplementedError
 
     def cas(self, object_id: str, expected: bytes, new: bytes) -> bool:
-        """Set content to ``new`` iff it currently equals ``expected``."""
-        raise NotImplementedError
+        """Set content to ``new`` iff it currently equals ``expected``
+        (nothing runs between the read and the update of one proxy)."""
+        if self.read(object_id) != expected:
+            return False
+        self.update(object_id, new)
+        return True
 
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         """Records of all sub-objects of ``object_id``, oldest first."""

@@ -19,35 +19,31 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from types import CodeType
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .api import AbstractState, EventNotice, OperationRequest
 from .errors import NotAuthorizedError, UnknownExtensionError
 from .extension import EventSubscription, Extension, OperationSubscription
 from .sandbox import (BudgetedState, SandboxLimits, compile_extension_source,
                       instantiate_extension, run_contained)
-from .verifier import VerifierConfig, verify_source
+from .verifier import VerifierConfig
 
 __all__ = ["RegisteredExtension", "ExtensionManager"]
 
 
 #: Verified-and-compiled extension code, keyed by
-#: (source sha256, registration name, verifier-config fingerprint).
-#: Every replica of an ensemble registers the same handful of sources
-#: (and each EZK replica re-registers them again on recovery), so the
-#: expensive half of loading — AST parse, the verifier's full-tree walk,
-#: byte-compilation — runs once per distinct source instead of once per
-#: (replica × registration). Only the immutable code object is shared;
-#: each registration still executes it into a fresh namespace, so class
-#: objects (and any class-attribute state) stay per-replica.
-_COMPILE_CACHE: Dict[Tuple[str, str, tuple], CodeType] = {}
+#: (source sha256, verifier-config fingerprint). Every replica of an
+#: ensemble registers the same handful of sources (and each EZK replica
+#: re-registers them again on recovery, after its leader verified them
+#: at prep time), so the expensive half of loading — AST parse, the
+#: verifier's full-tree walk, byte-compilation — runs once per distinct
+#: source. Only the immutable code object is shared; each registration
+#: still executes it into a fresh namespace, so class objects (and any
+#: class-attribute state) stay per-replica. Rejections are never cached,
+#: so their messages are re-derived every time.
+_COMPILE_CACHE: Dict[Tuple[str, tuple], CodeType] = {}
 
-#: Sources that passed verification, for prep-time pre-checks that do
-#: not need the code object (EZK verifies at the leader's prep stage
-#: before the registration is proposed). Failures are never cached.
-_VERIFIED_CACHE: Set[Tuple[str, tuple]] = set()
-
-#: Bound so a pathological workload cannot grow the caches forever.
+#: Bound so a pathological workload cannot grow the cache forever.
 _CACHE_MAX = 512
 
 
@@ -114,15 +110,7 @@ class ExtensionManager:
         instantiation fails — the registration must then be aborted by
         the backend (§4.1.1: "the registration aborts immediately").
         """
-        key = (_source_hash(source), name,
-               _config_fingerprint(self.verifier_config))
-        code = _COMPILE_CACHE.get(key)
-        if code is None:
-            code = compile_extension_source(source, name,
-                                            self.verifier_config)
-            if len(_COMPILE_CACHE) >= _CACHE_MAX:
-                _COMPILE_CACHE.clear()
-            _COMPILE_CACHE[key] = code
+        code = self.verify_cached(source, name)
         instance = instantiate_extension(code, name, helpers=self.helpers)
         self._order += 1
         record = RegisteredExtension(
@@ -133,23 +121,20 @@ class ExtensionManager:
         self._extensions[name] = record
         return record
 
-    def verify_cached(self, source: str) -> None:
-        """``verify_source`` with a pass-only cache.
-
-        For callers that need the verdict but not the code object (EZK's
-        prep-stage registration check re-verifies the same source at
-        every leader). Raises exactly like :func:`verify_source`;
-        rejections are re-derived every time so their messages stay
-        precise.
-        """
+    def verify_cached(self, source: str, name: str = "") -> CodeType:
+        """Verified, compiled code for ``source`` from the process cache;
+        a miss raises like ``verify_source``. ``name`` only labels the
+        code object."""
         key = (_source_hash(source),
                _config_fingerprint(self.verifier_config))
-        if key in _VERIFIED_CACHE:
-            return
-        verify_source(source, self.verifier_config)
-        if len(_VERIFIED_CACHE) >= _CACHE_MAX:
-            _VERIFIED_CACHE.clear()
-        _VERIFIED_CACHE.add(key)
+        code = _COMPILE_CACHE.get(key)
+        if code is None:
+            code = compile_extension_source(source, name,
+                                            self.verifier_config)
+            if len(_COMPILE_CACHE) >= _CACHE_MAX:
+                _COMPILE_CACHE.clear()
+            _COMPILE_CACHE[key] = code
+        return code
 
     def deregister(self, name: str) -> None:
         self._extensions.pop(name, None)
@@ -240,15 +225,20 @@ class ExtensionManager:
         if not record.authorized(request.client_id):
             raise NotAuthorizedError(
                 f"{request.client_id} has not acknowledged {record.name!r}")
-        self.executions += 1
-        proxy = BudgetedState(backend_state, self.limits)
-        return run_contained(record.instance.handle_operation, request,
-                             proxy, max_steps=self.limits.max_steps)
+        return self._run_contained(record.instance.handle_operation,
+                                   request, backend_state)
 
     def execute_event(self, record: RegisteredExtension, event: EventNotice,
-                      backend_state: AbstractState) -> None:
-        """Run an event extension in the sandbox."""
+                      backend_state: AbstractState,
+                      handler: str = "handle_event") -> Any:
+        """Run an event-time entry point (``handle_event``, or EDS's
+        unblock veto ``allow_unblock``) in the sandbox."""
+        return self._run_contained(getattr(record.instance, handler), event,
+                                   backend_state)
+
+    def _run_contained(self, entry: Callable[[Any, AbstractState], Any],
+                       argument: Any, backend_state: AbstractState) -> Any:
         self.executions += 1
         proxy = BudgetedState(backend_state, self.limits)
-        run_contained(record.instance.handle_event, event, proxy,
-                      max_steps=self.limits.max_steps)
+        return run_contained(entry, argument, proxy,
+                             max_steps=self.limits.max_steps)

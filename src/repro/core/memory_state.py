@@ -54,15 +54,6 @@ class MemoryState(AbstractState):
             raise NoObjectError(object_id)
         self._objects[object_id] = (data, entry[1])
 
-    def cas(self, object_id: str, expected: bytes, new: bytes) -> bool:
-        entry = self._objects.get(object_id)
-        if entry is None:
-            raise NoObjectError(object_id)
-        if entry[0] != expected:
-            return False
-        self._objects[object_id] = (new, entry[1])
-        return True
-
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         prefix = object_id if object_id.endswith("/") else object_id + "/"
         records = [

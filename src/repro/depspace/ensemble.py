@@ -54,7 +54,7 @@ class DsEnsemble:
                 (r.ordering.primary_id for r in self.replicas
                  if r._alive and r.ordering.primary_id), self.replica_ids[0])
             return self.replica(leader_id)
-        view = max(r.bft.view for r in self.replicas if r._alive)
+        view = max(r.ordering.view for r in self.replicas if r._alive)
         return self.replicas[view % len(self.replicas)]
 
     def client(self, node_id: Optional[str] = None,

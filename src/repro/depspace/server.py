@@ -1,15 +1,21 @@
 """A DepSpace replica: the layer stack of the paper's Figure 4.
 
-From the bottom up: BFT ordering → **extension manager slot** (EDS hooks
-in here; plain DepSpace passes straight through) → policy enforcement →
-access control → tuple space. Every replica executes every ordered
-request deterministically and replies; clients mask up to ``f``
+From the bottom up: BFT ordering → **extension manager slot** → policy
+enforcement → access control → tuple space. Every replica executes every
+ordered request deterministically and replies; clients mask up to ``f``
 Byzantine answers by voting.
+
+The slot is one attribute, ``extensions`` (``None`` for plain DepSpace,
+or the replica's :class:`~repro.eds.integration.EdsBinding`):
+``intercept`` returns ``(value,)`` for an ordered request an extension
+consumed, ``on_events`` sees its state changes, ``allow_unblock`` may
+veto a waiter's release (§5.2.2), ``consumes`` orders a fast read an
+extension consumes, and ``rebuild`` reloads the registry after a state
+transfer (§3.8).
 
 Blocking semantics: ``rd``/``in`` with no match register a waiter (in
 delivery order, identically at every correct replica); each insertion
-re-evaluates waiters. EDS's event extensions can veto an unblock
-(``unblock_filter``), making the operation block again (§5.2.2).
+re-evaluates waiters.
 
 Client failure detection: tuples inserted with a lease expire unless
 renewed; expiry is evaluated deterministically against the **agreed
@@ -21,8 +27,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.binding import ExtensionBinding
 from ..core.broadcast import DS_KERNELS
 from ..core.errors import ExtensionError
 from ..obs import (M_INGRESS, M_REPLY, FourLetterReply, FourLetterRequest,
@@ -83,7 +90,9 @@ class DsConfig:
 class DsEvent:
     """State-change event for EDS event extensions."""
 
-    kind: str                     # "inserted" | "removed" | "expired"
+    #: "inserted" | "removed" | "expired", or "updated" (an EDS
+    #: extension's in-place update; plain ``replace`` removes + inserts).
+    kind: str
     space: str
     entry: Tuple[Any, ...]
 
@@ -143,22 +152,8 @@ class DsReplica:
                              f"of {DS_KERNELS})")
         self.ordering.on_gap = self._on_gap
 
-        # EDS hooks (wired by repro.eds; None = plain DepSpace).
-        #: (request, ts, replica, events) -> None | (consumed, value);
-        #: value may be BLOCKED to suppress the reply.
-        self.op_interceptor: Optional[
-            Callable[[BftRequest, float, "DsReplica", List["DsEvent"]],
-                     Optional[tuple]]] = None
-        self.unblock_filter: Optional[
-            Callable[[Waiter, Tuple[Any, ...], float, "DsReplica"], bool]] = None
-        self.event_hook: Optional[
-            Callable[[List[DsEvent], float, "DsReplica"], None]] = None
-        #: called after a state-transfer install (EDS rebuilds its
-        #: extension registry from the _em space, §3.8).
-        self.on_state_installed: Optional[Callable[["DsReplica"], None]] = None
-        #: (client_id, op) -> True when a read must be ordered anyway
-        #: (EDS: an operation extension would consume it).
-        self.read_router: Optional[Callable[[str, DsOp], bool]] = None
+        #: the EDS binding (see module docstring); None = plain DepSpace.
+        self.extensions: Optional[ExtensionBinding] = None
 
         if self.config.obs is not None:
             Observability.install(env, self.config.obs)
@@ -171,13 +166,6 @@ class DsReplica:
         net.register(node_id, self.handle_message)
 
     # -- administration ----------------------------------------------------
-
-    @property
-    def bft(self):
-        """Back-compat alias: the ordering kernel endpoint (historically
-        always a :class:`BftPeer`; ``kernel="raft"`` makes it a
-        :class:`~repro.depspace.ordering.RaftOrdering`)."""
-        return self.ordering
 
     def space(self, name: str = "main") -> TupleSpace:
         if name not in self.spaces:
@@ -275,7 +263,7 @@ class DsReplica:
         op = request.op
         if not isinstance(op, (RdpOp, RdAllOp)):
             return False
-        if self.read_router is not None and self.read_router(
+        if self.extensions is not None and self.extensions.consumes(
                 request.request_id.client_id, op):
             return False  # an extension consumes it: order normally
         return True
@@ -320,42 +308,24 @@ class DsReplica:
         obs = self.env.obs
         if obs is not None:
             obs.metrics.inc("ds.ordered", self.node_id)
-        client_id = request.request_id.client_id
-        op = request.op
         events: List[DsEvent] = []
         self._purge_leases(ts, events)
-
-        if self.op_interceptor is not None:
-            try:
-                intercepted = self.op_interceptor(request, ts, self, events)
-            except (TupleSpaceError, AccessDeniedError,
-                    PolicyViolationError, ExtensionError) as error:
-                self._reply_error(request.request_id, error)
-                self._post_execute(events, ts)
-                return
-            if intercepted is not None:
-                consumed, value = intercepted
-                if consumed:
-                    if value is not BLOCKED:
-                        self._reply(request.request_id, value)
-                    self._post_execute(events, ts)
-                    return
-
+        extensions = self.extensions
         try:
-            value = self._execute_op(client_id, op, ts, events,
-                                     request_id=request.request_id)
-        except (TupleSpaceError, AccessDeniedError,
-                PolicyViolationError) as error:
+            consumed = (extensions.intercept(request, ts, events)
+                        if extensions is not None else None)
+            value = (consumed[0] if consumed is not None else
+                     self._execute_op(request.request_id.client_id,
+                                      request.op, ts, events,
+                                      request_id=request.request_id))
+        except (TupleSpaceError, AccessDeniedError, PolicyViolationError,
+                ExtensionError) as error:
             self._reply_error(request.request_id, error)
-            self._post_execute(events, ts)
-            return
-        if value is not BLOCKED:
-            self._reply(request.request_id, value)
-        self._post_execute(events, ts)
-
-    def _post_execute(self, events: List[DsEvent], ts: float) -> None:
-        if self.event_hook is not None and events:
-            self.event_hook(list(events), ts, self)
+        else:
+            if value is not BLOCKED:
+                self._reply(request.request_id, value)
+        if extensions is not None and events:
+            extensions.on_events(list(events), ts)
 
     # -- the layer stack ---------------------------------------------------------
 
@@ -372,8 +342,7 @@ class DsReplica:
 
     def _execute_op(self, client_id: str, op: DsOp, ts: float,
                     events: List[DsEvent],
-                    request_id: Optional[RequestId] = None,
-                    wake: bool = True) -> Any:
+                    request_id: Optional[RequestId] = None) -> Any:
         """Run one operation through policy -> access -> tuple space.
 
         EDS extensions call this too (their ops run with the invoking
@@ -383,57 +352,53 @@ class DsReplica:
         run = _OPS.get(op.__class__)
         if run is None:
             raise BadTupleError(f"unknown operation: {op!r}")
-        return run(self, client_id, op, space, ts, events, request_id, wake)
+        return run(self, client_id, op, space, ts, events, request_id)
 
     # One runner per operation type, dispatched from _execute_op; all
-    # share its signature: (client_id, op, space, ts, events,
-    # request_id, wake).
+    # share its signature: (client_id, op, space, ts, events, request_id).
 
-    def _run_out(self, client_id, op, space, ts, events, request_id, wake):
+    def _run_out(self, client_id, op, space, ts, events, request_id):
         self._check_layers("out", client_id, op.entry, op.space)
-        self._insert(client_id, op, space, ts, events, wake)
+        self._insert(client_id, op, space, ts, events)
         return True
 
-    def _run_rdp(self, client_id, op, space, ts, events, request_id, wake):
+    def _run_rdp(self, client_id, op, space, ts, events, request_id):
         self._check_layers("rdp", client_id, op.template, op.space)
         return space.rdp(op.template)
 
-    def _run_inp(self, client_id, op, space, ts, events, request_id, wake):
+    def _run_inp(self, client_id, op, space, ts, events, request_id):
         taken = self._take(client_id, op.space, op.template, events)
-        return taken[0] if taken is not None else None
+        return taken[1] if taken is not None else None
 
-    def _run_rdall(self, client_id, op, space, ts, events, request_id, wake):
+    def _run_rdall(self, client_id, op, space, ts, events, request_id):
         self._check_layers("rdall", client_id, op.template, op.space)
         return space.rdall(op.template)
 
-    def _run_cas(self, client_id, op, space, ts, events, request_id, wake):
+    def _run_cas(self, client_id, op, space, ts, events, request_id):
         self._check_layers("cas", client_id, op.entry, op.space)
         if space.rdp(op.template) is not None:
             return False
-        self._insert(client_id, op, space, ts, events, wake)
+        self._insert(client_id, op, space, ts, events)
         return True
 
-    def _run_replace(self, client_id, op, space, ts, events, request_id,
-                     wake):
+    def _run_replace(self, client_id, op, space, ts, events, request_id):
         self._check_layers("replace", client_id, op.entry, op.space)
         old = space.replace(op.template, op.entry)
         if old is not None:
             events.append(DsEvent("removed", op.space, old))
             events.append(DsEvent("inserted", op.space, tuple(op.entry)))
-            if wake:
-                self._wake_waiters(op.space, ts, events)
+            self._wake_waiters(op.space, ts, events)
         return old
 
-    def _run_renew(self, client_id, op, space, ts, events, request_id, wake):
+    def _run_renew(self, client_id, op, space, ts, events, request_id):
         self._check_layers("renew", client_id, None, op.space)
         return space.renew_leases(client_id, ts + self.config.lease_ms)
 
-    def _run_blocking(self, client_id, op, space, ts, events, request_id,
-                      wake):
+    def _run_blocking(self, client_id, op, space, ts, events, request_id):
         take = op.__class__ is InOp
         if take:
             taken = self._take(client_id, op.space, op.template, events, "in")
-            found = taken[0] if taken is not None else None
+            found = taken[1] if taken is not None else None
         else:
             self._check_layers("rd", client_id, op.template, op.space)
             found = space.rdp(op.template)
@@ -447,26 +412,25 @@ class DsReplica:
         return BLOCKED
 
     def _insert(self, client_id: str, op, space: TupleSpace, ts: float,
-                events: List[DsEvent], wake: bool) -> None:
+                events: List[DsEvent]) -> None:
         """The insert half of ``out``/``cas``, after the layer checks."""
         space.out(op.entry, lease=self._lease_for(client_id, op.lease_ms, ts))
         events.append(DsEvent("inserted", op.space, tuple(op.entry)))
-        if wake:
-            self._wake_waiters(op.space, ts, events)
+        self._wake_waiters(op.space, ts, events)
 
     def _take(self, client_id: str, space_name: str, template,
               events: List[DsEvent], op_name: str = "inp") -> Optional[
-                  Tuple[Tuple[Any, ...], Optional[LeaseRecord]]]:
+                  Tuple[int, Tuple[Any, ...], Optional[LeaseRecord]]]:
         """A take through policy -> access -> space, in one lookup.
 
-        Returns ``(entry, lease)`` or None; the lease lets the EDS proxy
-        undo a delete exactly.
+        Returns ``(key, entry, lease)`` or None; the key and lease let
+        the EDS proxy undo a delete exactly.
         """
         space = self.space(space_name)
         self._check_layers(op_name, client_id, template, space_name)
         taken = space.take(template)
         if taken is not None:
-            events.append(DsEvent("removed", space_name, taken[0]))
+            events.append(DsEvent("removed", space_name, taken[1]))
         return taken
 
     def _lease_for(self, client_id: str, lease_ms: Optional[float],
@@ -490,8 +454,8 @@ class DsReplica:
             if found is None:
                 still_blocked.append(waiter)
                 continue
-            if self.unblock_filter is not None and not self.unblock_filter(
-                    waiter, found, ts, self):
+            if (self.extensions is not None
+                    and not self.extensions.allow_unblock(waiter, found, ts)):
                 still_blocked.append(waiter)  # extension re-blocked it
                 continue
             if waiter.take:
@@ -647,8 +611,8 @@ class DsReplica:
         bft._slots = {s: sl for s, sl in bft._slots.items()
                       if s > bft._exec_seq}
         bft._execute_ready()
-        if self.on_state_installed is not None:
-            self.on_state_installed(self)
+        if self.extensions is not None:
+            self.extensions.rebuild()
 
     def fingerprint(self) -> int:
         acc = 0

@@ -7,7 +7,10 @@ Implements the (non-blocking halves of the) DepSpace API:
 * ``rdall(T)`` — read every match (Table 2's ``rdAll``),
 * ``cas(T, t)`` — insert ``t`` iff nothing matches ``T`` (the paper's
   "test-and-set-like" primitive),
-* ``replace(T, t)`` — atomically swap the oldest match for ``t``.
+* ``replace(T, t)`` — atomically swap the oldest match for ``t`` (the
+  new tuple is the youngest);
+* ``put(key, t)`` — store ``t`` under a key ``take`` returned, at that
+  key's age (EDS's update and undo log).
 
 Blocking (``rd``/``in``) is implemented by the replica on top of this
 layer, since waiter bookkeeping must be coordinated with reply routing.
@@ -80,6 +83,17 @@ def _successor(prefix: str) -> Optional[str]:
     return stem[:-1] + chr(ord(stem[-1]) + 1)
 
 
+def _put_ordered(mapping: Dict[int, Any], key: int,
+                 value: Any) -> Dict[int, Any]:
+    """Add ``key`` keeping the keys in increasing (insertion) order;
+    returns the dict to keep, rebuilt when ``key`` belongs in the middle."""
+    newest = next(reversed(mapping), -1)
+    mapping[key] = value
+    if key > newest:
+        return mapping
+    return dict(sorted(mapping.items()))
+
+
 #: Test an entry of the template's arity must pass; None when it always does.
 _Test = Optional[Callable[[Tuple[Any, ...]], bool]]
 
@@ -122,7 +136,8 @@ class TupleSpace:
             return
         first = entry[0]
         try:
-            self._buckets.setdefault(first, {})[key] = None
+            self._buckets[first] = _put_ordered(self._buckets.get(first, {}),
+                                                key, None)
         except TypeError:
             pass  # unhashable first field: full scans will find it
         if isinstance(first, str):
@@ -186,9 +201,27 @@ class TupleSpace:
         self._entries[key] = entry
         self._index_add(key, entry)
         if lease is not None:
-            self._leases[key] = lease
-            if lease.expires_at < self._lease_floor:
-                self._lease_floor = lease.expires_at
+            self._attach_lease(key, lease)
+
+    def _attach_lease(self, key: int, lease: LeaseRecord) -> None:
+        self._leases[key] = lease
+        self._lease_floor = min(self._lease_floor, lease.expires_at)
+
+    def put(self, key: int, entry: Sequence[Any],
+            lease: Optional[LeaseRecord] = None) -> None:
+        """Store ``entry`` under ``key``, a key :meth:`take` returned,
+        replacing whatever the key holds: the tuple takes that key's age
+        in the insertion order every "oldest match" follows."""
+        entry = tuple(entry)
+        if key in self._entries:
+            self._remove(key)
+        elif not 0 <= key < self._next_key:
+            raise BadTupleError(f"put() takes a key this space issued, "
+                                f"not {key}")
+        self._entries = _put_ordered(self._entries, key, entry)
+        self._index_add(key, entry)
+        if lease is not None:
+            self._attach_lease(key, lease)
 
     def _find(self, template: Sequence[Any]) -> Optional[int]:
         keys, test = self._candidates(template)
@@ -212,13 +245,14 @@ class TupleSpace:
         return entry
 
     def take(self, template: Sequence[Any]) -> Optional[
-            Tuple[Tuple[Any, ...], Optional[LeaseRecord]]]:
-        """Remove the oldest match; returns ``(entry, its lease)`` or None."""
+            Tuple[int, Tuple[Any, ...], Optional[LeaseRecord]]]:
+        """Remove the oldest match; returns ``(key, entry, lease)`` — what
+        :meth:`put` needs to restore it — or None."""
         key = self._find(template)
         if key is None:
             return None
         lease = self._leases.get(key)
-        return self._remove(key), lease
+        return key, self._remove(key), lease
 
     def inp(self, template: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
         """Remove and return the oldest matching tuple, or None."""

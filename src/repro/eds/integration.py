@@ -2,15 +2,15 @@
 
 Mirrors §5.2.2:
 
-* a new **extension layer** sits directly above BFT ordering
-  (``DsReplica.op_interceptor``): every ordered client request passes
-  through it, and matches are redirected to operation extensions which
-  execute **deterministically at every replica** via the direct state
-  proxy;
-* **events** are unblocks and tuple removals; event extensions run at
-  every replica after the triggering request executes, and an extension
-  can veto an unblock, making the blocked call block again
-  (``DsReplica.unblock_filter``);
+* a new **extension layer** sits directly above BFT ordering (the
+  replica's ``extensions`` slot, :meth:`EdsBinding.intercept`): every
+  ordered client request passes through it, and matches are redirected
+  to operation extensions which execute **deterministically at every
+  replica** via the direct state proxy;
+* **events** are insertions, in-place updates and removals; event
+  extensions run at every replica after the triggering request
+  executes, and an extension can veto an unblock, making the blocked
+  call block again (:meth:`EdsBinding.allow_unblock`);
 * **registration** travels as ordinary tuples in the dedicated ``_em``
   space that regular operations cannot touch: ``("ext", name, source)``
   to register, ``("ack", name)`` to acknowledge, an ``inp`` on the
@@ -20,10 +20,12 @@ Mirrors §5.2.2:
 
 from __future__ import annotations
 
+import functools
 from typing import Any, List, Optional, Tuple
 
-from ..core import (EventNotice, ExtensionError, ExtensionManager,
-                    OperationRequest, SandboxLimits, VerifierConfig)
+from ..core import (EventNotice, ExtensionError, OperationRequest,
+                    SandboxLimits, VerifierConfig)
+from ..core.binding import ExtensionBinding
 from ..depspace.bft import BftRequest
 from ..depspace.policy import PolicyViolationError
 from ..depspace.protocol import (CasOp, DsOp, InOp, InpOp, OutOp, RdAllOp,
@@ -100,6 +102,11 @@ def describe_ds_op(op: DsOp, client_id: str) -> Optional[OperationRequest]:
     return describe(op, client_id) if describe is not None else None
 
 
+#: DepSpace event kinds -> abstract event kinds.
+_NOTICE_KINDS = {"inserted": "created", "updated": "changed",
+                 "removed": "deleted", "expired": "deleted"}
+
+
 def _event_notice(event: DsEvent) -> Optional[EventNotice]:
     if event.space != "main" or len(event.entry) != 2:
         return None
@@ -107,67 +114,53 @@ def _event_notice(event: DsEvent) -> Optional[EventNotice]:
     if not isinstance(name, str):
         return None
     data = event.entry[1] if isinstance(event.entry[1], bytes) else b""
-    if event.kind == "inserted":
-        return EventNotice("created", name, data)
-    if event.kind in ("removed", "expired"):
-        return EventNotice("deleted", name, data)
-    return None
+    return EventNotice(_NOTICE_KINDS[event.kind], name, data)
 
 
-class EdsBinding:
+class EdsBinding(ExtensionBinding):
     """Installs an :class:`ExtensionManager` into one DepSpace replica."""
+
+    describe = staticmethod(describe_ds_op)
 
     def __init__(self, replica: DsReplica,
                  verifier_config: Optional[VerifierConfig] = None,
                  limits: Optional[SandboxLimits] = None):
+        super().__init__(verifier_config, limits)
         self.replica = replica
-        self.manager = ExtensionManager(verifier_config, limits)
-        replica.op_interceptor = self._intercept
-        replica.event_hook = self._on_events
-        replica.unblock_filter = self._filter_unblock
-        replica.on_state_installed = lambda _r: self.rebuild()
-        replica.read_router = self._must_order_read
+        replica.extensions = self
         self._event_depth = 0
+        self._veto = functools.partial(self.manager.execute_event,
+                                       handler="allow_unblock")
 
-    # -- operation interception (every replica, at execution) -----------------
-
-    def _intercept(self, request: BftRequest, ts: float, replica: DsReplica,
-                   events: List[DsEvent]) -> Optional[tuple]:
-        client_id = request.request_id.client_id
-        op = request.op
-        if getattr(op, "space", None) == EM_SPACE:
-            return self._handle_em_op(client_id, op, ts)
-
-        described = describe_ds_op(op, client_id)
-        if described is None:
-            return None
-        record = self.manager.match_operation(described)
-        if record is None:
-            return None
-
-        proxy = DsDirectState(replica, client_id, ts, events,
-                              request_id=request.request_id)
-        try:
-            result = self.manager.execute_operation(record, described, proxy)
-        except ExtensionError:
-            proxy.rollback()
-            raise
-        replica._wake_waiters("main", ts, events)
-        return (True, BLOCKED if proxy.blocked else result)
-
-    def _must_order_read(self, client_id: str, op: DsOp) -> bool:
+    def consumes(self, client_id: str, op: DsOp) -> bool:
         """Fast-read gate: extension-consumed reads must be ordered."""
         if getattr(op, "space", None) == EM_SPACE:
             return True
-        described = describe_ds_op(op, client_id)
-        if described is None:
-            return False
-        return self.manager.match_operation(described) is not None
+        return super().consumes(client_id, op)
+
+    # -- operation interception (every replica, at execution) -----------------
+
+    def intercept(self, request: BftRequest, ts: float,
+                  events: List[DsEvent]) -> Optional[tuple]:
+        client_id = request.request_id.client_id
+        op = request.op
+        if getattr(op, "space", None) == EM_SPACE:
+            return self._handle_em_op(client_id, op)
+
+        def begin(_record) -> DsDirectState:
+            return DsDirectState(self.replica, client_id, ts, events,
+                                 request_id=request.request_id)
+
+        ran = self.run_operation(client_id, op, begin)
+        if ran is None:
+            return None
+        proxy, result = ran
+        self.replica._wake_waiters("main", ts, events)
+        return (BLOCKED if proxy.blocked else result,)
 
     # -- extension lifecycle via the _em space ---------------------------------
 
-    def _handle_em_op(self, client_id: str, op: DsOp,
-                      ts: float) -> Optional[tuple]:
+    def _handle_em_op(self, client_id: str, op: DsOp) -> Optional[tuple]:
         em_space = self.replica.space(EM_SPACE)
         if isinstance(op, OutOp) and len(op.entry) == 3 and \
                 op.entry[0] == "ext":
@@ -175,13 +168,13 @@ class EdsBinding:
             self.manager.register(name, source, owner=client_id)
             em_space.inp(("ext", name, ANY, ANY))
             em_space.out(("ext", name, source, client_id))
-            return (True, True)
+            return (True,)
         if isinstance(op, OutOp) and len(op.entry) == 2 and \
                 op.entry[0] == "ack":
             _tag, name = op.entry
             self.manager.acknowledge(name, client_id)
             em_space.out(("ack", name, client_id))
-            return (True, True)
+            return (True,)
         if isinstance(op, InpOp) and len(op.template) >= 2 and \
                 op.template[0] == "ext":
             name = op.template[1]
@@ -189,74 +182,75 @@ class EdsBinding:
             removed = em_space.inp(("ext", name, ANY, ANY))
             while em_space.inp(("ack", name, ANY)) is not None:
                 pass
-            return (True, removed is not None)
+            return (removed is not None,)
         raise PolicyViolationError(
             "the extension-manager space accepts only registration, "
             "acknowledgement, and deregistration operations")
 
     # -- events (every replica, §5.2.2) ------------------------------------------
 
-    def _on_events(self, events: List[DsEvent], ts: float,
-                   replica: DsReplica) -> None:
+    def on_events(self, events: List[DsEvent], ts: float) -> None:
+        """Run event extensions for ``events``; the writes of each run raise
+        follow-up events in turn, up to ``_MAX_EVENT_DEPTH`` levels."""
         if self._event_depth >= _MAX_EVENT_DEPTH:
             return
+        replica = self.replica
+
+        def begin(record) -> DsDirectState:
+            return DsDirectState(replica, record.owner, ts, [])
+
+        def commit(proxy: DsDirectState) -> None:
+            replica._wake_waiters("main", ts, proxy.events)
+            if proxy.events:
+                self.on_events(proxy.events, ts)
+
         self._event_depth += 1
         try:
             for event in events:
                 notice = _event_notice(event)
-                if notice is None:
-                    continue
-                for record in self.manager.match_events(notice):
-                    follow_up: List[DsEvent] = []
-                    proxy = DsDirectState(replica, record.owner, ts,
-                                          follow_up)
-                    try:
-                        self.manager.execute_event(record, notice, proxy)
-                    except ExtensionError:
-                        proxy.rollback()
-                        continue
-                    replica._wake_waiters("main", ts, follow_up)
-                    if follow_up:
-                        self._on_events(follow_up, ts, replica)
+                if notice is not None:
+                    self.run_events(notice, begin, commit)
         finally:
             self._event_depth -= 1
 
     # -- unblock veto (§5.2.2) -----------------------------------------------------
 
-    def _filter_unblock(self, waiter: Waiter, entry: Tuple[Any, ...],
-                        ts: float, replica: DsReplica) -> bool:
+    def allow_unblock(self, waiter: Waiter, entry: Tuple[Any, ...],
+                      ts: float) -> bool:
         """False re-blocks the waiter; extensions opt in by defining
-        ``allow_unblock(event, local)``."""
+        ``allow_unblock(event, local)``, which runs sandboxed like any
+        entry point. A veto rolls back the vetoing run's writes; a run
+        that fails is contained, rolled back, and does not veto."""
         if len(entry) != 2 or not isinstance(entry[0], str):
             return True
         notice = EventNotice("created", entry[0],
                              entry[1] if isinstance(entry[1], bytes) else b"")
         client_id = waiter.request_id.client_id
+
+        def begin(_record) -> DsDirectState:
+            return DsDirectState(self.replica, client_id, ts, [])
+
         for record in self.manager.match_events(notice):
-            allow = getattr(record.instance, "allow_unblock", None)
-            if allow is None or not record.authorized(client_id):
+            if (not hasattr(record.instance, "allow_unblock")
+                    or not record.authorized(client_id)):
                 continue
-            scratch: List[DsEvent] = []
-            proxy = DsDirectState(replica, client_id, ts, scratch)
             try:
-                if not allow(notice, proxy):
-                    proxy.rollback()
-                    return False
-            except Exception:
+                proxy, allowed = self._execute(begin, self._veto, record,
+                                               notice)
+            except ExtensionError:
+                continue
+            if not allowed:
                 proxy.rollback()
+                return False
         return True
 
     # -- recovery (§3.8) -------------------------------------------------------------
 
-    def rebuild(self) -> None:
-        """Reload the registry from the persisted _em tuples."""
+    def registrations(self) -> List[Tuple[str, str, str, List[str]]]:
+        """The registry as persisted in the _em tuples."""
         em_space = self.replica.space(EM_SPACE)
-        registrations = em_space.rdall(
-            ("ext", ANY, ANY, ANY))
         acks = em_space.rdall(("ack", ANY, ANY))
-        records = []
-        for _tag, name, source, owner in registrations:
-            acked = [client for tag, ext, client in acks if ext == name]
-            records.append((name, source, owner, acked))
-        self.manager.reload(records)
-
+        return [(name, source, owner,
+                 [client for _tag, ext, client in acks if ext == name])
+                for _tag, name, source, owner
+                in em_space.rdall(("ext", ANY, ANY, ANY))]

@@ -5,7 +5,9 @@ deterministically at **every** replica inside the ordered request
 (§5.2.2, §6.3). The proxy therefore mutates the replica's tuple space
 directly — through the regular layer stack, with the invoking client's
 privileges — while keeping an undo log so a crashing extension rolls
-back atomically.
+back atomically. Update and rollback keep a tuple's age (its key in the
+space's insertion order) and its lease, as ZooKeeper keeps a znode's
+czxid and ephemeral owner.
 
 Object convention (Table 2's DepSpace column): a data object ``oid``
 with content ``data`` is the 2-field tuple ``(oid, data)``; sub-objects
@@ -19,9 +21,9 @@ from typing import Any, Callable, List, Optional
 from ..core.api import AbstractState, ObjectRecord
 from ..core.errors import CoordStateError, NoObjectError, ObjectExistsError
 from ..depspace.bft import RequestId
-from ..depspace.protocol import OutOp, RdAllOp, RdOp, RdpOp, ReplaceOp
+from ..depspace.protocol import RdAllOp, RdOp, RdpOp
 from ..depspace.server import BLOCKED, DsEvent, DsReplica
-from ..depspace.space import LeaseRecord
+from ..depspace.space import LeaseRecord, TupleSpace
 from ..depspace.tuples import ANY, Prefix
 
 __all__ = ["DsDirectState"]
@@ -37,19 +39,27 @@ class DsDirectState(AbstractState):
         self._replica = replica
         self._client_id = client_id
         self._ts = ts
-        self._events = events
+        #: state-change events this proxy's writes produced.
+        self.events = events
         self._request_id = request_id
         self._space = space
-        self._undo: List[Callable[[], None]] = []
+        self._undo: List[Callable[[TupleSpace], None]] = []
         self.blocked = False
 
     # -- plumbing ----------------------------------------------------------
 
     def _exec(self, op) -> Any:
-        """Run one op through policy -> access -> space (no waiter wakes)."""
+        """Run one read through policy -> access -> space."""
         return self._replica._execute_op(
-            self._client_id, op, self._ts, self._events,
-            request_id=self._request_id, wake=False)
+            self._client_id, op, self._ts, self.events,
+            request_id=self._request_id)
+
+    def _insert(self, entry: tuple,
+                lease: Optional[LeaseRecord] = None) -> None:
+        """Waiters wake once the whole extension has run, not per insert."""
+        self._replica.space(self._space).out(entry, lease=lease)
+        self.events.append(DsEvent("inserted", self._space, entry))
+        self._undo.append(lambda raw: raw.inp(entry))
 
     def rollback(self) -> None:
         """Undo every mutation this proxy performed, newest first."""
@@ -61,21 +71,21 @@ class DsDirectState(AbstractState):
     # -- AbstractState ---------------------------------------------------------
 
     def create(self, object_id: str, data: bytes = b"") -> str:
-        if self._exec(RdpOp((object_id, ANY), space=self._space)) is not None:
+        if self.exists(object_id):
             raise ObjectExistsError(object_id)
         entry = (object_id, data)
-        self._exec(OutOp(entry, space=self._space))
-        self._undo.append(lambda raw, entry=entry: raw.inp(entry))
+        self._replica._check_layers("out", self._client_id, entry,
+                                    self._space)
+        self._insert(entry)
         return object_id
 
     def delete(self, object_id: str) -> None:
         taken = self._replica._take(self._client_id, self._space,
-                                    (object_id, ANY), self._events)
+                                    (object_id, ANY), self.events)
         if taken is None:
             raise NoObjectError(object_id)
-        entry, lease = taken
-        self._undo.append(
-            lambda raw, entry=entry, lease=lease: raw.out(entry, lease=lease))
+        key, entry, lease = taken
+        self._undo.append(lambda raw: raw.put(key, entry, lease))
 
     def read(self, object_id: str) -> bytes:
         found = self._exec(RdpOp((object_id, ANY), space=self._space))
@@ -88,22 +98,17 @@ class DsDirectState(AbstractState):
             RdpOp((object_id, ANY), space=self._space)) is not None
 
     def update(self, object_id: str, data: bytes) -> None:
-        old = self._exec(ReplaceOp((object_id, ANY), (object_id, data),
-                                   space=self._space))
-        if old is None:
+        entry = (object_id, data)
+        self._replica._check_layers("replace", self._client_id, entry,
+                                    self._space)
+        raw = self._replica.space(self._space)
+        taken = raw.take((object_id, ANY))
+        if taken is None:
             raise NoObjectError(object_id)
-        self._undo.append(
-            lambda raw, old=old, oid=object_id:
-            raw.replace((oid, ANY), old))
-
-    def cas(self, object_id: str, expected: bytes, new: bytes) -> bool:
-        found = self._exec(RdpOp((object_id, ANY), space=self._space))
-        if found is None:
-            raise NoObjectError(object_id)
-        if found[1] != expected:
-            return False
-        self.update(object_id, new)
-        return True
+        key, old, lease = taken
+        raw.put(key, entry, lease)
+        self.events.append(DsEvent("updated", self._space, entry))
+        self._undo.append(lambda raw: raw.put(key, old, lease))
 
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         prefix = object_id.rstrip("/") + "/"
@@ -123,13 +128,9 @@ class DsDirectState(AbstractState):
 
     def monitor(self, client_id: str, object_id: str,
                 data: bytes = b"") -> None:
-        if self._exec(RdpOp((object_id, ANY), space=self._space)) is not None:
+        if self.exists(object_id):
             raise ObjectExistsError(object_id)
-        lease_ms = self._replica.config.lease_ms
-        entry = (object_id, data)
         # The lease belongs to the *monitored* client: its renewals keep
         # the object alive; its failure lets the lease expire (Table 2).
-        self._replica.space(self._space).out(
-            entry, lease=LeaseRecord(client_id, self._ts + lease_ms))
-        self._events.append(DsEvent("inserted", self._space, entry))
-        self._undo.append(lambda raw, entry=entry: raw.inp(entry))
+        self._insert((object_id, data), LeaseRecord(
+            client_id, self._ts + self._replica.config.lease_ms))

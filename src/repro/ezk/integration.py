@@ -1,15 +1,16 @@
 """EXTENSIBLE ZOOKEEPER: wiring the extension manager into the replica.
 
-Mirrors §5.1.2 exactly:
+The binding sits in the server's ``extensions`` slot and mirrors §5.1.2
+exactly:
 
 * the extension manager intercepts requests at the **preprocessor
-  stage** (``ZkServer.op_interceptor``) and redirects matches to
+  stage** (:meth:`EzkBinding.intercept`) and redirects matches to
   extensions; the recorded write-set becomes one multi-transaction that
   travels the unchanged Zab pipeline, with the extension's result
   piggybacked for the final processor to hand to the client;
 * **reads that match an extension** are routed to the leader like
-  updates (``ZkServer.extension_router``) instead of taking the local
-  fast path;
+  updates (:meth:`~repro.core.binding.ExtensionBinding.consumes`)
+  instead of taking the local fast path;
 * **event extensions** run at the primary when a watch-relevant state
   change applies; the original client notification is suppressed at the
   replica holding the watch when a matching acknowledged event
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core import (EventNotice, ExtensionError, ExtensionManager,
-                    OperationRequest, SandboxLimits, VerifierConfig)
+from ..core import (EventNotice, ExtensionError, OperationRequest,
+                    SandboxLimits, VerifierConfig)
+from ..core.binding import ExtensionBinding
 from ..zk.errors import ZkError
-from ..zk.server import InterceptResult, StateEvent, ZkServer
+from ..zk.server import StateEvent, ZkServer
 from ..zk.txn import (CreateOp, CreateTxn, DeleteOp, ExistsOp, GetChildrenOp,
                       GetDataOp, MultiTxn, Op, RequestMeta, SetDataOp)
 from ..zk.watches import EventType, WatchEvent
@@ -119,8 +121,10 @@ def _as_zk_error(exc: ExtensionError) -> ZkError:
     return error
 
 
-class EzkBinding:
+class EzkBinding(ExtensionBinding):
     """Installs an :class:`ExtensionManager` into one ZkServer replica."""
+
+    describe = staticmethod(describe_zk_op)
 
     def __init__(self, server: ZkServer,
                  verifier_config: Optional[VerifierConfig] = None,
@@ -129,51 +133,36 @@ class EzkBinding:
         # EZK is passively replicated: extensions execute only at the
         # primary, so helpers may be nondeterministic (§4.1.1) — e.g.
         # a wall-clock. EDS must not install such helpers.
+        super().__init__(verifier_config, limits, helpers)
         self.server = server
-        self.manager = ExtensionManager(verifier_config, limits, helpers)
-        server.extension_router = self._route
-        server.op_interceptor = self._intercept
-        server.event_hook = self._on_events
-        server.notification_filter = self._suppress_notification
-        server.on_recover = lambda _s: self.rebuild()
+        server.extensions = self
 
-    # -- routing (connected replica) ------------------------------------------
-
-    def _route(self, session_id: int, op: Op) -> bool:
-        """True when this (possibly read) op must go to the leader."""
-        request = describe_zk_op(op, str(session_id))
-        if request is None:
-            return False
-        return self.manager.match_operation(request) is not None
+    def _begin(self, _record) -> ZkBufferedState:
+        server = self.server
+        return ZkBufferedState(server._spec_tree, now=server.env.now)
 
     # -- prep-stage interception (leader) -----------------------------------
 
-    def _intercept(self, meta: RequestMeta, op: Op,
-                   server: ZkServer) -> Optional[InterceptResult]:
-        registration = self._intercept_registration(meta, op)
-        if registration is not None:
-            return registration
+    def intercept(self, meta: RequestMeta, op: Op) -> Optional[MultiTxn]:
+        """The multi-transaction an extension rewrote ``op`` into, if any.
 
-        client_id = str(meta.session_id)
-        request = describe_zk_op(op, client_id)
-        if request is None:
-            return None
-        record = self.manager.match_operation(request)
-        if record is None:
-            return None
-
-        proxy = ZkBufferedState(server._spec_tree, now=server.env.now)
+        A failed extension raises :class:`ZkError`; its overlay is simply
+        discarded, so the service state is untouched.
+        """
         try:
-            result = self.manager.execute_operation(record, request, proxy)
+            registration = self._intercept_registration(meta, op)
+            if registration is not None:
+                return registration
+            ran = self.run_operation(str(meta.session_id), op, self._begin)
         except ExtensionError as exc:
-            # Crash containment: the overlay is discarded, the client
-            # gets the error, the service state is untouched.
             raise _as_zk_error(exc) from exc
-        return InterceptResult(txn=proxy.to_multi_txn(result), result=result,
-                               block_path=proxy.block_path)
+        if ran is None:
+            return None
+        proxy, result = ran
+        return proxy.to_multi_txn(result)
 
     def _intercept_registration(self, meta: RequestMeta,
-                                op: Op) -> Optional[InterceptResult]:
+                                op: Op) -> Optional[MultiTxn]:
         """Verify-and-rewrite ``create("/em/<name>", code)`` at prep time."""
         if not isinstance(op, CreateOp):
             return None
@@ -183,22 +172,19 @@ class EzkBinding:
         if "/" in relative:
             return None  # an ack child: let the normal create proceed
         source = op.data.decode("utf-8")
-        try:
-            self.manager.verify_cached(source)
-        except ExtensionError as exc:
-            raise _as_zk_error(exc) from exc
+        self.manager.verify_cached(source, relative)
         owner = str(meta.session_id)
         packed = pack_registration(owner, source)
-        txn = MultiTxn([CreateTxn(op.path, packed, None)],
-                       result_payload=op.path, payload_set=True)
-        return InterceptResult(txn=txn, result=op.path)
+        return MultiTxn([CreateTxn(op.path, packed, None)],
+                        result_payload=op.path, payload_set=True)
 
     # -- apply-stage hooks (every replica) ------------------------------------
 
-    def _on_events(self, events: List[StateEvent], server: ZkServer) -> None:
-        # Event extensions run only at the leader; a follower has nothing
-        # to do for an event outside /em, so it builds no notice for it.
-        leader = server.broadcast.is_leader
+    def on_events(self, events: List[StateEvent]) -> None:
+        """§5.1.1 / §6.3: in EZK, event extensions execute only at the
+        primary, which then distributes the resulting state modifications.
+        A follower only applies registrations under ``/em``."""
+        leader = self.server.broadcast.is_leader
         for event in events:
             if event.path.startswith(_EM_PREFIX):
                 self._handle_em_event(event)
@@ -207,23 +193,14 @@ class EzkBinding:
                 continue
             kind = _NOTICE_KINDS.get(event.event_type)
             if kind is not None:
-                self._run_event_extensions(
-                    EventNotice(kind, event.path, event.data), server)
+                self.run_events(EventNotice(kind, event.path, event.data),
+                                self._begin, self._propose)
 
-    def _run_event_extensions(self, notice: EventNotice,
-                              server: ZkServer) -> None:
-        """§5.1.1 / §6.3: in EZK, extensions execute only at the primary,
-        which then distributes the resulting state modifications."""
-        for record in self.manager.match_events(notice):
-            proxy = ZkBufferedState(server._spec_tree, now=server.env.now)
-            try:
-                self.manager.execute_event(record, notice, proxy)
-            except ExtensionError:
-                continue  # contained: the overlay is discarded
-            txn = proxy.to_multi_txn()
-            if txn.txns:
-                server._apply_to_spec(txn)
-                server.broadcast.propose(txn, None)
+    def _propose(self, proxy: ZkBufferedState) -> None:
+        txn = proxy.to_multi_txn()
+        if txn.txns:
+            self.server._apply_to_spec(txn)
+            self.server.broadcast.propose(txn, None)
 
     def _handle_em_event(self, event: StateEvent) -> None:
         relative = event.path[len(EM_ROOT) + 1:]
@@ -249,8 +226,9 @@ class EzkBinding:
                 except ExtensionError:
                     pass
 
-    def _suppress_notification(self, session_id: int,
-                               event: WatchEvent) -> bool:
+    def suppresses(self, session_id: int, event: WatchEvent) -> bool:
+        """§5.1.2: drop a watch notification an acknowledged event
+        extension takes over."""
         kind = _NOTICE_KINDS.get(event.event_type)
         if kind is None:
             return False
@@ -259,11 +237,11 @@ class EzkBinding:
 
     # -- recovery (§3.8) --------------------------------------------------------
 
-    def rebuild(self) -> None:
-        """Reload the registry from the /em index in the local tree."""
+    def registrations(self) -> List[Tuple[str, str, str, List[str]]]:
+        """The registry as recorded by the /em index in the local tree."""
         tree = self.server.tree
         if EM_ROOT not in tree:
-            return
+            return []
         records = []
         for name in tree.get_children(EM_ROOT):
             data, _stat = tree.get_data(f"{EM_ROOT}/{name}")
@@ -274,4 +252,4 @@ class EzkBinding:
                 if child.startswith(_ACK_PREFIX)
             ]
             records.append((name, source, owner, acked))
-        self.manager.reload(records)
+        return records

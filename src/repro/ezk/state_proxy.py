@@ -10,19 +10,21 @@ and a crash simply discards the overlay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.api import AbstractState, ObjectRecord
 from ..core.errors import CoordStateError, NoObjectError, ObjectExistsError
 from ..zk.data_tree import DataTree, validate_path
-from ..zk.errors import (BadVersionError, NodeExistsError, NoNodeError,
-                         ZkError)
+from ..zk.errors import NodeExistsError, NoNodeError, ZkError
 from ..zk.overlay import TreeOverlay
 from ..zk.txn import MultiTxn
 
 __all__ = ["ZkBufferedState"]
 
-#: Overlay-created nodes sort after every committed node ("youngest").
+#: Overlay-created nodes are stamped with this plus their create's index
+#: in the write set as czxid: younger than every committed node, and in
+#: creation order among themselves (a path deleted and created again is
+#: the youngest).
 _PENDING_SEQ_BASE = 1 << 62
 
 
@@ -30,29 +32,40 @@ class ZkBufferedState(AbstractState):
     """AbstractState over a :class:`TreeOverlay` of the leader's spec tree."""
 
     def __init__(self, base: DataTree, now: float = 0.0):
-        self.overlay = TreeOverlay(base)
+        self._base = base
         self._now = now
-        self._pending_order: Dict[str, int] = {}
-        self.block_path: Optional[str] = None
+        self.rollback()
 
     # -- helpers -----------------------------------------------------------
 
     def to_multi_txn(self, result=None) -> MultiTxn:
-        """The recorded write-set as one atomic multi-transaction."""
+        """The recorded write-set as one atomic multi-transaction, with
+        ``result`` piggybacked and a requested block as its effect."""
+        effects = ([] if self.block_path is None
+                   else [("block", self.block_path)])
         return MultiTxn(list(self.overlay.txns), result_payload=result,
-                        payload_set=True)
+                        payload_set=True, effects=effects)
 
-    # -- AbstractState -------------------------------------------------------
+    def rollback(self) -> None:
+        """Drop the buffered write set; the base tree was never touched."""
+        self.overlay = TreeOverlay(self._base)
+        self.block_path: Optional[str] = None
 
-    def create(self, object_id: str, data: bytes = b"") -> str:
+    def _create(self, object_id: str, data: bytes,
+                owner: Optional[int] = None) -> str:
         try:
-            actual = self.overlay.create(object_id, data, now=self._now)
+            return self.overlay.create(
+                object_id, data, ephemeral_owner=owner, now=self._now,
+                zxid=_PENDING_SEQ_BASE + len(self.overlay.txns))
         except NodeExistsError as exc:
             raise ObjectExistsError(str(exc)) from exc
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
-        self._pending_order[actual] = len(self._pending_order)
-        return actual
+
+    # -- AbstractState -------------------------------------------------------
+
+    def create(self, object_id: str, data: bytes = b"") -> str:
+        return self._create(object_id, data)
 
     def delete(self, object_id: str) -> None:
         try:
@@ -78,18 +91,6 @@ class ZkBufferedState(AbstractState):
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
 
-    def cas(self, object_id: str, expected: bytes, new: bytes) -> bool:
-        try:
-            data, stat = self.overlay.get_data(object_id)
-            if data != expected:
-                return False
-            self.overlay.set_data(object_id, new, version=stat.version)
-        except NoNodeError as exc:
-            raise NoObjectError(str(exc)) from exc
-        except BadVersionError:
-            return False
-        return True
-
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         base = object_id.rstrip("/") or "/"
         validate_path(base)
@@ -102,13 +103,7 @@ class ZkBufferedState(AbstractState):
             pairs = self.overlay.children_nodes(base)
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
-        pending = self._pending_order
-        rows = []
-        for child, node in pairs:
-            seq = node.stat.czxid
-            if not seq:
-                seq = _PENDING_SEQ_BASE + pending.get(child, 0)
-            rows.append((seq, child, node.data))
+        rows = [(node.stat.czxid, child, node.data) for child, node in pairs]
         # (seq, child) is unique, so the sort never compares data.
         rows.sort()
         return [ObjectRecord(child, data, seq) for seq, child, data in rows]
@@ -126,12 +121,4 @@ class ZkBufferedState(AbstractState):
         except ValueError as exc:
             raise CoordStateError(
                 f"client id is not a session id: {client_id!r}") from exc
-        try:
-            actual = self.overlay.create(object_id, data,
-                                         ephemeral_owner=session_id,
-                                         now=self._now)
-        except NodeExistsError as exc:
-            raise ObjectExistsError(str(exc)) from exc
-        except NoNodeError as exc:
-            raise NoObjectError(str(exc)) from exc
-        self._pending_order[actual] = len(self._pending_order)
+        self._create(object_id, data, owner=session_id)

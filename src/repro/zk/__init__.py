@@ -16,7 +16,7 @@ from .hotchain import (ChainNode, HotChainConfig, HotChainController,
                        HotChainRouter, PromotionPolicy)
 from .leases import ClientReadCache, LeaseConfig, LeaseTable
 from .overlay import TreeOverlay
-from .server import (Forward, ForwardSettled, InterceptResult, StateEvent,
+from .server import (Forward, ForwardSettled, StateEvent,
                      ZkConfig, ZkServer, ZkTimings)
 from .sessions import ExpiryClock, HeartbeatTracker, Session, SessionTable
 from .txn import (ClientReply, ClientRequest, CreateOp, CreateTxn, DeleteOp,
@@ -35,7 +35,7 @@ __all__ = [
     "SessionTable", "Session", "HeartbeatTracker", "ExpiryClock",
     "WatchManager", "WatchEvent", "EventType",
     "ZabPeer", "ZabConfig", "Role", "NotLeaderError",
-    "Forward", "ForwardSettled", "InterceptResult", "StateEvent",
+    "Forward", "ForwardSettled", "StateEvent",
     "ZkError", "NoNodeError", "NodeExistsError", "BadVersionError",
     "NotEmptyError", "NoChildrenForEphemeralsError", "SessionExpiredError",
     "ConnectionLossError", "BadArgumentsError",

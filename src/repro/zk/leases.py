@@ -227,7 +227,7 @@ class LeaseTable:
         self.write_pending: Dict[str, int] = {}
         #: total writes between ingress and prep-translate, pathless.
         #: Extension-intercepted ops can rewrite their write set at
-        #: prep time, so servers with an op interceptor refuse grants
+        #: prep time, so servers with extensions refuse grants
         #: while *any* write is in that window (see ``_leader_grant``).
         self.pipeline_refs = 0
         #: writes parked behind revocation.

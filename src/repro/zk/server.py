@@ -29,24 +29,20 @@ flight to a leader that died costs its client one election rather than
 its RPC deadline (§ DESIGN 10.8).
 
 Extensible ZooKeeper hooks in at exactly the points §5.1.2 describes,
-via three attributes that default to ``None``:
-
-* ``extension_router`` — ``(session_id, op) -> bool``; when true the
-  request is routed to the leader even if it is a read, because an
-  operation extension will consume it;
-* ``op_interceptor`` — called at the prep stage; may return an
-  :class:`InterceptResult` whose multi-transaction replaces the normal
-  translation;
-* ``event_hook`` — called at apply time with the state-change events of
-  the applied transaction (leader runs event extensions; every replica
-  may suppress client notifications).
+through one slot, ``extensions`` (``None``, or the replica's
+:class:`~repro.ezk.integration.EzkBinding`): ``consumes`` routes a read
+an extension consumes to the leader, ``intercept`` may replace the
+prep-stage translation by an extension's multi-transaction,
+``on_events`` sees each applied transaction's state changes,
+``suppresses`` filters watch notifications, and ``rebuild`` reloads the
+registry after recovery (§3.8). A set slot also widens both lease fences.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from bisect import bisect_right
 
@@ -66,6 +62,7 @@ from .txn import (ClientReply, ClientRequest, CloseSessionOp, CloseSessionTxn,
                   SetDataOp, SetDataTxn, SyncOp, Txn, TxnRecord,
                   WatchNotification, ZxidClientRequest, ZxidReply,
                   ZxidWatchNotification)
+from ..core.binding import ExtensionBinding
 from ..core.broadcast import make_zk_kernel
 from ..obs import (M_DELIVER, M_INGRESS, M_PROPOSE, M_REPLY,
                    FourLetterReply, FourLetterRequest, Observability,
@@ -75,7 +72,7 @@ from .watches import EventType, WatchEvent, WatchManager
 from .zab import ZabConfig
 
 __all__ = ["ZkTimings", "ZkConfig", "ZkServer", "Forward", "ForwardSettled",
-           "SessionPing", "InterceptResult", "StateEvent"]
+           "SessionPing", "StateEvent"]
 
 #: A relayed request this old has been given up on: the client library's
 #: RPC deadline (``client._DEFAULT_TIMEOUT_MS``) has fired and the call
@@ -165,15 +162,6 @@ class StateEvent:
     #: session of the client whose request produced this change (None for
     #: server-internal transactions such as expiry-driven deletions).
     origin_session: Optional[int] = None
-
-
-@dataclass
-class InterceptResult:
-    """What an operation extension produced at the prep stage."""
-
-    txn: Txn                      # usually a MultiTxn
-    result: Any = None            # piggybacked reply value
-    block_path: Optional[str] = None   # defer the reply until this path is created
 
 
 class ZkServer:
@@ -275,18 +263,8 @@ class ZkServer:
         self.broadcast.on_role_change = self._on_role_change
         self._spec_tree: Optional[DataTree] = None
 
-        # EZK hooks (see module docstring).
-        self.extension_router: Optional[Callable[[int, Op], bool]] = None
-        self.op_interceptor: Optional[
-            Callable[[RequestMeta, Op, "ZkServer"], Optional[InterceptResult]]] = None
-        self.event_hook: Optional[
-            Callable[[List[StateEvent], "ZkServer"], None]] = None
-        #: notification filter: (session_id, WatchEvent) -> suppress?
-        self.notification_filter: Optional[
-            Callable[[int, WatchEvent], bool]] = None
-        #: called after a crash-recovery rejoin (EZK rebuilds its
-        #: extension registry from the /em index, §3.8).
-        self.on_recover: Optional[Callable[["ZkServer"], None]] = None
+        #: the EZK binding (see module docstring); None = plain ZooKeeper.
+        self.extensions: Optional[ExtensionBinding] = None
 
         # Observability plane: the first obs-configured server installs
         # it on the env; the tables above get their metric hooks here
@@ -314,12 +292,6 @@ class ZkServer:
     def is_leader(self) -> bool:
         return self.broadcast.is_leader
 
-    @property
-    def zab(self):
-        """Historical alias for :attr:`broadcast` (which, despite the
-        name, may be any AtomicBroadcast kernel — see ``config.kernel``)."""
-        return self.broadcast
-
     # -- fault injection ---------------------------------------------------
 
     def crash(self) -> None:
@@ -336,8 +308,8 @@ class ZkServer:
         self._alive = True
         self.net.recover(self.node_id)
         self.broadcast.recover()
-        if self.on_recover is not None:
-            self.on_recover(self)
+        if self.extensions is not None:
+            self.extensions.rebuild()
 
     # -- message dispatch ------------------------------------------------------
 
@@ -400,8 +372,8 @@ class ZkServer:
             self._route_sync(meta, req)
             return
         routed_by_extension = (
-            self.extension_router is not None
-            and self.extension_router(req.session_id, op))
+            self.extensions is not None
+            and self.extensions.consumes(str(req.session_id), op))
         if route is _UPDATE or routed_by_extension:
             self._route_update(meta, req)
         else:
@@ -661,7 +633,7 @@ class ZkServer:
                 or self.sessions.is_closed(session_id)
                 or session_id in self._closing_sessions):
             return None           # never arm a cache the fence already killed
-        if self.op_interceptor is not None:
+        if self.extensions is not None:
             # An extension can rewrite its write set at prep time, so
             # the per-path pending marks below are not enough here:
             # refuse grants while *any* write is between ingress and
@@ -762,8 +734,8 @@ class ZkServer:
         now = self.env.now
         paths = self._lease_write_paths(meta, op)
         fence_paths = paths
-        if self.op_interceptor is not None:
-            # The interceptor may rewrite the write set at prep time, so
+        if self.extensions is not None:
+            # An extension may rewrite the write set at prep time, so
             # fence against every live lease, not just declared paths.
             fence_paths = tuple(sorted(
                 set(paths) | set(table.all_leased_paths(now))))
@@ -920,13 +892,14 @@ class ZkServer:
                 f"session {meta.session_id} expired"))
             return
 
-        if self.op_interceptor is not None:
+        txn = None
+        if self.extensions is not None:
             try:
-                intercepted = self.op_interceptor(meta, op, self)
+                txn = self.extensions.intercept(meta, op)
             except ZkError as error:
                 self._reply_error(meta, error)
                 return
-            if intercepted is not None:
+            if txn is not None:
                 # The extension ran against the speculative tree; apply
                 # its write-set and propose in the same event so the next
                 # prep sees it (atomicity under pipelining). The extra
@@ -934,27 +907,15 @@ class ZkServer:
                 # on the matched path, so regular clients see none of it
                 # (§6.2's <0.4% overhead claim).
                 self.cpu.submit(self.timings.extension_exec_ms)
-                self._propose_intercepted(meta, intercepted)
-                return
-
-        try:
-            txn = self._translate(meta, op, spec)
-        except ZkError as error:
-            # Faithful to ZooKeeper: rejected updates still travel the
-            # ordered pipeline as error transactions.
-            txn = ErrorTxn(to_code(error), str(error))
+                self._apply_to_spec(txn)
+        if txn is None:
+            try:
+                txn = self._translate(meta, op, spec)
+            except ZkError as error:
+                # Faithful to ZooKeeper: rejected updates still travel
+                # the ordered pipeline as error transactions.
+                txn = ErrorTxn(to_code(error), str(error))
         zxid = self.broadcast.propose(txn, meta)
-        self._proposed_xids[(meta.client_node, meta.xid)] = zxid
-        self._mark_propose(meta, zxid)
-
-    def _propose_intercepted(self, meta: RequestMeta,
-                             intercepted: InterceptResult) -> None:
-        if not self._alive or not self.broadcast.is_leader:
-            return
-        self._apply_to_spec(intercepted.txn)
-        if intercepted.block_path is not None:
-            intercepted.txn.effects.append(("block", intercepted.block_path))
-        zxid = self.broadcast.propose(intercepted.txn, meta)
         self._proposed_xids[(meta.client_node, meta.xid)] = zxid
         self._mark_propose(meta, zxid)
 
@@ -1212,8 +1173,8 @@ class ZkServer:
         if not self._alive:
             return
         # 1. Event extensions (leader executes; every replica may suppress).
-        if self.event_hook is not None and events:
-            self.event_hook(events, self)
+        if self.extensions is not None and events:
+            self.extensions.on_events(events)
         # 2. Watches + deferred block replies for locally-connected clients.
         self._fire_watches(events, record.zxid)
         # 3. Reply to the originating client.
@@ -1277,8 +1238,8 @@ class ZkServer:
                         xid, True, ("unblocked", event.path)))
         obs = self.env.obs
         for session_id, watch_event in notifications:
-            if (self.notification_filter is not None
-                    and self.notification_filter(session_id, watch_event)):
+            if (self.extensions is not None
+                    and self.extensions.suppresses(session_id, watch_event)):
                 continue
             client = self.local_sessions.get(session_id)
             if client is None:

@@ -199,7 +199,7 @@ class TestReplication:
             return value
 
         assert run(ensemble, scenario())[0] is True
-        live_views = {r.bft.view for r in ensemble.replicas if r._alive}
+        live_views = {r.ordering.view for r in ensemble.replicas if r._alive}
         assert max(live_views) >= 1
 
     def test_recovered_replica_catches_up(self, ensemble):

@@ -103,6 +103,35 @@ class TestTupleSpace:
     def test_replace_no_match(self):
         assert TupleSpace().replace(("ctr", ANY), ("ctr", 0)) is None
 
+    def test_put_restores_a_taken_tuple_at_its_age(self):
+        space = TupleSpace()
+        space.out(("k", 1))
+        space.out(("k", 2))
+        space.out(("k/x", 3), lease=LeaseRecord("c", 50.0))
+        taken = space.take(("k", ANY))
+        leased = space.take(("k/x", ANY))
+        space.put(*taken)
+        space.put(*leased)
+        # Bucket, name range and full scan all see the original order.
+        assert space.rdp(("k", ANY)) == ("k", 1)
+        assert space.rdall((Prefix("k"), ANY)) == [("k", 1), ("k", 2),
+                                                  ("k/x", 3)]
+        assert list(space) == [("k", 1), ("k", 2), ("k/x", 3)]
+        assert space.lease_of(("k/x", 3)).owner == "c"
+
+    def test_put_replaces_what_a_live_key_holds(self):
+        space = TupleSpace()
+        space.out(("k", 1), lease=LeaseRecord("c", 50.0))
+        space.out(("k", 2))
+        key, _entry, lease = space.take(("k", 1))
+        space.put(key, ("k", 8), lease)
+        space.put(key, ("renamed", 9), lease)
+        assert space.rdall((ANY, ANY)) == [("renamed", 9), ("k", 2)]
+        assert space.rdp(("k", ANY)) == ("k", 2)
+        assert space.lease_of(("renamed", 9)).owner == "c"
+        with pytest.raises(BadTupleError):
+            space.put(99, ("k", 0))
+
 
 class TestLeases:
     def test_expired_lease_purged(self):

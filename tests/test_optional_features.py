@@ -135,10 +135,10 @@ class TestUnorderedReads:
 
         def scenario():
             yield from client.out("k", 1)
-            before = ensemble.replica("ds0").bft._exec_seq
+            before = ensemble.replica("ds0").ordering._exec_seq
             for _ in range(5):
                 yield from client.rdp("k", ANY)
-            after = ensemble.replica("ds0").bft._exec_seq
+            after = ensemble.replica("ds0").ordering._exec_seq
             return after - before
 
         assert run_all(ensemble, scenario())[0] == 0

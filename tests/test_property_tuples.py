@@ -51,28 +51,38 @@ def test_prefix_semantics(prefix, value):
 
 
 class _NaiveSpace:
-    """List-based model of the tuple space."""
+    """List-based model of the tuple space: (key, tuple) in key order."""
 
     def __init__(self):
         self.items = []
+        self.next_key = 0
 
     def out(self, entry):
-        self.items.append(tuple(entry))
+        self.items.append((self.next_key, tuple(entry)))
+        self.next_key += 1
+
+    def _locate(self, template):
+        for key, item in self.items:
+            if matches(template, item):
+                return key, item, None
+        return None
 
     def rdp(self, template):
-        for item in self.items:
-            if matches(template, item):
-                return item
-        return None
+        found = self._locate(template)
+        return found[1] if found is not None else None
+
+    def take(self, template):
+        found = self._locate(template)
+        if found is not None:
+            self.items.remove(found[:2])
+        return found
 
     def inp(self, template):
-        for i, item in enumerate(self.items):
-            if matches(template, item):
-                return self.items.pop(i)
-        return None
+        found = self.take(template)
+        return found[1] if found is not None else None
 
     def rdall(self, template):
-        return [item for item in self.items if matches(template, item)]
+        return [item for _key, item in self.items if matches(template, item)]
 
     def cas(self, template, entry):
         if self.rdp(template) is not None:
@@ -85,6 +95,10 @@ class _NaiveSpace:
         if old is not None:
             self.out(entry)
         return old
+
+    def put(self, key, entry, lease=None):
+        self.items = sorted([pair for pair in self.items if pair[0] != key]
+                            + [(key, tuple(entry))])
 
 
 _SPACE_OPS = st.lists(
@@ -129,19 +143,53 @@ _MODEL_OPS = st.lists(
     max_size=50,
 )
 
+#: take/put over (first, payload) pairs, the EDS object shape, so lookups
+#: match often: a key take handed out is stored again, at its original
+#: age, whether it is free or has been filled again since.
+#: ``True``/``1`` share an index bucket; the names share prefixes.
+_PUT_FIRST = st.sampled_from(["a", "b", "ab", 1, True])
+_PUT_PAYLOAD = st.sampled_from([b"", b"x", 0])
+_PUT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("out"), st.tuples(_PUT_FIRST, _PUT_PAYLOAD)),
+        st.tuples(st.sampled_from(["take", "rdp", "rdall"]),
+                  st.tuples(st.one_of(_PUT_FIRST, st.just(ANY),
+                                      st.builds(Prefix,
+                                                st.sampled_from(["", "a"]))),
+                            st.one_of(st.just(ANY), _PUT_PAYLOAD))),
+        st.tuples(st.just("put"),
+                  st.tuples(st.integers(min_value=0, max_value=50),
+                            _PUT_PAYLOAD)),
+    ),
+    min_size=8, max_size=50,
+)
+
 
 def _check_against_model(ops):
     space = TupleSpace()
     model = _NaiveSpace()
+    #: key -> first field of every key a take handed out.
+    issued = {}
     for op, arg in ops:
         if op == "out":
             space.out(arg)
             model.out(arg)
         elif op in ("cas", "replace"):
             assert getattr(space, op)(*arg) == getattr(model, op)(*arg)
+        elif op == "put":
+            if not issued:
+                continue
+            pick, payload = arg
+            key = sorted(issued)[pick % len(issued)]
+            entry = (issued[key], payload)
+            space.put(key, entry)
+            model.put(key, entry)
         else:
-            assert getattr(space, op)(arg) == getattr(model, op)(arg)
-    assert sorted(map(repr, space)) == sorted(map(repr, model.items))
+            found = getattr(space, op)(arg)
+            assert found == getattr(model, op)(arg)
+            if op == "take" and found is not None:
+                issued[found[0]] = found[1][0]
+    assert list(space) == [item for _key, item in model.items]
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,6 +203,15 @@ def test_space_matches_naive_model(ops):
 def test_index_paths_match_naive_model(ops):
     """Index-aware matching agrees with the naive ``matches`` scan on
     wildcard, prefix, unicode, bool-vs-int and mixed-arity templates."""
+    _check_against_model(ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PUT_OPS)
+def test_put_keeps_age_against_naive_model(ops):
+    """``put`` overwrites a live key in place and restores a taken one at
+    its original age; every later lookup, index path included, sees the
+    tuple where the list model keeps it."""
     _check_against_model(ops)
 
 

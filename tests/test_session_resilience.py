@@ -42,8 +42,8 @@ def run_until(ensemble, predicate, step_ms=50.0, limit_ms=15_000.0):
 
 
 def committed_close_txns(leader, session_id):
-    return [r for r in leader.zab.log
-            if r.zxid <= leader.zab.committed_zxid
+    return [r for r in leader.broadcast.log
+            if r.zxid <= leader.broadcast.committed_zxid
             and isinstance(r.txn, CloseSessionTxn)
             and r.txn.session_id == session_id]
 
