@@ -139,7 +139,7 @@ class Nemesis:
             "zombie_fenced": 0, "zombie_applied": 0, "zombie_lost": 0,
             "watch_notifications": 0, "watchers_served": 0,
             "lease_reads": 0, "lease_writes": 0, "lease_cache_hits": 0,
-            "lease_events": [],
+            "lease_events": [], "lease_ext_acks": [],
         }
         self._storm_index = 0
 

@@ -21,7 +21,10 @@ a recipe. Storms stress the *session machinery* itself:
   ``(kind, time, mzxid)`` observation; the post-run
   :func:`~repro.chaos.checker.check_lease_reads` invariant is the
   protocol's whole claim — no cache hit may return a value older than
-  a write acknowledged before the read began.
+  a write acknowledged before the read began. On EZK one writer also
+  registers, mid-window, an extension that writes the hot path when it
+  consumes an update of another path, writes through it, and
+  deregisters it, so the fences meet a changing registry.
 
 :func:`run_session_chaos` is the driver — the session-flavored sibling
 of :func:`repro.chaos.explorer.run_chaos`, replayable the same way::
@@ -36,13 +39,13 @@ eventually fenced; watchers actually notified).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..ezk import EzkEnsemble
 from ..raft import RaftConfig
-from ..zk import SessionExpiredError, ZkEnsemble, ZkError
+from ..zk import (NodeExistsError, NoNodeError, SessionExpiredError,
+                  ZkEnsemble, ZkError)
 from ..zk.leases import LeaseConfig
 from ..zk.server import ZkConfig
+from ..zk.txn import MultiTxn, SetDataTxn
 from .checker import CheckResult, check_lease_reads, check_session_log
 from .explorer import (ChaosRun, _DEADLINE_MARGIN_MS, _SETTLE_MS,
                        _await_consistency, _run_to)
@@ -67,6 +70,18 @@ _FENCE_PATH = "/fence-probe"
 _FANOUT_PATH = "/fanout"
 #: persistent node lease-caching readers and writers fight over.
 _LEASE_PATH = "/lease-hot"
+#: path whose updates the EZK lease storm's extension turns into writes
+#: of ``_LEASE_PATH`` (the update itself names no leased path).
+_LEASE_EXT_PATH = "/lease-bump"
+_LEASE_EXT = f'''
+class LeaseBump(Extension):
+    def ops_subscriptions(self):
+        return [OperationSubscription(("update",), "{_LEASE_EXT_PATH}")]
+
+    def handle_operation(self, request, local):
+        local.update("{_LEASE_PATH}", request.data)
+        return "bumped"
+'''
 #: lease knobs for the storm: short enough that grants, revokes and
 #: expiries all recur many times per window.
 _STORM_LEASES = LeaseConfig(duration_ms=400.0, grace_ms=50.0,
@@ -235,17 +250,32 @@ def _lease_writer(nemesis: Nemesis, action, storm_id: int, w: int):
         yield from client.connect()
     except ZkError:
         return
+    # On EZK, writer 0 changes the registry under the readers' leases:
+    # it registers an extension that writes the hot path mid-window,
+    # writes through it on odd beats, and deregisters it later.
+    registry = (_LeaseRegistry(client, storm_id)
+                if w == 0 and isinstance(nemesis.ensemble, EzkEnsemble)
+                else None)
     end = env.now + action.duration_ms
     k = 0
     while env.now < end:
+        data = f"s{storm_id}w{w}:{k}".encode()
         try:
-            stat = yield from client.set_data(
-                _LEASE_PATH, f"s{storm_id}w{w}:{k}".encode())
-            # Record the *ack*: only once set_data returns is the write
-            # committed-and-visible by the lease contract (every cached
-            # copy revoked or expired). An errored write is in-doubt and
-            # constrains nothing.
-            stats["lease_events"].append(("write", env.now, stat.mzxid))
+            if registry is not None:
+                yield from registry.step(k)
+            if registry is not None and registry.live and k % 2:
+                yield from client.set_data(_LEASE_EXT_PATH, data)
+                # The writer sees only the extension's result: the
+                # mzxid is read back from the committed log by the data
+                # (see _resolve_ext_writes).
+                stats["lease_ext_acks"].append((env.now, data))
+            else:
+                stat = yield from client.set_data(_LEASE_PATH, data)
+                # Record the *ack*: only once set_data returns is the
+                # write committed-and-visible by the lease contract
+                # (every cached copy revoked or expired). An errored
+                # write is in-doubt and constrains nothing.
+                stats["lease_events"].append(("write", env.now, stat.mzxid))
             stats["lease_writes"] += 1
         except ZkError:
             if client.state.value in ("EXPIRED", "CLOSED"):
@@ -256,6 +286,36 @@ def _lease_writer(nemesis: Nemesis, action, storm_id: int, w: int):
         yield from client.close()
     except ZkError:
         pass
+
+
+class _LeaseRegistry:
+    """The EZK lease storm's extension, registered by one writer from
+    beat ``REGISTER_AT`` and deregistered at beat ``DEREGISTER_AT``."""
+
+    REGISTER_AT, DEREGISTER_AT = 4, 12
+
+    def __init__(self, client, storm_id: int):
+        self.client = client
+        self.name = f"lease-bump{storm_id}"
+        self.live = False
+        self.done = False
+
+    def step(self, k: int):
+        """Advance the lifecycle; an in-doubt attempt is retried next beat."""
+        if not self.live and not self.done and k >= self.REGISTER_AT:
+            try:
+                yield from self.client.register_extension(self.name,
+                                                          _LEASE_EXT)
+            except NodeExistsError:
+                pass                # an earlier in-doubt attempt landed
+            self.live = True
+        elif self.live and k >= self.DEREGISTER_AT:
+            try:
+                yield from self.client.deregister_extension(self.name)
+            except NoNodeError:
+                pass                # an earlier in-doubt attempt landed
+            self.live = False
+            self.done = True
 
 
 def _lease_reader(nemesis: Nemesis, action, storm_id: int, i: int):
@@ -385,8 +445,30 @@ def run_session_chaos(system: str, scenario: str, seed: int,
 
     result = check_committed_sessions(ensemble)
     if result.ok:
+        _resolve_ext_writes(ensemble, nemesis.storm_stats)
         result = _check_storm_liveness(scenario, nemesis.storm_stats)
     return verdict(result)
+
+
+def _resolve_ext_writes(ensemble, stats: dict) -> None:
+    """Add each acked extension write to the lease observations with
+    the mzxid its multi-txn gave ``_LEASE_PATH``, found in the committed
+    log by the (unique) data it wrote. An acked write is committed, so
+    a miss raises."""
+    acks = stats["lease_ext_acks"]
+    if not acks:
+        return
+    broadcast = ensemble.leader.broadcast
+    mzxids = {}
+    for record in broadcast.log:
+        if record.zxid > broadcast.committed_zxid:
+            break
+        if record.txn.__class__ is MultiTxn:
+            for sub in record.txn.txns:
+                if sub.__class__ is SetDataTxn and sub.path == _LEASE_PATH:
+                    mzxids[sub.data] = record.zxid
+    stats["lease_events"].extend(("write", at, mzxids[data])
+                                 for at, data in acks)
 
 
 def check_committed_sessions(ensemble) -> CheckResult:

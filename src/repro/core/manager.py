@@ -202,6 +202,10 @@ class ExtensionManager:
         ]
         return sorted(matching, key=lambda r: r.order)
 
+    def handles_events(self) -> bool:
+        """True while any registered extension subscribes to events."""
+        return any(record.event_subs for record in self._extensions.values())
+
     def suppresses_notification(self, client_id: str,
                                 event: EventNotice) -> bool:
         """§5.1.2: an event extension acknowledged by this client exists

@@ -62,11 +62,13 @@ _DESCRIPTOR_FIELDS = frozenset({
     "event_type", "seq", "name",
 })
 
-#: Safe methods of str/bytes/list/dict/set values.
+#: Safe methods of str/bytes/list/dict/set values. ``format`` is not one:
+#: its replacement fields walk attributes at run time, out of the AST
+#: check's sight (``"{0.__class__...}".format(local)``).
 _CONTAINER_METHODS = frozenset({
     "startswith", "endswith", "split", "rsplit", "join", "strip", "lstrip",
     "rstrip", "lower", "upper", "replace", "find", "rfind", "index",
-    "count", "format", "encode", "decode", "zfill", "isdigit", "isalpha",
+    "count", "encode", "decode", "zfill", "isdigit", "isalpha",
     "partition", "rpartition", "ljust", "rjust", "title", "capitalize",
     "append", "extend", "insert", "remove", "pop", "clear", "sort",
     "reverse", "copy", "get", "keys", "values", "items", "setdefault",

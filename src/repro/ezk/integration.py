@@ -137,6 +137,11 @@ class EzkBinding(ExtensionBinding):
         self.server = server
         server.extensions = self
 
+    @staticmethod
+    def writes_registry(paths) -> bool:
+        """True when writing ``paths`` can change the registry (§3.5)."""
+        return any(path.startswith(_EM_PREFIX) for path in paths)
+
     def _begin(self, _record) -> ZkBufferedState:
         server = self.server
         return ZkBufferedState(server._spec_tree, now=server.env.now)

@@ -22,7 +22,15 @@ The fences, in the order they bite:
   (speculative-tree mzxid ahead of the committed tree), or while the
   leadership is inside its recovery window. A granting follower
   additionally confirms the leader's view of the key's ``mzxid``
-  matches its own before attaching the lease to the reply;
+  matches its own before attaching the lease to the reply. Under
+  extensions (EZK) a write's paths are known at ingress except for the
+  *unbounded* ones — ops an extension consumes and ``/em`` registry
+  writes — so only those fence every live lease, and grants are
+  refused while one sits between ingress and prep, while a registry
+  txn is proposed but not yet applied, while any event extension is
+  registered, or when an extension would consume the holder's own read
+  of the key (DESIGN §11, "Leases under extensions"). Every refusal is
+  counted as ``leases.denied`` plus ``leases.denied.<reason>``;
 * **revoke fence** — monotonically increasing lease ids (epoch-scaled,
   so a new leadership can never reuse one) let a client discard a
   grant that arrives *after* its revoke raced past it on another
@@ -46,7 +54,7 @@ message sizes — and therefore every simulated latency — are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .data_tree import Stat
@@ -201,7 +209,7 @@ class WriteGate:
     meta: Any = None                # RequestMeta for "update" gates
     op: Any = None
     session_id: int = 0             # for "close" gates
-    extension_routed: bool = False
+    unbounded: bool = False         # fences every live lease (see LeaseTable)
     fired: bool = False
 
 
@@ -225,11 +233,13 @@ class LeaseTable:
         #: (no grants while positive: the speculative tree cannot fence
         #: a write the prep stage has not seen yet).
         self.write_pending: Dict[str, int] = {}
-        #: total writes between ingress and prep-translate, pathless.
-        #: Extension-intercepted ops can rewrite their write set at
-        #: prep time, so servers with extensions refuse grants
-        #: while *any* write is in that window (see ``_leader_grant``).
-        self.pipeline_refs = 0
+        #: *unbounded* writes between ingress and prep: ones whose write
+        #: set only an extension decides, at prep (an op an extension
+        #: consumes, an ``/em`` registry write). Such a write fences
+        #: every live lease, and no key may be granted while one is in
+        #: that window; after prep the speculative tree holds its real
+        #: write set and the mzxid fence takes over.
+        self.unbounded_pending = 0
         #: writes parked behind revocation.
         self.gates: List[WriteGate] = []
         #: new-leadership fence: no write fires before this time.
@@ -258,7 +268,7 @@ class LeaseTable:
         self.by_session.clear()
         self._by_id.clear()
         self.write_pending.clear()
-        self.pipeline_refs = 0
+        self.unbounded_pending = 0
         self.gates = []
         self._epoch = epoch
         self._next_seq = 0
@@ -270,11 +280,9 @@ class LeaseTable:
 
     def grant(self, path: str, session_id: int, client_node: str,
               now: float) -> Optional[Lease]:
-        """Issue a lease, or None while the path has a writer anywhere
-        between ingress and commit."""
+        """Issue a lease, or None while the path has a writer between
+        ingress and prep (the caller counts the refusal)."""
         if self.write_pending.get(path):
-            if self.metrics is not None:
-                self.metrics.inc("leases.denied", self.metrics_node)
             return None
         self._next_seq += 1
         # Epoch-scaled ids: monotone across leaderships, so a client's
@@ -304,10 +312,9 @@ class LeaseTable:
                     found.append(lease)
         return found
 
-    def all_leased_paths(self, now: float) -> Tuple[str, ...]:
-        return tuple(sorted({lease.path
-                             for lease in self.active_on(list(self.leases),
-                                                         now)}))
+    def all_active(self, now: float) -> List[Lease]:
+        """Every live lease: what an unbounded write must fence."""
+        return self.active_on(list(self.leases), now)
 
     def _drop(self, lease: Lease) -> None:
         holders = self.leases.get(lease.path)
@@ -358,13 +365,13 @@ class LeaseTable:
 
     # -- write gating ------------------------------------------------------
 
-    def acquire_pending(self, paths) -> None:
-        self.pipeline_refs += 1
+    def acquire_pending(self, paths, unbounded: bool = False) -> None:
+        self.unbounded_pending += unbounded
         for path in paths:
             self.write_pending[path] = self.write_pending.get(path, 0) + 1
 
-    def release_pending(self, paths) -> None:
-        self.pipeline_refs = max(0, self.pipeline_refs - 1)
+    def release_pending(self, paths, unbounded: bool = False) -> None:
+        self.unbounded_pending = max(0, self.unbounded_pending - unbounded)
         for path in paths:
             count = self.write_pending.get(path, 0) - 1
             if count > 0:

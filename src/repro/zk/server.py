@@ -35,7 +35,9 @@ an extension consumes to the leader, ``intercept`` may replace the
 prep-stage translation by an extension's multi-transaction,
 ``on_events`` sees each applied transaction's state changes,
 ``suppresses`` filters watch notifications, and ``rebuild`` reloads the
-registry after recovery (§3.8). A set slot also widens both lease fences.
+registry after recovery (§3.8). With leases on, the slot also decides
+which writes fence every lease and when grants wait on the registry
+(DESIGN §11, "Leases under extensions").
 """
 
 from __future__ import annotations
@@ -194,6 +196,13 @@ class ZkServer:
         self._deferred_blocks: Dict[str, List[Tuple[int, int, str]]] = {}
         #: zxid of the last transaction applied to our tree.
         self._applied_zxid = 0
+        #: zxid of the last transaction whose apply stage (event hooks,
+        #: registry updates, replies) has run here.
+        self._settled_zxid = 0
+        #: leader with leases under extensions: zxid of the newest txn
+        #: it proposed (or found unsettled in its log on election) that
+        #: writes the extension registry. Grants wait until it settles.
+        self._registry_zxid = 0
         #: reads waiting for this replica to catch up to a session's zxid:
         #: (required zxid, meta, op, wants_lease), drained as txns apply.
         self._parked_reads: List[Tuple[int, RequestMeta, Op, bool]] = []
@@ -310,6 +319,9 @@ class ZkServer:
         self.broadcast.recover()
         if self.extensions is not None:
             self.extensions.rebuild()
+        # The rebuilt registry reflects every txn applied before the
+        # crash, including those whose apply stage the crash cut short.
+        self._settled_zxid = self._applied_zxid
 
     # -- message dispatch ------------------------------------------------------
 
@@ -625,39 +637,65 @@ class ZkServer:
     def _leader_grant(self, session_id: int, client_node: str, path: str):
         """Grant fence (leader): every reason a grant must be refused."""
         table = self._lease_table
-        if table is None or not session_id:
+        if table is None:
             return None
+        if not session_id:
+            return self._deny_lease("session")
         if self.env.now < table.recovery_until:
-            return None           # epoch fence: old grants still at large
+            return self._deny_lease("recovery")   # old grants still at large
         if (session_id not in self.sessions
                 or self.sessions.is_closed(session_id)
                 or session_id in self._closing_sessions):
-            return None           # never arm a cache the fence already killed
-        if self.extensions is not None:
-            # An extension can rewrite its write set at prep time, so
-            # the per-path pending marks below are not enough here:
-            # refuse grants while *any* write is between ingress and
-            # apply.
-            if table.pipeline_refs or self.broadcast.last_zxid > self._applied_zxid:
-                return None
+            # never arm a cache the fence already killed
+            return self._deny_lease("session")
+        extensions = self.extensions
+        if extensions is not None:
+            # Leases under extensions (DESIGN §11): the write sets the
+            # leader cannot know at ingress.
+            if table.unbounded_pending:
+                return self._deny_lease("unbounded")    # R1
+            if self._registry_zxid > self._settled_zxid:
+                return self._deny_lease("registry")     # R2
+            if extensions.manager.handles_events():
+                return self._deny_lease("events")       # R4
+            client_id = str(session_id)
+            if (extensions.consumes(client_id, GetDataOp(path))
+                    or extensions.consumes(client_id, ExistsOp(path))):
+                # R2, settled registry: this holder's reads of the key
+                # belong to an extension, not to a cache.
+                return self._deny_lease("consumed")
         auth_stat = self.tree.exists(path)
         if auth_stat is None:
-            return None
+            return self._deny_lease("absent")
         spec = self._spec_tree
         if spec is not None:
             spec_stat = spec.exists(path)
             if spec_stat is None or spec_stat.mzxid != auth_stat.mzxid:
-                return None       # a write to this key is in the pipeline
-        return table.grant(path, session_id, client_node, self.env.now)
+                # a write to this key is in the pipeline
+                return self._deny_lease("in_flight")
+        lease = table.grant(path, session_id, client_node, self.env.now)
+        if lease is None:
+            return self._deny_lease("pending")   # a write to it at ingress
+        return lease
+
+    def _deny_lease(self, reason: str) -> None:
+        """Count one refused grant: the total plus its reason."""
+        obs = self.env.obs
+        if obs is not None:
+            obs.metrics.inc("leases.denied", self.node_id)
+            obs.metrics.inc("leases.denied." + reason, self.node_id)
+        return None
 
     def _on_lease_request(self, src: str, msg: LeaseRequest) -> None:
         if self._lease_table is None or not self.broadcast.is_leader:
+            self._deny_lease("not_leader")
             self.net.send(self.node_id, src, LeaseDeny(msg.grant_key))
             return
         auth_stat = self.tree.exists(msg.path)
         if auth_stat is None or auth_stat.mzxid != msg.mzxid:
             # The follower read a version the leader has already moved
             # past (or not reached — it re-checks on its side too).
+            self._deny_lease("moved")
             self.net.send(self.node_id, src, LeaseDeny(msg.grant_key))
             return
         lease = self._leader_grant(msg.session_id, msg.client_node, msg.path)
@@ -725,30 +763,41 @@ class ZkServer:
     def _gate_or_prep(self, meta: RequestMeta, op: Op) -> None:
         """Leader write ingress with leases on: park behind revocation.
 
+        A write is fenced by its declared paths unless it is *unbounded*
+        (R1): an operation extension consumes it, or it writes the
+        extension registry. Only an extension decides such a write's
+        paths, at prep, so it fences every live lease instead.
+        """
+        paths = self._lease_write_paths(meta, op)
+        extensions = self.extensions
+        unbounded = extensions is not None and (
+            extensions.writes_registry(paths)
+            or extensions.consumes(str(meta.session_id), op))
+        self._gate(meta, op, paths, unbounded)
+
+    def _gate(self, meta: RequestMeta, op: Op, paths: Tuple[str, ...],
+              unbounded: bool) -> None:
+        """Fence a write's leases, then prep it.
+
         The pending marks raised here stop new grants on the write's
-        paths from this moment on; :meth:`_prep` lowers them once the
-        speculative tree carries the write (from then on the grant
-        fence's mzxid comparison takes over).
+        paths (on every path, if unbounded) from this moment on;
+        :meth:`_prep` lowers them once the speculative tree carries the
+        write (from then on the grant fence's mzxid comparison takes
+        over).
         """
         table = self._lease_table
         now = self.env.now
-        paths = self._lease_write_paths(meta, op)
-        fence_paths = paths
-        if self.extensions is not None:
-            # An extension may rewrite the write set at prep time, so
-            # fence against every live lease, not just declared paths.
-            fence_paths = tuple(sorted(
-                set(paths) | set(table.all_leased_paths(now))))
-        blockers = table.active_on(fence_paths, now)
-        table.acquire_pending(paths)
+        blockers = (table.all_active(now) if unbounded
+                    else table.active_on(paths, now))
+        table.acquire_pending(paths, unbounded)
         if not blockers and now >= table.recovery_until:
-            self._enter_prep(meta, op, lease_paths=paths)
+            self._enter_prep(meta, op, paths, unbounded)
             return
         grace = table.config.grace_ms
         not_before = max([table.recovery_until]
                          + [b.expires_at + grace for b in blockers])
         gate = WriteGate("update", paths, {b.lease_id for b in blockers},
-                         not_before, meta=meta, op=op)
+                         not_before, meta=meta, op=op, unbounded=unbounded)
         obs = self.env.obs
         if obs is not None and obs.tracer is not None:
             # Ad-hoc stamp (WriteGate is a plain dataclass): the gate
@@ -810,7 +859,7 @@ class ZkServer:
                 self.broadcast.propose(CloseSessionTxn(session_id), None)
             return
         if not self.broadcast.is_leader:
-            table.release_pending(gate.paths)
+            table.release_pending(gate.paths, gate.unbounded)
             self._reply_error(gate.meta,
                               ConnectionLossError("leadership moved"))
             return
@@ -820,7 +869,7 @@ class ZkServer:
             obs.tracer.aux(gate.meta.client_node, gate.meta.xid,
                            "lease_gate", gated_at, self.env.now,
                            self.node_id, detail=f"paths={len(gate.paths)}")
-        self._enter_prep(gate.meta, gate.op, lease_paths=gate.paths)
+        self._enter_prep(gate.meta, gate.op, gate.paths, gate.unbounded)
 
     def _gate_session_close(self, session_id: int) -> bool:
         """Park an expiry-driven close behind leases on its ephemerals.
@@ -852,17 +901,19 @@ class ZkServer:
     # -- prep stage (leader) -----------------------------------------------
 
     def _enter_prep(self, meta: RequestMeta, op: Op,
-                    lease_paths: Optional[Tuple[str, ...]] = None) -> None:
+                    lease_paths: Optional[Tuple[str, ...]] = None,
+                    unbounded: bool = False) -> None:
         self.heartbeats.touch(meta.session_id, self.env.now)
         self.cpu.submit(self.timings.prep_ms + self.timings.log_write_ms,
-                        self._prep, meta, op, lease_paths)
+                        self._prep, meta, op, lease_paths, unbounded)
 
     def _prep(self, meta: RequestMeta, op: Op,
-              lease_paths: Optional[Tuple[str, ...]] = None) -> None:
+              lease_paths: Optional[Tuple[str, ...]] = None,
+              unbounded: bool = False) -> None:
         if lease_paths is not None and self._lease_table is not None:
             # The translate below runs in this same event: from here on
             # the speculative tree (mzxid fence) covers the write.
-            self._lease_table.release_pending(lease_paths)
+            self._lease_table.release_pending(lease_paths, unbounded)
         if not self._alive:
             return
         if not self.broadcast.is_leader:
@@ -900,6 +951,14 @@ class ZkServer:
                 self._reply_error(meta, error)
                 return
             if txn is not None:
+                if lease_paths is not None and not unbounded:
+                    # R3: the registry changed since ingress, and an
+                    # extension rewrote a write gated on its declared
+                    # paths. Drop the rewrite (nothing reached the
+                    # speculative tree) and fence every lease before
+                    # running it again.
+                    self._gate(meta, op, lease_paths, unbounded=True)
+                    return
                 # The extension ran against the speculative tree; apply
                 # its write-set and propose in the same event so the next
                 # prep sees it (atomicity under pipelining). The extra
@@ -918,6 +977,9 @@ class ZkServer:
         zxid = self.broadcast.propose(txn, meta)
         self._proposed_xids[(meta.client_node, meta.xid)] = zxid
         self._mark_propose(meta, zxid)
+        if (lease_paths is not None and self.extensions is not None
+                and self.extensions.writes_registry(_txn_paths(txn))):
+            self._registry_zxid = zxid           # R2: grants wait for it
 
     def _mark_propose(self, meta: RequestMeta, zxid: int) -> None:
         obs = self.env.obs
@@ -1036,6 +1098,8 @@ class ZkServer:
     def _on_role_change(self) -> None:
         if self._lease_table is not None:
             self._lease_reset_for_role()
+            if self.extensions is not None:
+                self._registry_zxid = self._unsettled_registry_zxid()
         if self.broadcast.is_leader:
             self._spec_tree = _copy_tree(self.tree)
             # Carry the at-most-once guard across elections: retries of
@@ -1079,6 +1143,19 @@ class ZkServer:
         epoch = self.broadcast.leadership_epoch
         fence = self.broadcast.is_leader and epoch > 1
         table.reset_for_leadership(epoch, self.env.now, fence)
+
+    def _unsettled_registry_zxid(self) -> int:
+        """zxid of the newest logged registry txn not yet settled here.
+
+        A new leader applies its predecessor's proposals without running
+        them through its own prep, so R2 looks for them in the log.
+        """
+        for record in reversed(self.broadcast.log):
+            if record.zxid <= self._settled_zxid:
+                break
+            if self.extensions.writes_registry(_txn_paths(record.txn)):
+                return record.zxid
+        return 0
 
     # -- final stage (every replica) ----------------------------------------
 
@@ -1175,6 +1252,7 @@ class ZkServer:
         # 1. Event extensions (leader executes; every replica may suppress).
         if self.extensions is not None and events:
             self.extensions.on_events(events)
+        self._settled_zxid = record.zxid
         # 2. Watches + deferred block replies for locally-connected clients.
         self._fire_watches(events, record.zxid)
         # 3. Reply to the originating client.
@@ -1380,6 +1458,13 @@ def _copy_tree(tree: DataTree) -> DataTree:
     copy = DataTree()
     copy.restore(tree.snapshot())
     return copy
+
+
+def _txn_paths(txn: Txn) -> List[str]:
+    """The paths a txn writes by name (session txns write none)."""
+    subs = txn.txns if txn.__class__ is MultiTxn else (txn,)
+    return [sub.path for sub in subs
+            if sub.__class__ in (CreateTxn, SetDataTxn, DeleteTxn)]
 
 
 def _apply_txn_to_tree(tree: DataTree, txn: Txn, zxid: int, now: float,

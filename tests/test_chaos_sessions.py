@@ -1,7 +1,10 @@
 """Session storms: smoke cells, the log checker's teeth, schedules.
 
-The two smoke cells run in tier-1 (one seed each); the 25-seed × 4-cell
-matrix joins the nightly explorer behind ``CHAOS_FULL=1``.
+The four smoke cells run in tier-1 (one seed each); the 25-seed storm
+matrix joins the nightly explorer behind ``CHAOS_FULL=1``. The ezk
+lease storm registers and deregisters an extension that writes the
+leased path mid-window, so its cell checks the lease fences under a
+changing registry.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.zk.txn import (CloseSessionTxn, CreateSessionTxn, CreateTxn,
 
 SMOKE_SEED = 3
 SMOKE_CELLS = [("zk", "churn"), ("ezk", "watch_storm"),
-               ("zk", "lease_storm")]
+               ("zk", "lease_storm"), ("ezk", "lease_storm")]
 
 
 @pytest.mark.parametrize("system,scenario", SMOKE_CELLS)

@@ -256,6 +256,16 @@ class Ext(Extension):
         return request.shutdown()
 ''', match="shutdown")
 
+    def test_format_escape_reads_sandbox_globals(self):
+        # Regression: format fields walk attributes at run time, where
+        # the dunder check cannot see them. Accepted, this handler
+        # returned "repro.core.sandbox" from inside the sandbox.
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        return "{0.__class__.__init__.__globals__[__name__]}".format(local)
+''', match="format")
+
 
 class TestConfig:
     def test_extra_names_extend_whitelist(self):
