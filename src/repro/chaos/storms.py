@@ -82,10 +82,9 @@ class LeaseBump(Extension):
         local.update("{_LEASE_PATH}", request.data)
         return "bumped"
 '''
-#: lease knobs for the storm: short enough that grants, revokes and
-#: expiries all recur many times per window.
-_STORM_LEASES = LeaseConfig(duration_ms=400.0, grace_ms=50.0,
-                            min_reads=2, heat_window_ms=100.0)
+#: lease knobs for the storm: the defaults are short enough that grants,
+#: revokes and expiries all recur many times per window.
+_STORM_LEASES = LeaseConfig()
 #: how long a zombie may keep probing before the run calls it lost
 #: (covers a pause/rebase-delayed expiry plus the fault window).
 _ZOMBIE_PATIENCE_MS = 30_000.0

@@ -54,17 +54,21 @@ message sizes — and therefore every simulated latency — are untouched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .data_tree import Stat
-from .txn import ZxidClientRequest, ZxidReply
+from .errors import ConnectionLossError
+from .txn import (CloseSessionOp, CreateOp, CreateTxn, DeleteOp, DeleteTxn,
+                  ExistsOp, GetDataOp, MultiOp, MultiTxn, SetDataOp,
+                  SetDataTxn, Txn, ZxidClientRequest, ZxidReply)
 
 __all__ = [
-    "LeaseConfig", "Lease", "LeaseTable", "WriteGate", "ClientReadCache",
-    "LeaseClientRequest", "LeasedReply", "LeaseRequest", "LeaseGrant",
-    "LeaseDeny", "LeaseRevoke", "LeaseRevokeAck", "LeaseRelease",
-    "CACHE_MISS",
+    "LeaseConfig", "Lease", "LeaseTable", "WriteGate", "LeaseStage",
+    "LEASE_MESSAGES", "ClientReadCache", "LeaseClientRequest", "LeasedReply",
+    "LeaseRequest", "LeaseGrant", "LeaseDeny", "LeaseRevoke",
+    "LeaseRevokeAck", "LeaseRelease", "CACHE_MISS",
 ]
 
 
@@ -200,15 +204,19 @@ class Lease:
 
 @dataclass
 class WriteGate:
-    """One update parked behind lease revocation (leader-local)."""
+    """One write parked behind lease revocation (leader-local).
 
-    kind: str                       # "update" | "close"
+    The gate carries its own continuation: ``proceed(parked_at)`` runs
+    the write once every lease it waits on is revoked or expired, and
+    ``abort(reason)`` answers its client when leadership moves first
+    (``None`` for a write no client waits on: an expiry close).
+    """
+
     paths: Tuple[str, ...]
     waiting: Set[int]               # lease ids still unrevoked
-    not_before: float               # lease expiry + grace / recovery fence
-    meta: Any = None                # RequestMeta for "update" gates
-    op: Any = None
-    session_id: int = 0             # for "close" gates
+    parked_at: float
+    proceed: Callable[[Optional[float]], None]
+    abort: Optional[Callable[[str], None]] = None
     unbounded: bool = False         # fences every live lease (see LeaseTable)
     fired: bool = False
 
@@ -216,9 +224,9 @@ class WriteGate:
 class LeaseTable:
     """The leader's book of grants, revocations and parked writers.
 
-    Pure bookkeeping — no clocks, no network. The server owns the
-    event scheduling and message sends; keeping the table passive makes
-    the revocation races unit-testable without a simulation.
+    Pure bookkeeping — no clocks, no network. :class:`LeaseStage` owns
+    the event scheduling and message sends; keeping the table passive
+    makes the revocation races unit-testable without a simulation.
     """
 
     def __init__(self, config: LeaseConfig):
@@ -227,8 +235,7 @@ class LeaseTable:
         #: path -> lease_id -> Lease (live grants; expired entries are
         #: dropped lazily on access).
         self.leases: Dict[str, Dict[int, Lease]] = {}
-        self.by_session: Dict[int, Set[int]] = {}
-        self._by_id: Dict[int, Lease] = {}
+        self.by_id: Dict[int, Lease] = {}
         #: path -> refcount of writes between ingress and prep-translate
         #: (no grants while positive: the speculative tree cannot fence
         #: a write the prep stage has not seen yet).
@@ -246,11 +253,6 @@ class LeaseTable:
         self.recovery_until: float = 0.0
         self._next_seq = 0
         self._epoch = 1
-        #: optional obs hooks (a MetricsRegistry plus the owning node's
-        #: label), assigned by the server after construction — the table
-        #: is pure bookkeeping and has no environment access of its own.
-        self.metrics = None
-        self.metrics_node = ""
 
     # -- leadership --------------------------------------------------------
 
@@ -265,8 +267,7 @@ class LeaseTable:
         anything before the first leadership).
         """
         self.leases.clear()
-        self.by_session.clear()
-        self._by_id.clear()
+        self.by_id.clear()
         self.write_pending.clear()
         self.unbounded_pending = 0
         self.gates = []
@@ -291,10 +292,7 @@ class LeaseTable:
         lease = Lease(lease_id, path, session_id, client_node,
                       now + self.config.duration_ms)
         self.leases.setdefault(path, {})[lease_id] = lease
-        self.by_session.setdefault(session_id, set()).add(lease_id)
-        self._by_id[lease_id] = lease
-        if self.metrics is not None:
-            self.metrics.inc("leases.granted", self.metrics_node)
+        self.by_id[lease_id] = lease
         return lease
 
     def active_on(self, paths, now: float) -> List[Lease]:
@@ -322,23 +320,16 @@ class LeaseTable:
             holders.pop(lease.lease_id, None)
             if not holders:
                 del self.leases[lease.path]
-        owned = self.by_session.get(lease.session_id)
-        if owned is not None:
-            owned.discard(lease.lease_id)
-            if not owned:
-                del self.by_session[lease.session_id]
-        self._by_id.pop(lease.lease_id, None)
+        self.by_id.pop(lease.lease_id, None)
 
     # -- revocation --------------------------------------------------------
 
     def revoked(self, lease_id: int) -> List[WriteGate]:
         """A revoke ack (or voluntary release) arrived: drop the lease
         and return every gate that is now free of lease waiters."""
-        lease = self._by_id.get(lease_id)
+        lease = self.by_id.get(lease_id)
         if lease is not None:
             self._drop(lease)
-            if self.metrics is not None:
-                self.metrics.inc("leases.revoked_acks", self.metrics_node)
         ready = []
         for gate in self.gates:
             if not gate.fired and lease_id in gate.waiting:
@@ -350,18 +341,9 @@ class LeaseTable:
     def purge(self, lease_ids) -> None:
         """Force-drop leases that ran out their term unacked."""
         for lease_id in list(lease_ids):
-            lease = self._by_id.get(lease_id)
+            lease = self.by_id.get(lease_id)
             if lease is not None:
                 self._drop(lease)
-
-    def forget_session(self, session_id: int) -> None:
-        """Closed-session cleanup of the *index only*.
-
-        The leases themselves stay in the path map until natural
-        expiry: a fenced client may be alive-but-silent and still
-        serving, so a close must not unblock writers early.
-        """
-        self.by_session.pop(session_id, None)
 
     # -- write gating ------------------------------------------------------
 
@@ -379,9 +361,6 @@ class LeaseTable:
             else:
                 self.write_pending.pop(path, None)
 
-    def open_gate(self, gate: WriteGate) -> None:
-        self.gates.append(gate)
-
     def close_gate(self, gate: WriteGate) -> None:
         gate.fired = True
         if gate in self.gates:
@@ -393,6 +372,421 @@ class LeaseTable:
         for gate in gates:
             gate.fired = True
         return gates
+
+
+# ---------------------------------------------------------------------------
+# the server's lease stage
+# ---------------------------------------------------------------------------
+
+
+class LeaseStage:
+    """The server side of the lease protocol: one stage of a replica.
+
+    A :class:`~repro.zk.server.ZkServer` creates one when
+    ``ZkConfig.leases`` is set and calls it only at these points: a
+    read's reply, leader write ingress (:meth:`admit`), prep, a role
+    change, an expiry close, a crash, and the five lease messages
+    (:meth:`receive`). The stage owns the scheduling, the sends and the
+    grant fence; :class:`LeaseTable` is the passive book it keeps.
+    """
+
+    def __init__(self, server, config: LeaseConfig):
+        self.server = server
+        self.config = config
+        self.env = server.env
+        self.net = server.net
+        self.node_id = server.node_id
+        self.broadcast = server.broadcast
+        self.table = LeaseTable(config)
+        #: follower: read replies parked on a LeaseRequest, by grant key:
+        #: (meta, op, value, zxid, mzxid).
+        self.waits: Dict[int, tuple] = {}
+        self._wait_seq = 0
+        #: cacheable reads per key in the current heat window.
+        self._heat: Dict[str, int] = {}
+        self._heat_window_start = 0.0
+        #: leader under extensions: zxid of the newest txn it proposed
+        #: (or found unsettled in its log on election) that writes the
+        #: extension registry. Grants wait until it settles (R2).
+        self.registry_zxid = 0
+
+    def crash(self) -> None:
+        self.waits.clear()
+
+    def _count(self, *names: str) -> None:
+        obs = self.env.obs
+        if obs is not None:
+            for name in names:
+                obs.metrics.inc(name, self.node_id)
+
+    # -- grants (read side) ------------------------------------------------
+
+    def reply(self, meta, op, value) -> bool:
+        """Attach a lease to this read's reply if the key qualifies.
+
+        True when the reply is sent from here (by a follower, once the
+        leader answers its grant request); False leaves it to the server.
+        """
+        if not isinstance(op, (GetDataOp, ExistsOp)) or op.watch:
+            return False
+        stat = value[1] if isinstance(value, tuple) else value
+        if not isinstance(stat, Stat):
+            return False          # exists() on a missing node: no key to lease
+        if not self._note_heat(op.path):
+            return False          # cold key: plain read, no leader traffic
+        zxid = self.server._applied_zxid
+        broadcast = self.broadcast
+        if broadcast.is_leader:
+            lease = self._grant(meta.session_id, meta.client_node, op.path)
+            if lease is None:
+                return False
+            self._leased_reply(meta, value, zxid, lease.lease_id,
+                               lease.expires_at, broadcast.leadership_epoch)
+            return True
+        leader = broadcast.leader_id
+        if leader is None:
+            return False
+        # Park the reply and ask the leader; a timeout answers plain so
+        # a dark leader can never stall reads.
+        self._wait_seq += 1
+        key = self._wait_seq
+        self.waits[key] = (meta, op, value, zxid, stat.mzxid)
+        self.net.send(self.node_id, leader, LeaseRequest(
+            meta.session_id, op.path, key, self.node_id, meta.client_node,
+            stat.mzxid))
+        self.env.defer(self.config.grant_timeout_ms, self._answer_plain, key)
+        return True
+
+    def _leased_reply(self, meta, value, zxid: int, lease_id: int,
+                      expires_at: float, epoch: int) -> None:
+        self.server._succeed(meta, value, zxid, LeasedReply(
+            meta.xid, True, value, zxid=zxid, lease_id=lease_id,
+            lease_expires_at=expires_at, lease_epoch=epoch))
+
+    def _note_heat(self, path: str) -> bool:
+        """Promotion hysteresis: lease only keys hot in the current window."""
+        cfg = self.config
+        now = self.env.now
+        if now - self._heat_window_start >= cfg.heat_window_ms:
+            self._heat.clear()
+            self._heat_window_start = now
+        count = self._heat.get(path, 0) + 1
+        self._heat[path] = count
+        return count >= cfg.min_reads
+
+    def _grant(self, session_id: int, client_node: str, path: str,
+               mzxid: Optional[int] = None) -> Optional[Lease]:
+        """A lease, or None once the refusal is counted."""
+        verdict = self._fence(session_id, client_node, path, mzxid)
+        if verdict.__class__ is str:
+            self._count("leases.denied", "leases.denied." + verdict)
+            return None
+        self._count("leases.granted")
+        return verdict
+
+    def _fence(self, session_id: int, client_node: str, path: str,
+               mzxid: Optional[int]):
+        """Grant fence: the lease, or the first reason to refuse it.
+        ``mzxid``: the key's version at a requesting follower."""
+        server = self.server
+        if not self.broadcast.is_leader:
+            return "not_leader"
+        auth_stat = server.tree.exists(path)
+        if mzxid is not None and (auth_stat is None
+                                  or auth_stat.mzxid != mzxid):
+            # The follower read a version the leader has already moved
+            # past (or not reached — it re-checks on its side too).
+            return "moved"
+        if not session_id:
+            return "session"
+        table = self.table
+        now = self.env.now
+        if now < table.recovery_until:
+            return "recovery"     # old grants still at large
+        if (session_id not in server.sessions
+                or server.sessions.is_closed(session_id)
+                or session_id in server._closing_sessions):
+            return "session"      # never arm a cache the fence already killed
+        extensions = server.extensions
+        if extensions is not None:
+            # Leases under extensions (DESIGN §11): the write sets the
+            # leader cannot know at ingress.
+            if table.unbounded_pending:
+                return "unbounded"                      # R1
+            if self.registry_zxid > server._settled_zxid:
+                return "registry"                       # R2
+            if extensions.manager.handles_events():
+                return "events"                         # R4
+            client_id = str(session_id)
+            if (extensions.consumes(client_id, GetDataOp(path))
+                    or extensions.consumes(client_id, ExistsOp(path))):
+                # R2, settled registry: this holder's reads of the key
+                # belong to an extension, not to a cache.
+                return "consumed"
+        if auth_stat is None:
+            return "absent"
+        spec = server._spec_tree
+        if spec is not None:
+            spec_stat = spec.exists(path)
+            if spec_stat is None or spec_stat.mzxid != auth_stat.mzxid:
+                return "in_flight"  # a write to this key is in the pipeline
+        lease = table.grant(path, session_id, client_node, now)
+        return "pending" if lease is None else lease  # pending: at ingress
+
+    # -- messages ----------------------------------------------------------
+
+    def receive(self, src: str, msg: object) -> None:
+        _RECEIVERS[msg.__class__](self, src, msg)
+
+    def _on_request(self, src: str, msg: LeaseRequest) -> None:
+        lease = self._grant(msg.session_id, msg.client_node, msg.path,
+                            msg.mzxid)
+        if lease is None:
+            self.net.send(self.node_id, src, LeaseDeny(msg.grant_key))
+            return
+        self.net.send(self.node_id, src, LeaseGrant(
+            msg.grant_key, lease.lease_id, lease.expires_at,
+            self.broadcast.leadership_epoch, msg.mzxid))
+
+    def _on_grant(self, src: str, msg: LeaseGrant) -> None:
+        entry = self.waits.pop(msg.grant_key, None)
+        if entry is None:
+            return                # timed out; the grant just expires unused
+        meta, op, value, zxid, mzxid = entry
+        stat = self.server.tree.exists(op.path)
+        if msg.mzxid != mzxid or stat is None or stat.mzxid != mzxid:
+            # The key moved while the grant was in flight: installing
+            # the cached value now would hand the client stale state.
+            self.server._succeed(meta, value, zxid)
+            return
+        self._leased_reply(meta, value, zxid, msg.lease_id, msg.expires_at,
+                           msg.epoch)
+
+    def _on_deny(self, src: str, msg: LeaseDeny) -> None:
+        self._answer_plain(msg.grant_key)
+
+    def _answer_plain(self, grant_key: int) -> None:
+        """Deny or grant timeout: answer the parked read plain."""
+        entry = self.waits.pop(grant_key, None)
+        if entry is None or not self.server._alive:
+            return
+        meta, _op, value, zxid, _mzxid = entry
+        self.server._succeed(meta, value, zxid)
+
+    def _on_revoke_ack(self, src: str, msg: LeaseRevokeAck) -> None:
+        self._revoked((msg.lease_id,))
+
+    def _on_release(self, src: str, msg: LeaseRelease) -> None:
+        """Voluntary early release (a client's sync barrier)."""
+        if not self.broadcast.is_leader:
+            if self.broadcast.leader_id is not None:
+                self.net.send(self.node_id, self.broadcast.leader_id, msg)
+            return
+        self._revoked(msg.lease_ids)
+
+    def _revoked(self, lease_ids) -> None:
+        table = self.table
+        ready: List[WriteGate] = []
+        for lease_id in lease_ids:
+            if lease_id in table.by_id:
+                self._count("leases.revoked_acks")
+            ready.extend(table.revoked(lease_id))
+        for gate in ready:
+            self._fire(gate)
+
+    # -- write gating (leader) ---------------------------------------------
+
+    def admit(self, meta, op) -> None:
+        """Leader write ingress: fence the write's leases, then prep it.
+
+        A write is fenced by its declared paths unless it is *unbounded*
+        (R1): an operation extension consumes it, or it writes the
+        extension registry. Only an extension decides such a write's
+        paths, at prep, so it fences every live lease instead.
+        """
+        paths = self._write_paths(meta, op)
+        extensions = self.server.extensions
+        unbounded = extensions is not None and (
+            extensions.writes_registry(paths)
+            or extensions.consumes(str(meta.session_id), op))
+        self._gate_update(meta, op, paths, unbounded)
+
+    def prepped(self, paths: Tuple[str, ...], unbounded: bool) -> None:
+        """Prep took the write: the translate runs in this same event, so
+        from here on the speculative tree (mzxid fence) covers it."""
+        self.table.release_pending(paths, unbounded)
+
+    def regate(self, meta, op, paths: Tuple[str, ...]) -> None:
+        """R3: the registry changed since ingress, and an extension
+        rewrote a write gated on its declared paths. The rewrite is
+        dropped (nothing reached the speculative tree); the write fences
+        every lease before it runs again."""
+        self._gate_update(meta, op, paths, True)
+
+    def proposed(self, txn: Txn, zxid: int) -> None:
+        """R2: grants wait for a proposed registry write to settle."""
+        extensions = self.server.extensions
+        if extensions is not None and extensions.writes_registry(
+                _txn_paths(txn)):
+            self.registry_zxid = zxid
+
+    def close_session(self, session_id: int) -> None:
+        """Expiry close (leader): it deletes the session's ephemerals, so
+        it waits behind their leases like any other write. Without this,
+        an expiry sweep could delete a leased ephemeral while its
+        (other-session) holder still serves it from cache."""
+        paths = self._ephemerals(session_id)
+        self._gate(paths, False,
+                   functools.partial(self._close, session_id, paths))
+
+    def _close(self, session_id: int, paths: Tuple[str, ...],
+               _parked_at: Optional[float]) -> None:
+        self.table.release_pending(paths)
+        self.server._propose_close(session_id)
+
+    def _write_paths(self, meta, op) -> Tuple[str, ...]:
+        if isinstance(op, (CreateOp, SetDataOp, DeleteOp)):
+            return (op.path,)
+        if isinstance(op, MultiOp):
+            return tuple(sub.path for sub in op.ops
+                         if isinstance(sub, (CreateOp, SetDataOp, DeleteOp)))
+        if isinstance(op, CloseSessionOp):
+            return self._ephemerals(meta.session_id)
+        return ()
+
+    def _ephemerals(self, session_id: int) -> Tuple[str, ...]:
+        server = self.server
+        tree = server._spec_tree if server._spec_tree is not None \
+            else server.tree
+        return tuple(tree.ephemerals_of(session_id))
+
+    def _gate_update(self, meta, op, paths: Tuple[str, ...],
+                     unbounded: bool) -> None:
+        self._gate(paths, unbounded,
+                   functools.partial(self._to_prep, meta, op, paths,
+                                     unbounded),
+                   functools.partial(self._abort, meta))
+
+    def _gate(self, paths: Tuple[str, ...], unbounded: bool,
+              proceed: Callable[[Optional[float]], None],
+              abort: Optional[Callable[[str], None]] = None) -> None:
+        """Fence a write's leases, then ``proceed``: at once when nothing
+        blocks it, else through the one :class:`WriteGate` opened here.
+
+        The pending marks raised here stop grants on the write's paths
+        (on every path, if unbounded) until the continuation lowers them:
+        once the speculative tree holds the write (its mzxid fences
+        grants from then on), or the write is dropped.
+        """
+        table = self.table
+        now = self.env.now
+        blockers = (table.all_active(now) if unbounded
+                    else table.active_on(paths, now))
+        table.acquire_pending(paths, unbounded)
+        if not blockers and now >= table.recovery_until:
+            proceed(None)
+            return
+        grace = self.config.grace_ms
+        not_before = max([table.recovery_until]
+                         + [b.expires_at + grace for b in blockers])
+        gate = WriteGate(paths, {b.lease_id for b in blockers}, now,
+                         proceed, abort, unbounded)
+        table.gates.append(gate)
+        for blocker in blockers:
+            self.net.send(self.node_id, blocker.client_node,
+                          LeaseRevoke(blocker.path, blocker.lease_id))
+        self.env.defer(max(0.0, not_before - now), self._deadline, gate)
+
+    def _deadline(self, gate: WriteGate) -> None:
+        """Leases still unacked have run out their term plus grace."""
+        if gate.waiting and not gate.fired and self.server._alive:
+            self.table.purge(gate.waiting)
+            gate.waiting = set()
+        self._fire(gate)
+
+    def _fire(self, gate: WriteGate) -> None:
+        """Release a gate once every lease it waits on is gone."""
+        if gate.fired or gate.waiting or not self.server._alive:
+            return
+        self.table.close_gate(gate)
+        if self.broadcast.is_leader:
+            gate.proceed(gate.parked_at)
+            return
+        self.table.release_pending(gate.paths, gate.unbounded)
+        if gate.abort is not None:
+            gate.abort("leadership moved")
+
+    def _to_prep(self, meta, op, paths: Tuple[str, ...], unbounded: bool,
+                 parked_at: Optional[float]) -> None:
+        obs = self.env.obs
+        if (parked_at is not None and obs is not None
+                and obs.tracer is not None):
+            # The gate wait surfaces as an aux span of the write's trace.
+            obs.tracer.aux(meta.client_node, meta.xid, "lease_gate",
+                           parked_at, self.env.now, self.node_id,
+                           detail=f"paths={len(paths)}")
+        self.server._enter_prep(meta, op, paths, unbounded)
+
+    def _abort(self, meta, reason: str) -> None:
+        self.server._reply_error(meta, ConnectionLossError(reason))
+
+    # -- leadership ----------------------------------------------------------
+
+    def on_role_change(self) -> None:
+        """Leases are leader-soft state: a role change wipes the book.
+
+        Parked writes die with the old leadership (their clients retry
+        against the new topology), and a *new* leadership that is not
+        the bootstrap one raises the recovery fence: it cannot know what
+        the old leader granted, so every write waits out one full lease
+        term — the Chubby/GFS master-failover rule.
+        """
+        for gate in self.table.drain_gates():
+            if gate.abort is not None:
+                gate.abort("leadership changed")
+        # Fencing keys on the kernel-neutral leadership epoch (Zab
+        # epoch / Raft term): 1 is the bootstrap leadership, anything
+        # above means an election happened and old grants may be at
+        # large on clients of the previous leader.
+        epoch = self.broadcast.leadership_epoch
+        fence = self.broadcast.is_leader and epoch > 1
+        self.table.reset_for_leadership(epoch, self.env.now, fence)
+        if self.server.extensions is not None:
+            self.registry_zxid = self._unsettled_registry_zxid()
+
+    def _unsettled_registry_zxid(self) -> int:
+        """zxid of the newest logged registry txn not yet settled here.
+
+        A new leader applies its predecessor's proposals without running
+        them through its own prep, so R2 looks for them in the log.
+        """
+        settled = self.server._settled_zxid
+        writes_registry = self.server.extensions.writes_registry
+        for record in reversed(self.broadcast.log):
+            if record.zxid <= settled:
+                break
+            if writes_registry(_txn_paths(record.txn)):
+                return record.zxid
+        return 0
+
+
+#: Exact-type dispatch for :meth:`LeaseStage.receive`.
+_RECEIVERS = {
+    LeaseRequest: LeaseStage._on_request,
+    LeaseGrant: LeaseStage._on_grant,
+    LeaseDeny: LeaseStage._on_deny,
+    LeaseRevokeAck: LeaseStage._on_revoke_ack,
+    LeaseRelease: LeaseStage._on_release,
+}
+#: The replica-bound lease messages, for the server's message table.
+LEASE_MESSAGES = tuple(_RECEIVERS)
+
+
+def _txn_paths(txn: Txn) -> List[str]:
+    """The paths a txn writes by name (session txns write none)."""
+    subs = txn.txns if txn.__class__ is MultiTxn else (txn,)
+    return [sub.path for sub in subs
+            if sub.__class__ in (CreateTxn, SetDataTxn, DeleteTxn)]
 
 
 # ---------------------------------------------------------------------------

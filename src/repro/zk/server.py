@@ -35,9 +35,12 @@ an extension consumes to the leader, ``intercept`` may replace the
 prep-stage translation by an extension's multi-transaction,
 ``on_events`` sees each applied transaction's state changes,
 ``suppresses`` filters watch notifications, and ``rebuild`` reloads the
-registry after recovery (§3.8). With leases on, the slot also decides
-which writes fence every lease and when grants wait on the registry
-(DESIGN §11, "Leases under extensions").
+registry after recovery (§3.8).
+
+Read leases are one more stage, ``leases`` (``None``, or the replica's
+:class:`~repro.zk.leases.LeaseStage`): it may attach a lease to a read's
+reply, parks leader-bound writes and expiry closes behind revocation,
+and asks the extension slot which writes fence every lease (DESIGN §11).
 """
 
 from __future__ import annotations
@@ -49,12 +52,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from bisect import bisect_right
 
 from ..sim import Environment, FifoResource, Network
-from .data_tree import DataTree, Stat, split_path
+from .data_tree import DataTree, split_path
 from .errors import (ConnectionLossError, SessionExpiredError, ZkError,
                      from_code, to_code)
-from .leases import (LeaseClientRequest, LeaseConfig, LeaseDeny, LeaseGrant,
-                     LeasedReply, LeaseRelease, LeaseRequest, LeaseRevoke,
-                     LeaseRevokeAck, LeaseTable, WriteGate)
+from .leases import (LEASE_MESSAGES, LeaseClientRequest, LeaseConfig,
+                     LeaseStage)
 from .overlay import TreeOverlay
 from .sessions import ConsistencyTracker, ExpiryClock, SessionTable
 from .txn import (ClientReply, ClientRequest, CloseSessionOp, CloseSessionTxn,
@@ -199,10 +201,6 @@ class ZkServer:
         #: zxid of the last transaction whose apply stage (event hooks,
         #: registry updates, replies) has run here.
         self._settled_zxid = 0
-        #: leader with leases under extensions: zxid of the newest txn
-        #: it proposed (or found unsettled in its log on election) that
-        #: writes the extension registry. Grants wait until it settles.
-        self._registry_zxid = 0
         #: reads waiting for this replica to catch up to a session's zxid:
         #: (required zxid, meta, op, wants_lease), drained as txns apply.
         self._parked_reads: List[Tuple[int, RequestMeta, Op, bool]] = []
@@ -231,20 +229,6 @@ class ZkServer:
         #: Reset on role change: an uncommitted close dies with the old
         #: leadership, a committed one is visible via the session table.
         self._closing_sessions: set = set()
-        #: lease machinery (None unless ``config.leases`` is set): the
-        #: leader's grant/gate book, a follower's parked grant waits,
-        #: and the per-replica read-heat window (promotion hysteresis).
-        self._lease_table: Optional[LeaseTable] = (
-            LeaseTable(self.config.leases)
-            if self.config.leases is not None else None)
-        self._lease_waits: Dict[int, tuple] = {}
-        self._lease_wait_seq = 0
-        self._read_heat: Dict[str, int] = {}
-        self._heat_window_start = 0.0
-        if self._lease_table is not None:
-            # Closed-session grant index cleanup rides the session
-            # table's own close path (replicated, exactly-once).
-            self.sessions.on_close = self._lease_table.forget_session
         #: expiry clock paused (crashed or not leading): the first
         #: healthy sweep after a pause *rebases* every session instead
         #: of expiring it, so a long election cannot mass-expire clients
@@ -274,17 +258,18 @@ class ZkServer:
 
         #: the EZK binding (see module docstring); None = plain ZooKeeper.
         self.extensions: Optional[ExtensionBinding] = None
+        #: the lease stage (see module docstring); None = no leases.
+        self.leases: Optional[LeaseStage] = (
+            LeaseStage(self, self.config.leases)
+            if self.config.leases is not None else None)
 
         # Observability plane: the first obs-configured server installs
-        # it on the env; the tables above get their metric hooks here
-        # (they are pure bookkeeping with no env access of their own).
+        # it on the env; the session table gets its metric hook here
+        # (it is pure bookkeeping with no env access of its own).
         if self.config.obs is not None:
             obs = Observability.install(env, self.config.obs)
             self.sessions.metrics = obs.metrics
             self.sessions.metrics_node = node_id
-            if self._lease_table is not None:
-                self._lease_table.metrics = obs.metrics
-                self._lease_table.metrics_node = node_id
 
         self._alive = True
         net.register(node_id, self.handle_message)
@@ -308,7 +293,8 @@ class ZkServer:
         self.net.crash(self.node_id)
         self.broadcast.crash()
         self._parked_reads.clear()
-        self._lease_waits.clear()
+        if self.leases is not None:
+            self.leases.crash()
         # Local clients lose their connection with us; whatever we had
         # relayed for them is theirs to retry once their deadline fires.
         self._relayed.clear()
@@ -339,6 +325,10 @@ class ZkServer:
 
     def _on_session_ping(self, src: str, msg: SessionPing) -> None:
         self.heartbeats.touch(msg.session_id, self.env.now)
+
+    def _on_lease_message(self, src: str, msg: object) -> None:
+        if self.leases is not None:
+            self.leases.receive(src, msg)
 
     def _on_four_letter_request(self, src: str,
                                 msg: FourLetterRequest) -> None:
@@ -381,16 +371,21 @@ class ZkServer:
             return
         meta = RequestMeta(self.node_id, src, req.session_id, req.xid)
         if route is _SYNC:
-            self._route_sync(meta, req)
+            # ZooKeeper ``sync``: a flush to the leader with no txn.
+            self.local_sessions[req.session_id] = src
+            self._to_leader(meta, req)
             return
         routed_by_extension = (
             self.extensions is not None
             and self.extensions.consumes(str(req.session_id), op))
         if route is _UPDATE or routed_by_extension:
-            self._route_update(meta, req)
+            self.local_sessions[req.session_id] = src
+            if obs is not None:
+                obs.metrics.inc("zk.writes", self.node_id)
+            self._to_leader(meta, req)
         else:
             self._handle_read(meta, op, getattr(req, "last_zxid", 0),
-                              wants_lease=(self._lease_table is not None
+                              wants_lease=(self.leases is not None
                                            and req.__class__
                                            is LeaseClientRequest))
 
@@ -402,18 +397,6 @@ class ZkServer:
             self.net.send(self.node_id, self.broadcast.leader_id,
                           SessionPing(req.session_id))
         self._reply(src, ClientReply(req.xid, ok=True, value="pong"))
-
-    def _route_update(self, meta: RequestMeta, req: ClientRequest) -> None:
-        self.local_sessions[req.session_id] = meta.client_node
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zk.writes", self.node_id)
-        self._to_leader(meta, req)
-
-    def _route_sync(self, meta: RequestMeta, req: ClientRequest) -> None:
-        """ZooKeeper ``sync``: a flush to the leader with no transaction."""
-        self.local_sessions[meta.session_id] = meta.client_node
-        self._to_leader(meta, req)
 
     def _to_leader(self, meta: RequestMeta, req: ClientRequest) -> None:
         """Run a local client's update or sync here if we lead, else
@@ -437,8 +420,8 @@ class ZkServer:
         """Leader ingress for an update or sync, local or forwarded."""
         if op.__class__ is SyncOp:
             self._answer_sync(meta)
-        elif self._lease_table is not None:
-            self._gate_or_prep(meta, op)
+        elif self.leases is not None:
+            self.leases.admit(meta, op)
         else:
             self._enter_prep(meta, op)
 
@@ -569,334 +552,9 @@ class ZkServer:
         except ZkError as error:
             self._reply_error(meta, error)
             return
-        if wants_lease and self._try_lease_reply(meta, op, value):
+        if wants_lease and self.leases.reply(meta, op, value):
             return
-        if self.config.local_reads:
-            zxid = self._applied_zxid
-            self.read_floors.note(meta.session_id, zxid)
-            self._reply(meta.client_node,
-                        ZxidReply(meta.xid, True, value, zxid=zxid))
-            return
-        self._reply(meta.client_node, ClientReply(meta.xid, True, value))
-
-    # -- leases: grants (read side) ------------------------------------------
-
-    def _try_lease_reply(self, meta: RequestMeta, op: Op, value) -> bool:
-        """Attach a lease to this read reply if the key qualifies.
-
-        True means the reply was (or will be, once the leader answers a
-        follower's grant request) sent by the lease path; False falls
-        back to the ordinary reply tail of :meth:`_execute_read`.
-        """
-        if not isinstance(op, (GetDataOp, ExistsOp)) or op.watch:
-            return False
-        stat = value[1] if isinstance(value, tuple) else value
-        if not isinstance(stat, Stat):
-            return False          # exists() on a missing node: no key to lease
-        if not self._note_heat(op.path):
-            return False          # cold key: plain read, no leader traffic
-        zxid = self._applied_zxid
-        if self.broadcast.is_leader:
-            lease = self._leader_grant(meta.session_id, meta.client_node,
-                                       op.path)
-            if lease is None:
-                return False
-            if self.config.local_reads and meta.session_id:
-                self.read_floors.note(meta.session_id, zxid)
-            self._reply(meta.client_node, LeasedReply(
-                meta.xid, True, value, zxid=zxid,
-                lease_id=lease.lease_id, lease_expires_at=lease.expires_at,
-                lease_epoch=self.broadcast.leadership_epoch))
-            return True
-        leader = self.broadcast.leader_id
-        if leader is None:
-            return False
-        # Park the reply and ask the leader; a timeout answers plain so
-        # a dark leader can never stall reads.
-        self._lease_wait_seq += 1
-        key = self._lease_wait_seq
-        self._lease_waits[key] = (meta, op, value, zxid, stat.mzxid)
-        self.net.send(self.node_id, leader, LeaseRequest(
-            meta.session_id, op.path, key, self.node_id, meta.client_node,
-            stat.mzxid))
-        self.env.defer(self.config.leases.grant_timeout_ms,
-                       self._finish_lease_wait, key)
-        return True
-
-    def _note_heat(self, path: str) -> bool:
-        """Promotion hysteresis: lease only keys hot in the current window."""
-        cfg = self.config.leases
-        now = self.env.now
-        if now - self._heat_window_start >= cfg.heat_window_ms:
-            self._read_heat.clear()
-            self._heat_window_start = now
-        count = self._read_heat.get(path, 0) + 1
-        self._read_heat[path] = count
-        return count >= cfg.min_reads
-
-    def _leader_grant(self, session_id: int, client_node: str, path: str):
-        """Grant fence (leader): every reason a grant must be refused."""
-        table = self._lease_table
-        if table is None:
-            return None
-        if not session_id:
-            return self._deny_lease("session")
-        if self.env.now < table.recovery_until:
-            return self._deny_lease("recovery")   # old grants still at large
-        if (session_id not in self.sessions
-                or self.sessions.is_closed(session_id)
-                or session_id in self._closing_sessions):
-            # never arm a cache the fence already killed
-            return self._deny_lease("session")
-        extensions = self.extensions
-        if extensions is not None:
-            # Leases under extensions (DESIGN §11): the write sets the
-            # leader cannot know at ingress.
-            if table.unbounded_pending:
-                return self._deny_lease("unbounded")    # R1
-            if self._registry_zxid > self._settled_zxid:
-                return self._deny_lease("registry")     # R2
-            if extensions.manager.handles_events():
-                return self._deny_lease("events")       # R4
-            client_id = str(session_id)
-            if (extensions.consumes(client_id, GetDataOp(path))
-                    or extensions.consumes(client_id, ExistsOp(path))):
-                # R2, settled registry: this holder's reads of the key
-                # belong to an extension, not to a cache.
-                return self._deny_lease("consumed")
-        auth_stat = self.tree.exists(path)
-        if auth_stat is None:
-            return self._deny_lease("absent")
-        spec = self._spec_tree
-        if spec is not None:
-            spec_stat = spec.exists(path)
-            if spec_stat is None or spec_stat.mzxid != auth_stat.mzxid:
-                # a write to this key is in the pipeline
-                return self._deny_lease("in_flight")
-        lease = table.grant(path, session_id, client_node, self.env.now)
-        if lease is None:
-            return self._deny_lease("pending")   # a write to it at ingress
-        return lease
-
-    def _deny_lease(self, reason: str) -> None:
-        """Count one refused grant: the total plus its reason."""
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("leases.denied", self.node_id)
-            obs.metrics.inc("leases.denied." + reason, self.node_id)
-        return None
-
-    def _on_lease_request(self, src: str, msg: LeaseRequest) -> None:
-        if self._lease_table is None or not self.broadcast.is_leader:
-            self._deny_lease("not_leader")
-            self.net.send(self.node_id, src, LeaseDeny(msg.grant_key))
-            return
-        auth_stat = self.tree.exists(msg.path)
-        if auth_stat is None or auth_stat.mzxid != msg.mzxid:
-            # The follower read a version the leader has already moved
-            # past (or not reached — it re-checks on its side too).
-            self._deny_lease("moved")
-            self.net.send(self.node_id, src, LeaseDeny(msg.grant_key))
-            return
-        lease = self._leader_grant(msg.session_id, msg.client_node, msg.path)
-        if lease is None:
-            self.net.send(self.node_id, src, LeaseDeny(msg.grant_key))
-            return
-        self.net.send(self.node_id, src, LeaseGrant(
-            msg.grant_key, lease.lease_id, lease.expires_at,
-            self.broadcast.leadership_epoch, auth_stat.mzxid))
-
-    def _on_lease_grant(self, src: str, msg: LeaseGrant) -> None:
-        entry = self._lease_waits.pop(msg.grant_key, None)
-        if entry is None:
-            return                # timed out; the grant just expires unused
-        meta, op, value, zxid, mzxid = entry
-        stat = self.tree.exists(op.path)
-        if (msg.mzxid != mzxid or stat is None or stat.mzxid != mzxid):
-            # The key moved while the grant was in flight: installing
-            # the cached value now would hand the client stale state.
-            self._plain_read_reply(meta, value, zxid)
-            return
-        if self.config.local_reads and meta.session_id:
-            self.read_floors.note(meta.session_id, zxid)
-        self._reply(meta.client_node, LeasedReply(
-            meta.xid, True, value, zxid=zxid,
-            lease_id=msg.lease_id, lease_expires_at=msg.expires_at,
-            lease_epoch=msg.epoch))
-
-    def _on_lease_deny(self, src: str, msg: LeaseDeny) -> None:
-        self._finish_lease_wait(msg.grant_key)
-
-    def _finish_lease_wait(self, grant_key: int) -> None:
-        """Deny or grant-timeout: answer the parked read plain."""
-        entry = self._lease_waits.pop(grant_key, None)
-        if entry is None or not self._alive:
-            return
-        meta, _op, value, zxid, _mzxid = entry
-        self._plain_read_reply(meta, value, zxid)
-
-    def _plain_read_reply(self, meta: RequestMeta, value, zxid: int) -> None:
-        if self.config.local_reads:
-            if meta.session_id:
-                self.read_floors.note(meta.session_id, zxid)
-            self._reply(meta.client_node,
-                        ZxidReply(meta.xid, True, value, zxid=zxid))
-            return
-        self._reply(meta.client_node, ClientReply(meta.xid, True, value))
-
-    # -- leases: write gating (leader) ---------------------------------------
-
-    def _lease_write_paths(self, meta: RequestMeta, op: Op) -> Tuple[str, ...]:
-        if isinstance(op, (CreateOp, SetDataOp, DeleteOp)):
-            return (op.path,)
-        if isinstance(op, MultiOp):
-            return tuple(sub.path for sub in op.ops
-                         if isinstance(sub, (CreateOp, SetDataOp, DeleteOp)))
-        if isinstance(op, CloseSessionOp):
-            return self._session_ephemeral_paths(meta.session_id)
-        return ()
-
-    def _session_ephemeral_paths(self, session_id: int) -> Tuple[str, ...]:
-        tree = self._spec_tree if self._spec_tree is not None else self.tree
-        return tuple(tree.ephemerals_of(session_id))
-
-    def _gate_or_prep(self, meta: RequestMeta, op: Op) -> None:
-        """Leader write ingress with leases on: park behind revocation.
-
-        A write is fenced by its declared paths unless it is *unbounded*
-        (R1): an operation extension consumes it, or it writes the
-        extension registry. Only an extension decides such a write's
-        paths, at prep, so it fences every live lease instead.
-        """
-        paths = self._lease_write_paths(meta, op)
-        extensions = self.extensions
-        unbounded = extensions is not None and (
-            extensions.writes_registry(paths)
-            or extensions.consumes(str(meta.session_id), op))
-        self._gate(meta, op, paths, unbounded)
-
-    def _gate(self, meta: RequestMeta, op: Op, paths: Tuple[str, ...],
-              unbounded: bool) -> None:
-        """Fence a write's leases, then prep it.
-
-        The pending marks raised here stop new grants on the write's
-        paths (on every path, if unbounded) from this moment on;
-        :meth:`_prep` lowers them once the speculative tree carries the
-        write (from then on the grant fence's mzxid comparison takes
-        over).
-        """
-        table = self._lease_table
-        now = self.env.now
-        blockers = (table.all_active(now) if unbounded
-                    else table.active_on(paths, now))
-        table.acquire_pending(paths, unbounded)
-        if not blockers and now >= table.recovery_until:
-            self._enter_prep(meta, op, paths, unbounded)
-            return
-        grace = table.config.grace_ms
-        not_before = max([table.recovery_until]
-                         + [b.expires_at + grace for b in blockers])
-        gate = WriteGate("update", paths, {b.lease_id for b in blockers},
-                         not_before, meta=meta, op=op, unbounded=unbounded)
-        obs = self.env.obs
-        if obs is not None and obs.tracer is not None:
-            # Ad-hoc stamp (WriteGate is a plain dataclass): the gate
-            # wait surfaces as an aux span when the write finally fires.
-            gate.obs_gated_at = now
-        table.open_gate(gate)
-        for blocker in blockers:
-            self.net.send(self.node_id, blocker.client_node,
-                          LeaseRevoke(blocker.path, blocker.lease_id))
-        self.env.defer(max(0.0, not_before - now), self._gate_deadline, gate)
-
-    def _on_lease_revoke_ack(self, src: str, msg: LeaseRevokeAck) -> None:
-        if self._lease_table is None:
-            return
-        for gate in self._lease_table.revoked(msg.lease_id):
-            self._maybe_fire_gate(gate)
-
-    def _on_lease_release(self, src: str, msg: LeaseRelease) -> None:
-        """Voluntary early release (client sync barrier)."""
-        if self._lease_table is None:
-            return
-        if not self.broadcast.is_leader:
-            if self.broadcast.leader_id is not None:
-                self.net.send(self.node_id, self.broadcast.leader_id, msg)
-            return
-        ready: List[WriteGate] = []
-        for lease_id in msg.lease_ids:
-            ready.extend(self._lease_table.revoked(lease_id))
-        for gate in ready:
-            self._maybe_fire_gate(gate)
-
-    def _maybe_fire_gate(self, gate: WriteGate) -> None:
-        """Ack-drain path: every waited-on lease has been revoked."""
-        if gate.fired or not self._alive or gate.waiting:
-            return
-        self._fire_gate(gate)
-
-    def _gate_deadline(self, gate: WriteGate) -> None:
-        """Expiry path: unacked leases ran out their term plus grace."""
-        if gate.fired or not self._alive:
-            return
-        table = self._lease_table
-        if table is not None and gate.waiting:
-            table.purge(gate.waiting)
-            gate.waiting = set()
-        self._fire_gate(gate)
-
-    def _fire_gate(self, gate: WriteGate) -> None:
-        table = self._lease_table
-        if table is None or gate.fired:
-            return
-        table.close_gate(gate)
-        if gate.kind == "close":
-            table.release_pending(gate.paths)
-            session_id = gate.session_id
-            if (self.broadcast.is_leader and session_id in self.sessions
-                    and session_id in self._closing_sessions):
-                self._apply_to_spec(CloseSessionTxn(session_id))
-                self.broadcast.propose(CloseSessionTxn(session_id), None)
-            return
-        if not self.broadcast.is_leader:
-            table.release_pending(gate.paths, gate.unbounded)
-            self._reply_error(gate.meta,
-                              ConnectionLossError("leadership moved"))
-            return
-        obs = self.env.obs
-        gated_at = getattr(gate, "obs_gated_at", None)
-        if obs is not None and obs.tracer is not None and gated_at is not None:
-            obs.tracer.aux(gate.meta.client_node, gate.meta.xid,
-                           "lease_gate", gated_at, self.env.now,
-                           self.node_id, detail=f"paths={len(gate.paths)}")
-        self._enter_prep(gate.meta, gate.op, gate.paths, gate.unbounded)
-
-    def _gate_session_close(self, session_id: int) -> bool:
-        """Park an expiry-driven close behind leases on its ephemerals.
-
-        True when the close was gated (the sweep must not propose it);
-        False when nothing blocks it and the normal path proceeds.
-        Without this, an expiry sweep could delete a leased ephemeral
-        while its (other-session) holder still serves it from cache.
-        """
-        table = self._lease_table
-        now = self.env.now
-        paths = self._session_ephemeral_paths(session_id)
-        blockers = table.active_on(paths, now) if paths else []
-        if not blockers and now >= table.recovery_until:
-            return False
-        table.acquire_pending(paths)
-        grace = table.config.grace_ms
-        not_before = max([table.recovery_until]
-                         + [b.expires_at + grace for b in blockers])
-        gate = WriteGate("close", paths, {b.lease_id for b in blockers},
-                         not_before, session_id=session_id)
-        table.open_gate(gate)
-        for blocker in blockers:
-            self.net.send(self.node_id, blocker.client_node,
-                          LeaseRevoke(blocker.path, blocker.lease_id))
-        self.env.defer(max(0.0, not_before - now), self._gate_deadline, gate)
-        return True
+        self._succeed(meta, value, self._applied_zxid)
 
     # -- prep stage (leader) -----------------------------------------------
 
@@ -910,10 +568,10 @@ class ZkServer:
     def _prep(self, meta: RequestMeta, op: Op,
               lease_paths: Optional[Tuple[str, ...]] = None,
               unbounded: bool = False) -> None:
-        if lease_paths is not None and self._lease_table is not None:
-            # The translate below runs in this same event: from here on
-            # the speculative tree (mzxid fence) covers the write.
-            self._lease_table.release_pending(lease_paths, unbounded)
+        # ``lease_paths`` is set exactly when the lease stage gated the
+        # write (on those paths, or on every lease if ``unbounded``).
+        if lease_paths is not None:
+            self.leases.prepped(lease_paths, unbounded)
         if not self._alive:
             return
         if not self.broadcast.is_leader:
@@ -952,12 +610,7 @@ class ZkServer:
                 return
             if txn is not None:
                 if lease_paths is not None and not unbounded:
-                    # R3: the registry changed since ingress, and an
-                    # extension rewrote a write gated on its declared
-                    # paths. Drop the rewrite (nothing reached the
-                    # speculative tree) and fence every lease before
-                    # running it again.
-                    self._gate(meta, op, lease_paths, unbounded=True)
+                    self.leases.regate(meta, op, lease_paths)   # R3
                     return
                 # The extension ran against the speculative tree; apply
                 # its write-set and propose in the same event so the next
@@ -977,9 +630,8 @@ class ZkServer:
         zxid = self.broadcast.propose(txn, meta)
         self._proposed_xids[(meta.client_node, meta.xid)] = zxid
         self._mark_propose(meta, zxid)
-        if (lease_paths is not None and self.extensions is not None
-                and self.extensions.writes_registry(_txn_paths(txn))):
-            self._registry_zxid = zxid           # R2: grants wait for it
+        if lease_paths is not None:
+            self.leases.proposed(txn, zxid)     # R2
 
     def _mark_propose(self, meta: RequestMeta, zxid: int) -> None:
         obs = self.env.obs
@@ -1028,13 +680,7 @@ class ZkServer:
             value = True
         else:
             value = None
-        if self.config.local_reads:
-            if meta.session_id:
-                self.read_floors.note(meta.session_id, record.zxid)
-            self._answer(meta,
-                         ZxidReply(meta.xid, True, value, zxid=record.zxid))
-            return
-        self._answer(meta, ClientReply(meta.xid, True, value))
+        self._succeed(meta, value, zxid)
 
     def _translate(self, meta: RequestMeta, op: Op, spec: DataTree) -> Txn:
         """Turn a validated update op into a deterministic txn (mutates spec)."""
@@ -1096,10 +742,8 @@ class ZkServer:
                            now=self.env.now)
 
     def _on_role_change(self) -> None:
-        if self._lease_table is not None:
-            self._lease_reset_for_role()
-            if self.extensions is not None:
-                self._registry_zxid = self._unsettled_registry_zxid()
+        if self.leases is not None:
+            self.leases.on_role_change()
         if self.broadcast.is_leader:
             self._spec_tree = _copy_tree(self.tree)
             # Carry the at-most-once guard across elections: retries of
@@ -1121,41 +765,6 @@ class ZkServer:
             self._proposed_xids = {}
             self._closing_sessions = set()
         self._reroute_stranded()
-
-    def _lease_reset_for_role(self) -> None:
-        """Leases are leader-soft state: a role change wipes the book.
-
-        Parked writes die with the old leadership (their clients retry
-        against the new topology), and a *new* leadership that is not
-        the bootstrap one raises the recovery fence: it cannot know what
-        the old leader granted, so every write waits out one full lease
-        term — the Chubby/GFS master-failover rule.
-        """
-        table = self._lease_table
-        for gate in table.drain_gates():
-            if gate.kind == "update" and gate.meta is not None:
-                self._reply_error(gate.meta,
-                                  ConnectionLossError("leadership changed"))
-        # Fencing keys on the kernel-neutral leadership epoch (Zab
-        # epoch / Raft term): 1 is the bootstrap leadership, anything
-        # above means an election happened and old grants may be at
-        # large on clients of the previous leader.
-        epoch = self.broadcast.leadership_epoch
-        fence = self.broadcast.is_leader and epoch > 1
-        table.reset_for_leadership(epoch, self.env.now, fence)
-
-    def _unsettled_registry_zxid(self) -> int:
-        """zxid of the newest logged registry txn not yet settled here.
-
-        A new leader applies its predecessor's proposals without running
-        them through its own prep, so R2 looks for them in the log.
-        """
-        for record in reversed(self.broadcast.log):
-            if record.zxid <= self._settled_zxid:
-                break
-            if self.extensions.writes_registry(_txn_paths(record.txn)):
-                return record.zxid
-        return 0
 
     # -- final stage (every replica) ----------------------------------------
 
@@ -1270,20 +879,9 @@ class ZkServer:
         if error is not None:
             self._reply_error(meta, error)
         else:
-            value = result
-            if multi and txn.payload_set:
-                value = txn.result_payload
-            if self.config.local_reads:
-                # The write's zxid becomes the session's read floor, so a
-                # subsequent read at any replica observes this write.
-                # (session_id 0 = a CreateSession request: the floor
-                # belongs to the new session, carried by the client.)
-                if meta.session_id:
-                    self.read_floors.note(meta.session_id, record.zxid)
-                self._reply(meta.client_node,
-                            ZxidReply(meta.xid, True, value, zxid=record.zxid))
-                return
-            self._reply(meta.client_node, ClientReply(meta.xid, True, value))
+            self._succeed(meta, txn.result_payload
+                          if multi and txn.payload_set else result,
+                          record.zxid)
 
     def _register_deferred_block(self, meta: RequestMeta, path: str) -> None:
         """Defer the reply to ``meta`` until ``path`` is created.
@@ -1368,15 +966,19 @@ class ZkServer:
                     obs = self.env.obs
                     if obs is not None:
                         obs.metrics.inc("sessions.expired", self.node_id)
-                    if (self._lease_table is not None
-                            and self._gate_session_close(session_id)):
-                        # The close deletes leased ephemerals: it parks
-                        # behind revocation like any other write.
-                        continue
-                    # Spec first: _apply_to_spec stamps with the zxid
-                    # the propose() right after it will assign.
-                    self._apply_to_spec(CloseSessionTxn(session_id))
-                    self.broadcast.propose(CloseSessionTxn(session_id), None)
+                    if self.leases is not None:
+                        self.leases.close_session(session_id)
+                    else:
+                        self._propose_close(session_id)
+
+    def _propose_close(self, session_id: int) -> None:
+        """Propose an expired session's close, unless it is gone already."""
+        if (session_id in self.sessions
+                and session_id in self._closing_sessions):
+            # Spec first: _apply_to_spec stamps with the zxid the
+            # propose() right after it will assign.
+            self._apply_to_spec(CloseSessionTxn(session_id))
+            self.broadcast.propose(CloseSessionTxn(session_id), None)
 
     # -- introspection (four-letter words) -----------------------------------
 
@@ -1435,15 +1037,36 @@ class ZkServer:
         self.net.send(self.node_id, client_node, payload)
 
     def _answer(self, meta: RequestMeta, reply: ClientReply) -> None:
-        """Answer a request that ends without a transaction of its own.
+        """Answer ``meta``'s client from here.
 
-        No record will apply at the origin to settle a forwarded one, so
-        the origin is told separately (see :class:`ForwardSettled`).
+        A forwarded request answered here, at the leader, ends without a
+        record applying at its origin to settle it, so the origin is
+        told separately (see :class:`ForwardSettled`).
         """
         self._reply(meta.client_node, reply)
         if meta.origin_replica != self.node_id:
             self.net.send(self.node_id, meta.origin_replica,
                           ForwardSettled(meta.client_node, meta.xid))
+
+    def _succeed(self, meta: RequestMeta, value: Any, zxid: int,
+                 reply: Optional[ClientReply] = None) -> None:
+        """The one success tail: answer ``meta`` with ``value`` as of
+        ``zxid`` (a read's applied state, a write's own txn).
+
+        With local reads on, ``zxid`` becomes the session's read floor
+        here and rides the reply, so a later read at any replica
+        observes it (session 0 = a CreateSession request: the floor
+        belongs to the new session, carried by the client). ``reply``
+        replaces the default envelope (a lease grant).
+        """
+        if self.config.local_reads:
+            if meta.session_id:
+                self.read_floors.note(meta.session_id, zxid)
+            if reply is None:
+                reply = ZxidReply(meta.xid, True, value, zxid=zxid)
+        elif reply is None:
+            reply = ClientReply(meta.xid, True, value)
+        self._answer(meta, reply)
 
     def _reply_error(self, meta: RequestMeta, error: ZkError) -> None:
         self._answer(meta, ClientReply(
@@ -1458,13 +1081,6 @@ def _copy_tree(tree: DataTree) -> DataTree:
     copy = DataTree()
     copy.restore(tree.snapshot())
     return copy
-
-
-def _txn_paths(txn: Txn) -> List[str]:
-    """The paths a txn writes by name (session txns write none)."""
-    subs = txn.txns if txn.__class__ is MultiTxn else (txn,)
-    return [sub.path for sub in subs
-            if sub.__class__ in (CreateTxn, SetDataTxn, DeleteTxn)]
 
 
 def _apply_txn_to_tree(tree: DataTree, txn: Txn, zxid: int, now: float,
@@ -1551,11 +1167,7 @@ _INBOX = {
     Forward: ZkServer._on_forward,
     ForwardSettled: ZkServer._on_forward_settled,
     SessionPing: ZkServer._on_session_ping,
-    LeaseRequest: ZkServer._on_lease_request,
-    LeaseGrant: ZkServer._on_lease_grant,
-    LeaseDeny: ZkServer._on_lease_deny,
-    LeaseRevokeAck: ZkServer._on_lease_revoke_ack,
-    LeaseRelease: ZkServer._on_lease_release,
+    **dict.fromkeys(LEASE_MESSAGES, ZkServer._on_lease_message),
     FourLetterRequest: ZkServer._on_four_letter_request,
 }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 __all__ = ["Session", "SessionTable", "HeartbeatTracker", "ExpiryClock",
            "ConsistencyTracker"]
@@ -44,10 +44,6 @@ class SessionTable:
     def __init__(self):
         self._sessions: Dict[int, Session] = {}
         self._closed_ids: Set[int] = set()
-        #: called with the session id when a close applies (first copy
-        #: only). The lease table hangs its grant-index cleanup here so
-        #: closed sessions cannot accumulate bookkeeping.
-        self.on_close: Optional[Callable[[int], None]] = None
         #: optional obs hooks (a MetricsRegistry plus the owning node's
         #: label), assigned by the server — the table has no env access.
         self.metrics = None
@@ -68,8 +64,6 @@ class SessionTable:
             self._closed_ids.add(session_id)
             if self.metrics is not None:
                 self.metrics.inc("sessions.closed", self.metrics_node)
-            if self.on_close is not None:
-                self.on_close(session_id)
         return session
 
     def get(self, session_id: int) -> Optional[Session]:

@@ -18,8 +18,9 @@ from repro.obs import FourLetterRequest
 from repro.sim import Environment
 from repro.zk.data_tree import DataTree
 from repro.zk.errors import ZkError
+import repro.zk.leases as leases_mod
 from repro.zk.leases import (LeaseDeny, LeaseGrant, LeaseRelease,
-                             LeaseRequest, LeaseRevokeAck)
+                             LeaseRequest, LeaseRevokeAck, LeaseStage)
 from repro.zk.server import Forward, ForwardSettled, SessionPing, ZkServer
 from repro.zk.txn import (ClientRequest, CloseSessionTxn, CreateSessionTxn,
                           CreateTxn, DeleteTxn, ErrorTxn, MultiTxn,
@@ -51,18 +52,23 @@ def ladder_route(ladder, cls):
 
 # -- ZkServer.handle_message -------------------------------------------------
 
+#: The lease stage's chain: the five lease messages a replica receives.
+LEASE_LADDER = [
+    (LeaseRequest, LeaseStage._on_request),
+    (LeaseGrant, LeaseStage._on_grant),
+    (LeaseDeny, LeaseStage._on_deny),
+    (LeaseRevokeAck, LeaseStage._on_revoke_ack),
+    (LeaseRelease, LeaseStage._on_release),
+]
+
 #: The server's chain: client requests first, then the kernel, then the
-#: server's own protocol messages.
+#: server's own protocol messages; the lease messages go to its stage.
 SERVER_LADDER = [
     (ClientRequest, ZkServer._on_client_request),
     (Forward, ZkServer._on_forward),
     (ForwardSettled, ZkServer._on_forward_settled),
     (SessionPing, ZkServer._on_session_ping),
-    (LeaseRequest, ZkServer._on_lease_request),
-    (LeaseGrant, ZkServer._on_lease_grant),
-    (LeaseDeny, ZkServer._on_lease_deny),
-    (LeaseRevokeAck, ZkServer._on_lease_revoke_ack),
-    (LeaseRelease, ZkServer._on_lease_release),
+    *[(root, ZkServer._on_lease_message) for root, _ in LEASE_LADDER],
     (FourLetterRequest, ZkServer._on_four_letter_request),
 ]
 
@@ -88,6 +94,15 @@ def test_server_table_lists_client_request_subclasses_explicitly():
 def test_server_table_holds_nothing_the_ladder_did_not_match():
     for cls, handler in server_mod._INBOX.items():
         assert ladder_route(SERVER_LADDER, cls) is handler, cls
+
+
+def test_lease_stage_table_matches_its_ladder():
+    for root, _ in LEASE_LADDER:
+        for cls in family(root):
+            assert (leases_mod._RECEIVERS.get(cls)
+                    is ladder_route(LEASE_LADDER, cls)), cls
+    for cls, handler in leases_mod._RECEIVERS.items():
+        assert ladder_route(LEASE_LADDER, cls) is handler, cls
 
 
 def _kernel_messages():

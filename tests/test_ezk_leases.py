@@ -219,7 +219,7 @@ def test_r3_rewrite_at_prep_is_fenced_again():
                            src=reader.node_id)
     update = ens.env.process(writer.set_data("/q", b"new"))
     ens.env.run(until=ens.env.now + 5.0)
-    assert ens.leader._lease_table.gates, "the update must wait at the gate"
+    assert ens.leader.leases.table.gates, "the update must wait at the gate"
     for binding in ens.bindings:
         binding.manager.acknowledge("redirect", writer.client_id)
     assert ens.env.run(until=update) == "redirected"

@@ -5,7 +5,9 @@ then drives the full protocol end-to-end: sub-RTT cache hits, writes
 blocking on revocation with no stale read past a committed write, the
 sync() cache bypass, leader failover mid-lease (epoch fence), dead
 lease holders (gate deadline), and expiry-sweep close gating when the
-dying session's ephemeral is leased.
+dying session's ephemeral is leased. The last three cases run over both
+consensus kernels: a dark leader's grant timeout, a gated update whose
+leader crashes, and a follower relaying its client's sync release.
 """
 
 from __future__ import annotations
@@ -13,19 +15,25 @@ from __future__ import annotations
 import pytest
 
 from repro.zk import NoNodeError, Stat, ZkEnsemble
+from repro.zk.client import _DEFAULT_TIMEOUT_MS
 from repro.zk.leases import (CACHE_MISS, ClientReadCache, LeaseConfig,
-                             LeaseTable)
+                             LeaseRequest, LeaseRevoke, LeaseTable)
 from repro.zk.server import ZkConfig
 
-LEASES = LeaseConfig(duration_ms=400.0, grace_ms=50.0, min_reads=2,
-                     heat_window_ms=100.0)
+LEASES = LeaseConfig()
+KERNELS = ["zab", "raft"]
+
+
+def make_ensemble(kernel="zab"):
+    ens = ZkEnsemble(n_replicas=3, seed=1,
+                     config=ZkConfig(kernel=kernel, leases=LEASES))
+    ens.start()
+    return ens
 
 
 @pytest.fixture
 def ensemble():
-    ens = ZkEnsemble(n_replicas=3, config=ZkConfig(leases=LEASES), seed=1)
-    ens.start()
-    return ens
+    return make_ensemble()
 
 
 def run(ensemble, *generators):
@@ -241,7 +249,7 @@ def test_leader_failover_mid_lease(ensemble):
     # The new leader lost the lease table; the epoch fence holds all
     # writes for a full lease duration + grace, so the orphan lease
     # expires before any post-failover write can commit.
-    recovery = ensemble.leader._lease_table.recovery_until
+    recovery = ensemble.leader.leases.table.recovery_until
     assert recovery > env.now
 
     def after():
@@ -319,3 +327,92 @@ def test_expiry_close_gated_on_leased_ephemeral(ensemble):
             yield from holder.get_data("/eph")
 
     run(ensemble, final_read())
+
+
+# ---------------------------------------------------------------------------
+# end-to-end, both kernels: the grant timeout, the gate drain, the relay
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_dark_leader_read_is_answered_plain_after_grant_timeout(kernel):
+    # The follower parks a hot read's reply on its LeaseRequest. The
+    # leader never hears it: the grant timeout answers plain, so a dark
+    # leader delays reads by one timeout and never stalls them.
+    ens = make_ensemble(kernel)
+    client = connected_client(ens, replica="zk1", cached_reads=True)
+    env = ens.env
+    run(ens, client.create("/hot", b"v1"))
+    ens.net.add_drop_rule(msg_types=[LeaseRequest], dst=ens.leader.node_id)
+    latencies = []
+
+    def reads():
+        for _ in range(LEASES.min_reads):
+            t0 = env.now
+            data, _stat = yield from client.get_data("/hot")
+            assert data == b"v1"
+            latencies.append(env.now - t0)
+
+    run(ens, reads())
+    cold, parked = latencies
+    assert cold < 1.0                     # below min_reads: no grant asked
+    assert LEASES.grant_timeout_ms <= parked < LEASES.grant_timeout_ms + 1.0
+    assert client._cache.stats["installs"] == 0
+    assert client._cache.data("/hot", env.now) is CACHE_MISS
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_update_gated_when_its_leader_crashes_applies_once(kernel):
+    # The update waits at zk0's gate on a lease whose holder never acks.
+    # zk0 crashes, a new leader is elected, the gate's deadline passes
+    # while zk0 is down, and zk0 recovers: its role change drains the
+    # gate with ConnectionLoss, and the client's retry through zk0
+    # applies the write once, well inside the client's RPC deadline.
+    ens = make_ensemble(kernel)
+    reader = connected_client(ens, replica="zk1", cached_reads=True)
+    writer = connected_client(ens, replica="zk0")
+    env = ens.env
+    run(ens, reader.create("/hot", b"old"))
+    run(ens, heat_up(reader, "/hot"))
+    assert reader._cache.data("/hot", env.now) is not CACHE_MISS
+    ens.net.crash(reader.node_id)
+    old = ens.server("zk0")
+    assert old.is_leader
+    sent_at = env.now
+    update = env.process(writer.set_data("/hot", b"new"))
+    env.run(until=env.now + 5.0)
+    gates = old.leases.table.gates
+    assert gates, "the update must wait at the gate"
+    gate = gates[0]
+    old.crash()
+    run_until(ens, lambda: ens.leader is not None and ens.leader is not old)
+    run_until(ens, lambda: env.now >= gate.parked_at + LEASES.duration_ms
+              + LEASES.grace_ms)
+    assert not gate.fired
+    old.recover()
+    env.run(until=update)
+    assert gate.fired
+    assert env.now - sent_at < _DEFAULT_TIMEOUT_MS
+    run_until(ens, lambda: all(server.tree.exists("/hot").version == 1
+                               for server in ens.servers))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_follower_relays_sync_release_to_free_a_parked_writer(kernel):
+    # The revoke never reaches the reader, so only its release can free
+    # the writer before the lease expires. The reader's sync() drops its
+    # cache and hands the lease ids to its follower, which relays them.
+    ens = make_ensemble(kernel)
+    reader = connected_client(ens, replica="zk1", cached_reads=True)
+    writer = connected_client(ens, replica="zk2")
+    env = ens.env
+    run(ens, reader.create("/hot", b"old"))
+    run(ens, heat_up(reader, "/hot"))
+    expires_at = reader._cache.entries["/hot"].expires_at
+    ens.net.add_drop_rule(msg_types=[LeaseRevoke], dst=reader.node_id)
+    update = env.process(writer.set_data("/hot", b"new"))
+    run_until(ens, lambda: ens.leader.leases.table.gates, step_ms=0.5)
+    run(ens, reader.sync())
+    env.run(until=update)
+    assert env.now < expires_at
+    assert ens.leader.tree.get_data("/hot")[0] == b"new"

@@ -23,8 +23,7 @@ from repro.zk.leases import CACHE_MISS, LeaseConfig
 from repro.zk.server import ZkConfig
 from tests.broadcast_harness import BroadcastCluster
 
-LEASES = LeaseConfig(duration_ms=400.0, grace_ms=50.0, min_reads=2,
-                     heat_window_ms=100.0)
+LEASES = LeaseConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def test_raft_leader_change_fences_leases(raft_ensemble):
     epoch_after = new_leader.broadcast.leadership_epoch
     assert epoch_after > epoch_before, \
         "a Raft leader change must raise the leadership epoch"
-    recovery = new_leader._lease_table.recovery_until
+    recovery = new_leader.leases.table.recovery_until
     assert recovery >= env.now, \
         "the epoch fence must hold writes for a full lease term"
 
@@ -258,6 +257,6 @@ def test_raft_leader_change_fences_leases(raft_ensemble):
     run(ens, regrant())
     run_until(ens, lambda: any(
         lease_id >= epoch_after * 1_000_000
-        for holders in new_leader._lease_table.leases.values()
+        for holders in new_leader.leases.table.leases.values()
         for lease_id in holders),
         limit_ms=5_000.0)
