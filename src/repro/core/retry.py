@@ -17,6 +17,13 @@ exact RNG consumption order (jitter is drawn only for ``attempt > 0``)
 ``zk/client.py``. The DepSpace retransmit timer is the degenerate
 policy ``RetryPolicy(1000, 1000, 1, jitter=False)``: a constant delay
 that consumes no randomness.
+
+The request/reply waits that do *not* retransmit on a timer (the
+ZooKeeper client's calls and probes, the hot-chain RPCs) bound each
+attempt with :func:`arm_deadline` instead: one deferred callback that
+answers the call's future with :data:`TIMED_OUT`. The caller cancels it
+as soon as the future settles, so a reply does not stay reachable from
+the event queue for the rest of the deadline.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "Backoff", "ZK_RETRY_POLICY", "DS_RETRY_POLICY"]
+__all__ = ["RetryPolicy", "Backoff", "ZK_RETRY_POLICY", "DS_RETRY_POLICY",
+           "TIMED_OUT", "arm_deadline"]
 
 
 @dataclass(frozen=True)
@@ -77,3 +85,28 @@ ZK_RETRY_POLICY = RetryPolicy(base_ms=50.0, cap_ms=800.0, multiplier=2.0,
 #: The DepSpace client's fixed retransmit timer expressed as a policy.
 DS_RETRY_POLICY = RetryPolicy(base_ms=1000.0, cap_ms=1000.0, multiplier=1.0,
                               jitter=False)
+
+
+#: The value a deadline delivers to a call's future in place of a reply.
+TIMED_OUT = object()
+
+
+def arm_deadline(env, delay_ms: float, pending: dict, key, future):
+    """Answer ``future`` with :data:`TIMED_OUT` in ``delay_ms`` unless a
+    reply settles it first; returns the deferred callback.
+
+    On expiry ``key`` leaves ``pending`` (the caller's table of calls
+    awaiting a reply). The ``triggered`` check also covers retries that
+    reuse the key: a stale deadline holds the *old* future and must not
+    pop the replacement. The caller ``cancel()``s the callback once its
+    ``yield future`` returns: the entry stays queued and fires as a
+    no-op, so the event stream is unchanged, but it no longer holds the
+    future and the reply.
+    """
+    return env.defer(delay_ms, _expire, pending, key, future)
+
+
+def _expire(pending: dict, key, future) -> None:
+    if not future.triggered:
+        pending.pop(key, None)
+        future.succeed(TIMED_OUT)

@@ -126,6 +126,15 @@ class CalendarQueue:
         return (not self._imm and not self._extra and not self._occ
                 and self._si >= len(self._snap))
 
+    def items(self) -> List[Any]:
+        """Every pending item, unordered (inspection only)."""
+        items = list(self._imm)
+        items.extend(entry[2] for entry in self._snap[self._si:])
+        items.extend(entry[2] for entry in self._extra)
+        for bucket in self._wheel.values():
+            items.extend(entry[2] for entry in bucket)
+        return items
+
     def peek(self) -> Optional[float]:
         """Time of the next occurrence, or None if the queue is empty."""
         if self._imm:

@@ -147,6 +147,17 @@ class Environment:
         self.events_processed += 1
         event._process()
 
+    def queued(self) -> list:
+        """Every pending occurrence (events and callbacks), unordered.
+
+        An inspection aid for tests and memory probes: what the queue
+        still holds, on either kernel.
+        """
+        cal = self._cal
+        if cal is None:
+            return [entry[2] for entry in self._queue]
+        return cal.items()
+
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if the queue is empty."""
         cal = self._cal

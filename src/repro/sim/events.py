@@ -31,6 +31,10 @@ __all__ = [
 _PENDING = object()
 
 
+def _noop() -> None:
+    """What a cancelled :class:`Callback` runs."""
+
+
 class Callback:
     """A lightweight one-shot scheduled callback.
 
@@ -39,8 +43,7 @@ class Callback:
     nothing ever waits on. A full :class:`Event` costs an object with a
     callbacks list plus a closure per occurrence; this slotted wrapper
     carries just the function and its arguments. It is **not awaitable**
-    — processes must not yield it — and it cannot be cancelled; use
-    :class:`Event` when either is needed.
+    — processes must not yield it; use :class:`Event` for that.
     """
 
     __slots__ = ("fn", "args")
@@ -48,6 +51,16 @@ class Callback:
     def __init__(self, fn: Callable[..., None], args: tuple = ()):
         self.fn = fn
         self.args = args
+
+    def cancel(self) -> None:
+        """Drop the function and its arguments; the entry fires as a no-op.
+
+        The queue entry stays where it is, so the event count, the
+        sequence numbers and the tie order of everything else are
+        unchanged: cancelling only lets go of what the callback held.
+        """
+        self.fn = _noop
+        self.args = ()
 
     def _process(self) -> None:
         self.fn(*self.args)
@@ -264,6 +277,20 @@ class _Condition(Event):
     def _observe(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _detach(self) -> None:
+        """Unsubscribe from every constituent still pending.
+
+        Called once the condition has triggered, after which ``_observe``
+        is a no-op: a losing constituent (say, the deadline a reply beat)
+        still fires, but no longer holds this condition, the winner and
+        its value until then.
+        """
+        observe = self._observe
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks is not None and observe in callbacks:
+                callbacks.remove(observe)
+
     def _collect(self) -> dict[Event, Any]:
         # Timeouts carry their value from construction, so membership is
         # decided by *processed* (the event actually fired), not triggered.
@@ -282,6 +309,7 @@ class AnyOf(_Condition):
             self.fail(event._value)
         else:
             self.succeed(self._collect())
+        self._detach()
 
 
 class AllOf(_Condition):
@@ -294,6 +322,7 @@ class AllOf(_Condition):
             return
         if not event._ok:
             self.fail(event._value)
+            self._detach()
             return
         self._pending -= 1
         if self._pending <= 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.retry import ZK_RETRY_POLICY, RetryPolicy
+from ..core.retry import TIMED_OUT, ZK_RETRY_POLICY, RetryPolicy, arm_deadline
 from ..sim import Environment, Event, Network
 from .data_tree import Stat
 from .errors import ConnectionLossError, SessionExpiredError, from_code
@@ -43,9 +43,6 @@ from .watches import EventType
 __all__ = ["ZkClient", "SessionState"]
 
 _DEFAULT_TIMEOUT_MS = 3000.0
-
-#: Sentinel delivered to a pending call when its timer expires first.
-_TIMED_OUT = object()
 
 #: How often a call with no deadline (a blocking primitive) probes its
 #: replica's liveness — the stand-in for TCP noticing a broken socket.
@@ -188,17 +185,6 @@ class ZkClient:
 
     # -- RPC core ----------------------------------------------------------
 
-    def _expire(self, xid: int, future: Event) -> None:
-        """Deliver the timeout sentinel if the call is still outstanding.
-
-        The ``triggered`` check also protects retries that reuse the
-        xid: a stale timer holds the *old* future and must not pop the
-        replacement from ``_pending``.
-        """
-        if not future.triggered:
-            self._pending.pop(xid, None)
-            future.succeed(_TIMED_OUT)
-
     def _call(self, op: Op, timeout_ms: Optional[float] = _DEFAULT_TIMEOUT_MS):
         """Issue one request; retries on another replica after a timeout."""
         if self._closed:
@@ -242,11 +228,13 @@ class ZkClient:
                 # Deadline as a deferred callback: one slotted Callback
                 # instead of a Timeout event plus an AnyOf condition per
                 # RPC (this is the client library's hottest line).
-                self.env.defer(timeout_ms, self._expire, xid, future)
+                deadline = arm_deadline(self.env, timeout_ms, self._pending,
+                                        xid, future)
                 reply = yield future
+                deadline.cancel()
             else:
                 reply = yield from self._await_blocking(xid, future, request)
-            if reply is _TIMED_OUT:
+            if reply is TIMED_OUT:
                 # Timed out: assume the replica is gone and fail over.
                 if attempts >= 2 * len(self.replicas) + 1:
                     if tracer is not None:
@@ -345,7 +333,7 @@ class ZkClient:
                 return future.value
             if self.net.is_crashed(self.replica):
                 self._pending.pop(xid, None)
-                return _TIMED_OUT
+                return TIMED_OUT
             probes += 1
             if probes % 2 == 0:
                 self.net.send(self.node_id, self.replica, request)
@@ -514,7 +502,7 @@ class ZkClient:
             else:
                 op = GetChildrenOp(path, watch=True)
             reply = yield from self._probe(op)
-            if reply is _TIMED_OUT:
+            if reply is TIMED_OUT:
                 return False
             if not reply.ok:
                 if reply.error_code == SessionExpiredError.code:
@@ -535,7 +523,7 @@ class ZkClient:
         # replica answers and re-points our session's notification
         # routing at it (fenced pong => the session is gone).
         reply = yield from self._probe(PingOp())
-        if reply is _TIMED_OUT:
+        if reply is TIMED_OUT:
             return False
         if not reply.ok:
             if reply.error_code == SessionExpiredError.code:
@@ -557,8 +545,10 @@ class ZkClient:
         else:
             request = ClientRequest(session, xid, op)
         self.net.send(self.node_id, self.replica, request)
-        self.env.defer(timeout_ms, self._expire, xid, future)
+        deadline = arm_deadline(self.env, timeout_ms, self._pending, xid,
+                                future)
         reply = yield future
+        deadline.cancel()
         return reply
 
     def _compare_rearmed(self, kind: str, path: str, known: tuple,

@@ -43,6 +43,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.retry import TIMED_OUT, arm_deadline
 from ..sim import Environment, Event, Network
 from .client import ZkClient
 from .errors import ZkError
@@ -52,8 +53,6 @@ __all__ = ["HotChainConfig", "ChainNode", "HotChainController",
 
 #: the control-plane znode: JSON {epoch, members, keys}.
 CONFIG_PATH = "/hotchain/config"
-
-_TIMED_OUT = object()
 
 
 @dataclass(frozen=True)
@@ -440,14 +439,11 @@ class HotChainController:
         future = self.env.event()
         self._pending[xid] = future
         self.net.send(self.node_id, dst, msg)
-        self.env.defer(self.config.rpc_timeout_ms, self._expire, xid, future)
+        deadline = arm_deadline(self.env, self.config.rpc_timeout_ms,
+                                self._pending, xid, future)
         reply = yield future
-        return None if reply is _TIMED_OUT else reply
-
-    def _expire(self, xid: int, future: Event) -> None:
-        if not future.triggered:
-            self._pending.pop(xid, None)
-            future.succeed(_TIMED_OUT)
+        deadline.cancel()
+        return None if reply is TIMED_OUT else reply
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -648,14 +644,11 @@ class HotChainRouter:
         future = self.env.event()
         self._pending[xid] = future
         self.net.send(self.node_id, dst, build(xid))
-        self.env.defer(self.config.rpc_timeout_ms, self._expire, xid, future)
+        deadline = arm_deadline(self.env, self.config.rpc_timeout_ms,
+                                self._pending, xid, future)
         reply = yield future
-        return None if reply is _TIMED_OUT else reply
-
-    def _expire(self, xid: int, future: Event) -> None:
-        if not future.triggered:
-            self._pending.pop(xid, None)
-            future.succeed(_TIMED_OUT)
+        deadline.cancel()
+        return None if reply is TIMED_OUT else reply
 
     #: chain RPC attempts (each a timeout + config refresh) before a
     #: promoted key's operation gives up on the chain. The controller

@@ -58,6 +58,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..sim import Callback
 from .data_tree import Stat
 from .errors import ConnectionLossError
 from .txn import (CloseSessionOp, CreateOp, CreateTxn, DeleteOp, DeleteTxn,
@@ -210,6 +211,9 @@ class WriteGate:
     the write once every lease it waits on is revoked or expired, and
     ``abort(reason)`` answers its client when leadership moves first
     (``None`` for a write no client waits on: an expiry close).
+    ``deadline`` is the deferred lease-term-plus-grace release; a gate
+    that settles before it cancels it, so the queued entry stops
+    holding the gate, its continuations and the write they carry.
     """
 
     paths: Tuple[str, ...]
@@ -219,6 +223,7 @@ class WriteGate:
     abort: Optional[Callable[[str], None]] = None
     unbounded: bool = False         # fences every live lease (see LeaseTable)
     fired: bool = False
+    deadline: Optional[Callback] = None
 
 
 class LeaseTable:
@@ -695,7 +700,8 @@ class LeaseStage:
         for blocker in blockers:
             self.net.send(self.node_id, blocker.client_node,
                           LeaseRevoke(blocker.path, blocker.lease_id))
-        self.env.defer(max(0.0, not_before - now), self._deadline, gate)
+        gate.deadline = self.env.defer(max(0.0, not_before - now),
+                                       self._deadline, gate)
 
     def _deadline(self, gate: WriteGate) -> None:
         """Leases still unacked have run out their term plus grace."""
@@ -709,6 +715,7 @@ class LeaseStage:
         if gate.fired or gate.waiting or not self.server._alive:
             return
         self.table.close_gate(gate)
+        gate.deadline.cancel()
         if self.broadcast.is_leader:
             gate.proceed(gate.parked_at)
             return

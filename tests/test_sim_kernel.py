@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import weakref
+
 import pytest
 
 from repro.sim import Environment, Infeasible, Interrupted
@@ -271,3 +273,100 @@ def test_yield_already_processed_event():
 
     p = env.process(late(env))
     assert env.run(until=p) == "early"
+
+
+# ---------------------------------------------------------------------------
+# settled requests let go: cancelled callbacks and detached conditions
+# (both kernels, through the sim_kernel fixture)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["calendar", "heap"])
+def kernel_env(request, sim_kernel):
+    sim_kernel(request.param)
+    return Environment()
+
+
+class _Payload:
+    """Weak-referenceable stand-in for what a callback holds."""
+
+
+def test_cancelled_callback_drops_args_but_still_fires_in_place(kernel_env):
+    env = kernel_env
+    order = []
+    payload = _Payload()
+    held = weakref.ref(payload)
+    env.defer(1.0, order.append, "a")
+    victim = env.defer(1.0, order.append, payload)
+    env.defer(1.0, order.append, "b")
+    env.defer(0.5, order.append, "early")
+    victim.cancel()
+    del payload
+    assert held() is None
+    env.run()
+    assert order == ["early", "a", "b"]
+    # The cancelled entry still fired: the event count is unchanged.
+    assert env.events_processed == 4
+
+
+def test_any_of_won_by_future_detaches_from_the_losing_timer(kernel_env):
+    env = kernel_env
+    future = env.event()
+    timer = env.timeout(100.0)
+
+    def waiter():
+        outcome = yield env.any_of([future, timer])
+        return list(outcome.values())
+
+    proc = env.process(waiter())
+    env.defer(1.0, future.succeed, "reply")
+    assert env.run(until=proc) == ["reply"]
+    assert timer.callbacks == []
+    env.run()
+    assert env.now == 100.0 and timer.processed
+
+
+def test_failed_all_of_detaches_from_the_rest(kernel_env):
+    env = kernel_env
+    bad = env.event()
+    slow = env.timeout(50.0)
+
+    def waiter():
+        try:
+            yield env.all_of([bad, slow])
+        except ValueError as exc:
+            return str(exc)
+
+    proc = env.process(waiter())
+    env.defer(1.0, bad.fail, ValueError("boom"))
+    assert env.run(until=proc) == "boom"
+    assert slow.callbacks == []
+
+
+def test_interrupt_while_waiting_on_any_of(kernel_env):
+    env = kernel_env
+    future = env.event()
+    timer = env.timeout(100.0)
+    log = []
+
+    def sleeper():
+        try:
+            yield env.any_of([future, timer])
+        except Interrupted as interruption:
+            log.append((env.now, interruption.cause))
+        log.append((yield future))
+
+    victim = env.process(sleeper())
+
+    def interrupter():
+        yield env.timeout(2.0)
+        victim.interrupt("wake up")
+        yield env.timeout(1.0)
+        future.succeed("late")
+
+    env.process(interrupter())
+    env.run(until=10.0)
+    assert log == [(2.0, "wake up"), "late"]
+    # The abandoned condition still settled on the future and let go of
+    # the timer.
+    assert timer.callbacks == []
