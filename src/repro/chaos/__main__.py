@@ -65,6 +65,10 @@ def main(argv=None) -> int:
     if args.history:
         print("-- history --")
         print(run.history.canonical())
+    if run.measures:
+        print("-- measures --")
+        for name, value in sorted(run.measures.items()):
+            print(f"{name} {value:.2f}")
     print("-- verdict --")
     print("PASS" if run.ok else f"FAIL: {run.result.reason}")
     return 0 if run.ok else 1

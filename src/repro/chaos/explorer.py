@@ -30,7 +30,7 @@ accordingly instead of raising false alarms.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..bench.systems import EXTENSIBLE, make_chaos_ensemble
 from ..recipes import (ExtensionBarrier, ExtensionElection, ExtensionQueue,
@@ -79,6 +79,8 @@ class ChaosRun:
     repro: str
     #: consensus kernel the cell ran over (None = the family default).
     kernel: Optional[str] = None
+    #: the timings (ms) a budget cell judged its verdict on, by name.
+    measures: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

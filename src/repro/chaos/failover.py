@@ -74,32 +74,48 @@ def run_failover_chaos(system: str, seed: int, kernel: Optional[str] = None,
     run = run_chaos(system, "counter", seed, ops_per_client=_OPS_PER_CLIENT,
                     rounds=0, schedule=_SCHEDULE, nemesis_cls=timing_nemesis,
                     kernel=kernel, obs=obs)
+    measures = _measure(run.history, elections)
     result = run.result
     if result.ok:
         result = check_committed_sessions(ensembles[0])
     if result.ok:
-        result = _check_budget(run.history, elections)
+        result = _check_budget(measures)
     return dataclasses.replace(
-        run, recipe=FAILOVER_SCENARIO, result=result,
+        run, recipe=FAILOVER_SCENARIO, result=result, measures=measures,
         repro=repro_line(system, FAILOVER_SCENARIO, seed, kernel=kernel))
 
 
-def _check_budget(history: History, elections: list) -> CheckResult:
-    if not elections:
-        return CheckResult(False, "failover budget: no new leader was "
-                                  "ever established")
+def _measure(history: History, elections: list) -> dict:
+    """``election_ms`` (crash → new established leader, absent if none
+    was), ``slowest_call_ms`` and ``steady_call_ms`` (the slowest call
+    that returned before the crash)."""
     # Single client calls only: a recipe-level increment may loop over
     # several of them (a lost cas race is contention, not outage).
     calls = [op for op in history.ops()
              if op.op not in _RECIPE_MARKS and op.return_time is not None]
-    steady = max((op.return_time - op.invoke_time for op in calls
-                  if op.return_time < _CRASH_AT_MS), default=0.0)
-    stall = max(op.return_time - op.invoke_time for op in calls)
-    budget = elections[0] + ZK_RETRY_POLICY.base_ms + steady
-    if stall > budget:
+    measures = {
+        "slowest_call_ms": max((op.return_time - op.invoke_time
+                                for op in calls), default=0.0),
+        "steady_call_ms": max((op.return_time - op.invoke_time
+                               for op in calls
+                               if op.return_time < _CRASH_AT_MS),
+                              default=0.0),
+    }
+    if elections:
+        measures["election_ms"] = elections[0]
+    return measures
+
+
+def _check_budget(measures: dict) -> CheckResult:
+    election = measures.get("election_ms")
+    if election is None:
+        return CheckResult(False, "failover budget: no new leader was "
+                                  "ever established")
+    stall, steady = measures["slowest_call_ms"], measures["steady_call_ms"]
+    if stall > election + ZK_RETRY_POLICY.base_ms + steady:
         return CheckResult(
             False, f"failover budget: a client call took {stall:.0f} ms; "
-                   f"the election took {elections[0]:.0f} ms "
+                   f"the election took {election:.0f} ms "
                    f"(+{ZK_RETRY_POLICY.base_ms:g} ms backoff step, "
                    f"+{steady:.0f} ms worst fault-free call)")
     return CheckResult(True)

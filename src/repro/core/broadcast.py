@@ -52,14 +52,19 @@ Crash/recovery semantics: ``crash()`` models a process failure with an
 fsync'd log — the log, commit pointer and delivery watermark survive;
 ``recover()`` rejoins and re-syncs. ``handle(src, msg)`` feeds the
 kernel a transport message and returns False for foreign payloads.
+
+Failure detection: a leader-based kernel's follower suspects its leader
+once it has heard nothing for its election timeout, at
+``last contact + timeout`` exactly — not on the heartbeat tick after
+it. :func:`detector_wait` is that rule, shared by Zab and Raft.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["AtomicBroadcast", "NotLeaderError", "ZK_KERNELS", "DS_KERNELS",
-           "make_zxid", "zxid_epoch", "zxid_counter"]
+           "detector_wait", "make_zxid", "zxid_epoch", "zxid_counter"]
 
 
 class NotLeaderError(Exception):
@@ -77,6 +82,28 @@ def zxid_epoch(zxid: int) -> int:
 
 def zxid_counter(zxid: int) -> int:
     return zxid & 0xFFFFFFFF
+
+
+def detector_wait(now: float, last_contact: float, timeout_ms: float,
+                  heartbeat_ms: float) -> Tuple[float, bool]:
+    """One step of a follower's failure detector: ``(sleep_ms, due)``.
+
+    While the deadline ``last_contact + timeout_ms`` is more than one
+    heartbeat away the detector sleeps one heartbeat, so in a fault-free
+    run (silence never nears a multi-heartbeat timeout) it ticks exactly
+    as a plain heartbeat loop would. Within one heartbeat it sleeps to
+    the deadline itself. Once the deadline has passed (an election the
+    kernel still holds open, say) it sleeps one heartbeat again — never
+    zero, which would spin at one instant. ``due`` says the deadline
+    falls by the end of the sleep: the caller suspects the leader on
+    waking iff its stored last-contact time still equals
+    ``last_contact`` — a comparison of the stored value, so float
+    rounding of the sleep cannot make the detector miss its deadline.
+    """
+    remaining = last_contact + timeout_ms - now
+    if 0.0 < remaining <= heartbeat_ms:
+        return remaining, True
+    return heartbeat_ms, remaining <= 0.0
 
 
 #: kernels selectable via ``ZkConfig.kernel`` / ``DsConfig.kernel``.

@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
 
-from ..core.broadcast import (AtomicBroadcast, NotLeaderError, make_zxid)
+from ..core.broadcast import (AtomicBroadcast, NotLeaderError, detector_wait,
+                              make_zxid)
 from ..sim import Environment
 
 __all__ = ["RaftConfig", "RaftPeer", "RaftRole", "RaftEntry", "RaftRecord",
@@ -377,17 +378,27 @@ class RaftPeer(AtomicBroadcast):
 
     def _ticker(self):
         """One loop per live incarnation: leader heartbeats double as
-        backfill probes; followers watch for leader silence."""
+        backfill probes; followers suspect the leader at last contact +
+        election timeout (``detector_wait``)."""
+        heartbeat = self.config.heartbeat_ms
         while self._alive:
-            yield self.env.timeout(self.config.heartbeat_ms)
+            contact = self._last_leader_contact
+            wait, due = detector_wait(self.env.now, contact,
+                                      self._timeout_ms, heartbeat)
+            if self.role is RaftRole.LEADER or self.is_observer:
+                wait = heartbeat
+            yield self.env.timeout(wait)
             if not self._alive:
                 return
             if self.role is RaftRole.LEADER:
                 self._replicate_all()
-            elif not self.is_observer:
-                silence = self.env.now - self._last_leader_contact
-                if silence > self._timeout_ms:
-                    self._start_prevote()
+            elif (due and not self.is_observer
+                  and self._last_leader_contact == contact):
+                obs = self.env.obs
+                if obs is not None:
+                    obs.metrics.observe("raft.leader_silence_ms", self.node_id,
+                                        self.env.now - contact)
+                self._start_prevote()
 
     def _start_prevote(self) -> None:
         # The attempt clock restarts with a fresh randomized draw, so a

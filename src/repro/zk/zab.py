@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
-from ..core.broadcast import (AtomicBroadcast, NotLeaderError, make_zxid,
-                              zxid_counter, zxid_epoch)
+from ..core.broadcast import (AtomicBroadcast, NotLeaderError, detector_wait,
+                              make_zxid, zxid_counter, zxid_epoch)
 from ..sim import Environment
 from .txn import RequestMeta, Txn, TxnRecord
 
@@ -414,12 +414,25 @@ class ZabPeer(AtomicBroadcast):
             yield self.env.timeout(self.config.heartbeat_ms)
 
     def _failure_detector_loop(self):
+        """Suspect the leader at last contact + election timeout
+        (``detector_wait``); a leader or observer only ticks."""
+        heartbeat = self.config.heartbeat_ms
         while self._alive:
-            yield self.env.timeout(self.config.heartbeat_ms)
+            contact = self._last_leader_contact
+            wait, due = detector_wait(self.env.now, contact,
+                                      self.config.election_timeout_ms,
+                                      heartbeat)
+            if self.role is Role.LEADER or self.is_observer:
+                wait = heartbeat
+            yield self.env.timeout(wait)
             if self.role is Role.LEADER or self.is_observer:
                 continue
-            silence = self.env.now - self._last_leader_contact
-            if silence > self.config.election_timeout_ms and not self._election_pending:
+            if (due and not self._election_pending
+                    and self._last_leader_contact == contact):
+                obs = self.env.obs
+                if obs is not None:
+                    obs.metrics.observe("zab.leader_silence_ms", self.node_id,
+                                        self.env.now - contact)
                 self._start_election()
 
     def _on_heartbeat(self, src: str, msg: Heartbeat) -> None:
@@ -503,7 +516,9 @@ class ZabPeer(AtomicBroadcast):
     def _on_vote(self, src: str, msg: Vote) -> None:
         if self.is_observer or msg.term < self._term:
             return
-        fresh_leader = (self.leader_id is not None
+        # A vote from the leader we follow means it is not leading any
+        # more: join its election instead of pointing it at itself.
+        fresh_leader = (self.leader_id not in (None, src)
                         and (self.env.now - self._last_leader_contact)
                         <= self.config.election_timeout_ms)
         if self.role is not Role.LOOKING and fresh_leader:

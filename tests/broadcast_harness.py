@@ -22,13 +22,15 @@ a snapshot).
 
 The harness also hosts :func:`run_random_interleaving` — the seeded
 random proposer/crash/partition driver shared by the property suite and
-the Raft teeth tests.
+the Raft teeth tests — and :func:`detector_wakeups`, the failure-detector
+spy of the Zab and Raft no-spin tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -418,6 +420,37 @@ class BroadcastCluster:
                        for e in self.alive_endpoints()}
             return f"no convergence after {max_ms}ms: lengths {lengths}"
         return None
+
+
+# ---------------------------------------------------------------------------
+# Failure-detector spy
+# ---------------------------------------------------------------------------
+
+
+def detector_wakeups(monkeypatch, module, peer, limit: int = 2_000):
+    """Record every wake-up of ``peer``'s failure detector.
+
+    Wraps ``detector_wait`` where ``module`` (the kernel's module)
+    imported it; the detector loop calls it once per wake-up, and the
+    caller's frame tells which peer woke. Each entry is ``(now, role,
+    election pending)``. Past ``limit`` wake-ups the spy raises, so a
+    detector that spins at one instant fails its test instead of hanging
+    it.
+    """
+    wakeups: List[tuple] = []
+    real = module.detector_wait
+
+    def spy(now, *args):
+        if sys._getframe(1).f_locals.get("self") is peer:
+            wakeups.append((now, peer.role,
+                            getattr(peer, "_election_pending", False)))
+            if len(wakeups) > limit:
+                raise AssertionError(
+                    f"{peer.node_id}: failure detector spins at t={now}")
+        return real(now, *args)
+
+    monkeypatch.setattr(module, "detector_wait", spy)
+    return wakeups
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,33 @@ class TestFailoverReroute:
         assert ensemble.env.run(until=call).version == 1
 
 
+class TestLeaderSilence:
+    """A failover splits into detection and election from the metrics:
+    each detector firing observes the leader silence it fired at."""
+
+    @pytest.mark.parametrize("kernel", ("zab", "raft"))
+    def test_detector_observes_silence_and_stays_inert(self, kernel):
+        from repro.chaos import run_failover_chaos
+        from repro.obs.metrics import BUCKET_BOUNDS_MS
+
+        plain = run_failover_chaos("zk", 3, kernel=kernel)
+        obs_cfg = ObsConfig()
+        traced = run_failover_chaos("zk", 3, kernel=kernel, obs=obs_cfg)
+        assert traced.ok and plain.ok
+        assert traced.history.canonical() == plain.history.canonical()
+        assert traced.measures == plain.measures
+        counts = [0] * (len(BUCKET_BOUNDS_MS) + 1)
+        for (name, _node), buckets in obs_cfg.runtime.metrics \
+                .histograms.items():
+            if name == f"{kernel}.leader_silence_ms":
+                counts = [a + b for a, b in zip(counts, buckets)]
+        # Zab fires at its 200 ms timeout, Raft at a [250, 500) ms draw.
+        upper = 256.0 if kernel == "zab" else 512.0
+        in_range = [c for c, bound in zip(counts, BUCKET_BOUNDS_MS)
+                    if 128.0 < bound <= upper]
+        assert sum(counts) >= 1 and sum(in_range) == sum(counts), counts
+
+
 class TestDepSpace:
     @pytest.mark.parametrize("kernel", ("pbft", "raft"))
     def test_traced_ds_run(self, kernel):

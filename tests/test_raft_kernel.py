@@ -17,11 +17,12 @@ import pytest
 
 from repro.core.broadcast import NotLeaderError
 from repro.raft import RaftConfig, RaftPeer, RaftRole
+from repro.raft import peer as raft_peer_module
 from repro.sim import Environment
 from repro.zk import ZkEnsemble
 from repro.zk.leases import CACHE_MISS, LeaseConfig
 from repro.zk.server import ZkConfig
-from tests.broadcast_harness import BroadcastCluster
+from tests.broadcast_harness import BroadcastCluster, detector_wakeups
 
 LEASES = LeaseConfig()
 
@@ -92,20 +93,74 @@ def test_ranked_pre_vote_picks_the_winner_not_the_timeouts(n):
         cluster.try_propose("v1")
         cluster.run(300.0)
         survivors = [cluster.endpoints[i].kernel for i in cluster.node_ids[1:]]
-        first = min(survivors, key=lambda k: k._timeout_ms).node_id
-        first_to_poll.add(first)
+        first = min(survivors, key=lambda k: k._timeout_ms)
+        first_to_poll.add(first.node_id)
+        first_timeout = first._timeout_ms  # redrawn once it polls
         cluster.crash("n0")
         crashed_at = cluster.env.now
-        leader = cluster.await_leader(step_ms=10.0)
-        assert leader is not None and leader.node_id >= first
+        leader = cluster.await_leader(step_ms=1.0)
+        assert leader is not None and leader.node_id >= first.node_id
         if n == 3:
             assert leader.node_id == "n2"
-        config = leader.kernel.config
-        assert cluster.env.now - crashed_at < \
-            config.election_timeout_max_ms + 2 * config.heartbeat_ms
+        # The first poller suspects the leader at its drawn timeout after
+        # the last AppendEntries (in flight at the crash, so at most one
+        # hop later), not on the heartbeat tick after it; the election
+        # itself is a few round trips.
+        assert cluster.env.now - crashed_at < first_timeout + 5.0
         assert [k.current_term for k in survivors] == [2] * len(survivors), \
             "one real election: no split vote, no second round"
     assert len(first_to_poll) > 1, "seeds must vary who times out first"
+
+
+def test_first_prevote_starts_at_the_drawn_deadline(monkeypatch):
+    # The failure detector fires at last contact + drawn timeout, not on
+    # the heartbeat tick after it (a 0–50 ms overshoot per failover).
+    polls = []
+    real = RaftPeer._start_prevote
+
+    def spy(self):
+        polls.append((self.node_id, self.env.now,
+                      self._last_leader_contact + self._timeout_ms))
+        real(self)
+
+    monkeypatch.setattr(RaftPeer, "_start_prevote", spy)
+    for seed in range(12):
+        cluster = BroadcastCluster("raft", seed=seed)
+        cluster.try_propose("v1")
+        cluster.run(300.0 + 7.0 * seed)  # vary the crash's tick phase
+        cluster.crash("n0")
+        polls.clear()
+        assert cluster.await_leader() is not None
+        node, fired_at, deadline = polls[0]
+        assert abs(fired_at - deadline) <= 1e-6, \
+            f"seed {seed}: {node} polled at {fired_at}, deadline {deadline}"
+
+
+def test_partitioned_follower_detector_never_spins(monkeypatch):
+    # Across 5 s of failed pre-votes the cut-off follower's detector
+    # wakes at most once per heartbeat plus once per deadline; a zero
+    # sleep would spin at one instant instead.
+    cluster = BroadcastCluster("raft", seed=3)
+    cluster.run(300.0)
+    peer = cluster.endpoints["n2"].kernel
+    wakeups = detector_wakeups(monkeypatch, raft_peer_module, peer)
+    polls = []
+    real = RaftPeer._start_prevote
+
+    def spy(self):
+        if self is peer:
+            polls.append(self.env.now)
+        real(self)
+
+    monkeypatch.setattr(RaftPeer, "_start_prevote", spy)
+    window_ms = 5_000.0
+    cluster.partition(["n2"])
+    cluster.run(window_ms)
+    config = peer.config
+    assert len(wakeups) <= window_ms / config.heartbeat_ms + len(polls) + 1
+    assert len(polls) >= window_ms // config.election_timeout_max_ms, \
+        "the cut-off follower must keep polling"
+    assert peer.current_term == 1, "failed pre-votes never bump the term"
 
 
 def test_longer_log_outranks_higher_id():

@@ -8,9 +8,12 @@ recovery behaviour are observable in isolation.
 import pytest
 
 from repro.sim import Environment, LatencyModel, Network
+from repro.zk import zab as zab_module
 from repro.zk.txn import SetDataTxn
-from repro.zk.zab import (NotLeaderError, Role, ZabConfig, ZabPeer,
-                          make_zxid, zxid_counter, zxid_epoch)
+from repro.zk.zab import (CurrentLeader, NotLeaderError, Role, Vote,
+                          ZabConfig, ZabPeer, make_zxid, zxid_counter,
+                          zxid_epoch)
+from tests.broadcast_harness import detector_wakeups
 
 
 def build_cluster(n=3, heartbeat=20.0, election=80.0, window=30.0):
@@ -220,6 +223,77 @@ class TestElection:
         for node, log in delivered.items():
             data = [r.txn.data for r in log]
             assert data == committed + [b"post-failover"], node
+
+    def test_election_starts_at_the_timeout_deadline(self, monkeypatch):
+        """The failure detector fires at last contact + election
+        timeout, not on the heartbeat tick after it."""
+        starts = []
+        real = ZabPeer._start_election
+
+        def spy(self):
+            starts.append((self.node_id, self.env.now,
+                           self._last_leader_contact
+                           + self.config.election_timeout_ms))
+            real(self)
+
+        monkeypatch.setattr(ZabPeer, "_start_election", spy)
+        for offset in range(12):  # vary the crash's tick phase
+            env, net, peers, _delivered = build_cluster()
+            env.run(until=50.0 + 3.0 * offset)
+            net.crash("p0")
+            peers["p0"].crash()
+            starts.clear()
+            env.run(until=env.now + 400.0)
+            node, started_at, deadline = starts[0]
+            assert abs(started_at - deadline) <= 1e-6, \
+                f"offset {offset}: {node} at {started_at}, due {deadline}"
+            assert sum(p.is_leader for p in peers.values()) == 1
+
+    def test_partitioned_follower_detector_never_spins(self, monkeypatch):
+        """Across 5 s cut off, the follower's detector wakes at most once
+        per heartbeat plus once per deadline — including while it is
+        LOOKING with ``_election_pending`` set, when its deadline has
+        already passed and a zero sleep would spin at one instant."""
+        env, net, peers, _delivered = build_cluster()
+        env.run(until=30.0)
+        peer = peers["p2"]
+        wakeups = detector_wakeups(monkeypatch, zab_module, peer)
+        starts = []
+        real = ZabPeer._start_election
+
+        def spy(self):
+            if self is peer:
+                starts.append(self.env.now)
+            real(self)
+
+        monkeypatch.setattr(ZabPeer, "_start_election", spy)
+        window_ms = 5_000.0
+        net.partition(["p2"], ["p0", "p1"])
+        env.run(until=env.now + window_ms)
+        config = peer.config
+        assert len(wakeups) <= window_ms / config.heartbeat_ms + len(starts) + 1
+        assert len(starts) >= window_ms // (config.election_timeout_ms
+                                            + config.election_window_ms)
+        assert any(role is Role.LOOKING and pending
+                   for _now, role, pending in wakeups), \
+            "the detector must have woken during a pending election"
+
+    def test_vote_from_own_leader_joins_its_election(self):
+        """A follower that hears a Vote from the leader it follows joins
+        the election: that leader is not leading any more. Answering
+        ``CurrentLeader`` would point the candidate at itself, and a
+        LOOKING replica adopts it — which, once exact-deadline detection
+        kept three replicas' timeouts in step, livelocked a 25-seed
+        interleaving with everyone following a leader that never led."""
+        env, _net, peers, _delivered = build_cluster()
+        env.run(until=50.0)
+        follower = peers["p1"]
+        assert follower.leader_id == "p0" and follower.role is Role.FOLLOWER
+        sent = []
+        follower._send = lambda dst, msg: sent.append((dst, msg))
+        follower.handle("p0", Vote(follower._term + 1, 0, "p0"))
+        assert follower.role is Role.LOOKING
+        assert not any(isinstance(msg, CurrentLeader) for _dst, msg in sent)
 
     def test_no_election_while_leader_healthy(self):
         env, _net, peers, _delivered = build_cluster()
