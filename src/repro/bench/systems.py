@@ -20,7 +20,7 @@ from ..zk import ZkEnsemble
 from ..zk.server import ZkConfig
 
 __all__ = ["SYSTEMS", "EXTENSIBLE", "make_ensemble", "make_coords",
-           "make_chaos_ensemble", "run_all", "client_node_ids"]
+           "make_chaos_ensemble", "run_all"]
 
 SYSTEMS = ("zk", "ezk", "ds", "eds")
 EXTENSIBLE = frozenset({"ezk", "eds"})
@@ -128,10 +128,6 @@ def make_coords(ensemble, kind: str, n: int,
     else:
         coords = [DsCoordClient(c) for c in raw]
     return coords, raw
-
-
-def client_node_ids(raw_clients) -> List[str]:
-    return [client.node_id for client in raw_clients]
 
 
 def run_all(ensemble, *generators):

@@ -19,11 +19,11 @@ policy ``RetryPolicy(1000, 1000, 1, jitter=False)``: a constant delay
 that consumes no randomness.
 
 The request/reply waits that do *not* retransmit on a timer (the
-ZooKeeper client's calls and probes, the hot-chain RPCs) bound each
-attempt with :func:`arm_deadline` instead: one deferred callback that
-answers the call's future with :data:`TIMED_OUT`. The caller cancels it
-as soon as the future settles, so a reply does not stay reachable from
-the event queue for the rest of the deadline.
+ZooKeeper client's calls and probes) bound each attempt with
+:func:`arm_deadline` instead: one deferred callback that answers the
+call's future with :data:`TIMED_OUT`. The caller cancels it as soon as
+the future settles, so a reply does not stay reachable from the event
+queue for the rest of the deadline.
 """
 
 from __future__ import annotations

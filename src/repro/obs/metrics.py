@@ -57,9 +57,6 @@ class MetricsRegistry:
 
     # -- reads -------------------------------------------------------------
 
-    def counter(self, name: str, node: str = "") -> float:
-        return self.counters.get((name, node), 0.0)
-
     def total(self, name: str) -> float:
         """Sum of a counter across every node label."""
         return sum(v for (n, _node), v in self.counters.items() if n == name)

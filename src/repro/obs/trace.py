@@ -55,6 +55,9 @@ M_RECV = "recv"
 class ObsConfig:
     """Observability knobs (attach to ``ZkConfig.obs`` / ``DsConfig.obs``).
 
+    An installed plane always keeps the metrics registry; ``trace``
+    adds per-request milestone tracing.
+
     ``runtime`` is populated at install time with the shared
     :class:`Observability` instance so drivers that handed a config into
     a workload can retrieve the tracer afterwards without changing any
@@ -62,7 +65,6 @@ class ObsConfig:
     """
 
     trace: bool = True
-    metrics: bool = True
     runtime: Optional["Observability"] = field(
         default=None, repr=False, compare=False)
 

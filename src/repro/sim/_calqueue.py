@@ -122,10 +122,6 @@ class CalendarQueue:
 
     # -- inspection --------------------------------------------------------
 
-    def empty(self) -> bool:
-        return (not self._imm and not self._extra and not self._occ
-                and self._si >= len(self._snap))
-
     def items(self) -> List[Any]:
         """Every pending item, unordered (inspection only)."""
         items = list(self._imm)

@@ -226,11 +226,6 @@ class LatencyModel:
     bandwidth_bytes_per_ms: float = 125_000.0  # 1 Gbit/s
     jitter_ms: float = 0.02
 
-    def latency(self, size_bytes: int, rng: random.Random) -> float:
-        transmission = size_bytes / self.bandwidth_bytes_per_ms
-        jitter = rng.uniform(0.0, self.jitter_ms) if self.jitter_ms else 0.0
-        return self.base_ms + transmission + jitter
-
 
 class _Delivery:
     """One in-flight message: a slotted, closure-free queue entry.
@@ -300,9 +295,6 @@ class Network:
         if node_id in self._handlers:
             raise ValueError(f"node id already registered: {node_id!r}")
         self._handlers[node_id] = handler
-
-    def unregister(self, node_id: str) -> None:
-        self._handlers.pop(node_id, None)
 
     # -- fault injection ---------------------------------------------------
 
@@ -426,7 +418,7 @@ class Network:
         faults = (self._crashed or self._partitions or self._oneway
                   or self.drop_probability or self._rules)
         handlers = self._handlers
-        # Inlined LatencyModel.latency (uniform(0, j) == j * random()).
+        # LatencyModel's formula; its uniform jitter is j * random().
         lat = self.latency
         base = lat.base_ms + size / lat.bandwidth_bytes_per_ms
         jitter = lat.jitter_ms

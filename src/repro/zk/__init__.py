@@ -12,8 +12,6 @@ from .ensemble import ZkEnsemble
 from .errors import (BadArgumentsError, BadVersionError, ConnectionLossError,
                      NoChildrenForEphemeralsError, NodeExistsError,
                      NoNodeError, NotEmptyError, SessionExpiredError, ZkError)
-from .hotchain import (ChainNode, HotChainConfig, HotChainController,
-                       HotChainRouter, PromotionPolicy)
 from .leases import ClientReadCache, LeaseConfig, LeaseTable
 from .overlay import TreeOverlay
 from .server import (Forward, ForwardSettled, StateEvent,
@@ -29,8 +27,6 @@ from .zab import NotLeaderError, Role, ZabConfig, ZabPeer
 __all__ = [
     "ZkClient", "SessionState", "ZkEnsemble", "ZkServer", "ZkConfig",
     "ZkTimings", "LeaseConfig", "LeaseTable", "ClientReadCache",
-    "HotChainConfig", "ChainNode", "HotChainController", "HotChainRouter",
-    "PromotionPolicy",
     "DataTree", "Stat", "ZNode", "TreeOverlay",
     "SessionTable", "Session", "HeartbeatTracker", "ExpiryClock",
     "WatchManager", "WatchEvent", "EventType",

@@ -78,6 +78,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: the window over which a replica counts a key's cacheable reads
+#: against ``LeaseConfig.min_reads``.
+HEAT_WINDOW_MS = 100.0
+
+
 @dataclass(frozen=True)
 class LeaseConfig:
     """Knobs for the lease protocol (attach to ``ZkConfig.leases``)."""
@@ -90,10 +95,9 @@ class LeaseConfig:
     #: before expiry, writers resume strictly after expiry + grace).
     grace_ms: float = 50.0
     #: a key becomes lease-worthy once a replica sees this many
-    #: cacheable reads for it inside one ``heat_window_ms`` window —
+    #: cacheable reads for it inside one ``HEAT_WINDOW_MS`` window —
     #: cold keys keep the plain read path and cost no leader traffic.
     min_reads: int = 2
-    heat_window_ms: float = 100.0
     #: how long a follower holds a read reply waiting for the leader's
     #: grant decision before answering plain (leader dark / election).
     grant_timeout_ms: float = 250.0
@@ -105,8 +109,6 @@ class LeaseConfig:
             raise ValueError("grace_ms must be positive")
         if self.min_reads < 1:
             raise ValueError("min_reads must be >= 1")
-        if self.heat_window_ms <= 0:
-            raise ValueError("heat_window_ms must be positive")
         if self.grant_timeout_ms <= 0:
             raise ValueError("grant_timeout_ms must be positive")
 
@@ -470,14 +472,13 @@ class LeaseStage:
 
     def _note_heat(self, path: str) -> bool:
         """Promotion hysteresis: lease only keys hot in the current window."""
-        cfg = self.config
         now = self.env.now
-        if now - self._heat_window_start >= cfg.heat_window_ms:
+        if now - self._heat_window_start >= HEAT_WINDOW_MS:
             self._heat.clear()
             self._heat_window_start = now
         count = self._heat.get(path, 0) + 1
         self._heat[path] = count
-        return count >= cfg.min_reads
+        return count >= self.config.min_reads
 
     def _grant(self, session_id: int, client_node: str, path: str,
                mzxid: Optional[int] = None) -> Optional[Lease]:

@@ -82,6 +82,9 @@ __all__ = ["ZkTimings", "ZkConfig", "ZkServer", "Forward", "ForwardSettled",
 #: RPC deadline (``client._DEFAULT_TIMEOUT_MS``) has fired and the call
 #: was retried, possibly through another replica.
 _RELAY_TTL_MS = 3000.0
+#: Period of the leader's session-expiry sweep (and the tick of its
+#: bucketed expiry clock).
+EXPIRY_SWEEP_MS = 100.0
 
 
 @dataclass
@@ -107,7 +110,6 @@ class ZkConfig:
     #: Raft tuning; None applies RaftConfig() when kernel="raft".
     raft: Optional[RaftConfig] = None
     session_timeout_ms: float = 2000.0
-    expiry_sweep_ms: float = 100.0
     #: Session-consistent local reads (ZooKeeper's real read path).
     #: Replies and watch notifications carry the replica's zxid, clients
     #: stamp requests with their last-seen zxid, and lagging replicas
@@ -188,7 +190,7 @@ class ZkServer:
         self.watches = WatchManager()
         # Bucketed expiry tracking: a sweep visits only due buckets
         # instead of scanning every session (ZooKeeper's ExpiryQueue).
-        self.heartbeats = ExpiryClock(tick_ms=self.config.expiry_sweep_ms)
+        self.heartbeats = ExpiryClock(tick_ms=EXPIRY_SWEEP_MS)
         self.read_floors = ConsistencyTracker()
         self.cpu = FifoResource(env, name=f"{node_id}.cpu")
 
@@ -938,7 +940,7 @@ class ZkServer:
 
     def _expiry_loop(self):
         while True:
-            yield self.env.timeout(self.config.expiry_sweep_ms)
+            yield self.env.timeout(EXPIRY_SWEEP_MS)
             if not self._alive or not self.broadcast.is_leader:
                 self._expiry_paused = True
                 if self._relayed:

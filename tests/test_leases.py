@@ -2,12 +2,13 @@
 
 Unit-tests the passive bookkeeping (LeaseTable, ClientReadCache) and
 then drives the full protocol end-to-end: sub-RTT cache hits, writes
-blocking on revocation with no stale read past a committed write, the
-sync() cache bypass, leader failover mid-lease (epoch fence), dead
-lease holders (gate deadline), and expiry-sweep close gating when the
-dying session's ephemeral is leased. The last three cases run over both
-consensus kernels: a dark leader's grant timeout, a gated update whose
-leader crashes, and a follower relaying its client's sync release.
+blocking on revocation with no stale read past a committed write (both
+for ``get_data`` and ``exists``), the sync() cache bypass, leader
+failover mid-lease (epoch fence), dead lease holders (gate deadline),
+and expiry-sweep close gating when the dying session's ephemeral is
+leased. The last three cases run over both consensus kernels: a dark
+leader's grant timeout, a gated update whose leader crashes, and a
+follower relaying its client's sync release.
 """
 
 from __future__ import annotations
@@ -148,27 +149,59 @@ def test_cache_drop_all_reports_lease_ids():
 # ---------------------------------------------------------------------------
 
 
-def heat_up(client, path, n=3):
+#: the two client reads the lease cache serves.
+READ_CALLS = ["get_data", "exists"]
+
+
+def heat_up(client, path, n=3, call="get_data"):
     """Read ``path`` enough times to earn a lease on the last read."""
     for _ in range(n):
-        yield from client.get_data(path)
+        yield from getattr(client, call)(path)
 
 
-def test_cached_read_hits_at_sub_rtt(ensemble):
+def read(client, call, path):
+    """Issue ``call`` on ``path``; returns what it observed: the data
+    for ``get_data``, the data version (None: no node) for ``exists``."""
+    result = yield from getattr(client, call)(path)
+    if call == "get_data":
+        return result[0]
+    return None if result is None else result.version
+
+
+def cached(client, call, path):
+    """Would ``call`` on ``path`` be served from the cache right now?"""
+    lookup = client._cache.data if call == "get_data" else client._cache.stat
+    return lookup(path, client.env.now) is not CACHE_MISS
+
+
+@pytest.mark.parametrize("call", READ_CALLS)
+def test_cached_read_hits_at_sub_rtt(ensemble, call):
     client = connected_client(ensemble, cached_reads=True)
     env = ensemble.env
+    stats = client._cache.stats
     latencies = {}
 
     def scenario():
         yield from client.create("/hot", b"v1")
-        yield from heat_up(client, "/hot")
+        yield from heat_up(client, "/hot", call=call)
         t0 = env.now
-        data, _stat = yield from client.get_data("/hot")
+        seen = yield from read(client, call, "/hot")
         latencies["hit"] = env.now - t0
-        assert data == b"v1"
+        assert seen == (b"v1" if call == "get_data" else 0)
+        if call == "exists":
+            # A stat-only entry holds no data: get_data must miss.
+            misses = stats["misses"]
+            yield from client.get_data("/hot")
+            assert stats["misses"] == misses + 1
+        # Once the lease's term is over the entry must not serve.
+        entry = client._cache.entries["/hot"]
+        yield env.timeout(entry.expires_at - env.now + 0.01)
+        hits = stats["hits"]
+        yield from read(client, call, "/hot")
+        assert stats["hits"] == hits
 
     run(ensemble, scenario())
-    assert client._cache.stats["hits"] >= 1
+    assert stats["hits"] >= 1
     assert latencies["hit"] < 0.01          # sub-RTT: no network round
 
 
@@ -187,19 +220,25 @@ def test_follower_connected_client_gets_lease(ensemble):
     assert client._cache.stats["hits"] >= 1
 
 
-def test_no_stale_read_past_committed_write(ensemble):
+@pytest.mark.parametrize("call", READ_CALLS)
+def test_no_stale_read_past_committed_write(ensemble, call):
     reader = connected_client(ensemble, cached_reads=True)
     writer = connected_client(ensemble, replica="zk1")
 
     def scenario():
         yield from writer.create("/hot", b"old")
-        yield from heat_up(reader, "/hot")
-        assert reader._cache.data("/hot", ensemble.env.now) is not CACHE_MISS
+        yield from heat_up(reader, "/hot", call=call)
+        assert cached(reader, call, "/hot")
         # The write blocks until the reader's lease is revoked; once it
         # returns, the reader must observe the new value.
         yield from writer.set_data("/hot", b"new")
-        data, _stat = yield from reader.get_data("/hot")
-        assert data == b"new"
+        seen = yield from read(reader, call, "/hot")
+        assert seen == (b"new" if call == "get_data" else 1)
+        # Likewise a delete: the node is gone for the reader.
+        yield from heat_up(reader, "/hot", call=call)
+        assert cached(reader, call, "/hot")
+        yield from writer.delete("/hot")
+        assert (yield from reader.exists("/hot")) is None
 
     run(ensemble, scenario())
     assert reader._cache.stats["revokes"] >= 1

@@ -2,7 +2,7 @@
 
 Every request/reply wait files something that outlives a fast reply: a
 deadline callback (``arm_deadline``: ZooKeeper calls and re-establish
-probes, hot-chain RPCs), a retransmit timer raced in an ``AnyOf`` (the
+probes), a retransmit timer raced in an ``AnyOf`` (the
 DepSpace client), or a write gate's lease-term release. Those entries
 stay queued and still fire, so the event stream does not change, but
 once the request settles they must hold nothing of it.
@@ -28,9 +28,6 @@ from repro.depspace.protocol import DsReply
 from repro.recipes import ExtensionQueue
 from repro.sim import Callback, Event, Process
 from repro.sim.events import _Condition
-from repro.zk.hotchain import (ChainDrainAck, ChainNack, ChainNode,
-                               ChainReadReply, ChainWriteAck, HotChainConfig,
-                               HotChainController, HotChainRouter)
 from repro.zk.leases import LeaseConfig, WriteGate
 from repro.zk.server import ZkConfig
 from repro.zk.txn import ClientReply
@@ -38,8 +35,7 @@ from tests.recipe_helpers import make_coords, make_ensemble, run_all
 
 KERNELS = ("calendar", "heap")
 
-SETTLED_REPLIES = (ClientReply, DsReply, ChainWriteAck, ChainDrainAck,
-                   ChainReadReply, ChainNack)
+SETTLED_REPLIES = (ClientReply, DsReply)
 
 
 def _held_by(obj) -> list:
@@ -204,29 +200,3 @@ def test_ds_family_retransmit_races(kernel, kind):
     run_all(ens, worker(coords[0], "a"), worker(coords[1], "b"))
     sampler.finish()
 
-
-def test_hot_chain_rpcs(kernel):
-    ens = make_ensemble("zk", seed=1, config=ZkConfig(local_reads=True))
-    env, net = ens.env, ens.net
-    nodes = [ChainNode(env, net, f"chain{i}") for i in range(3)]
-    config = HotChainConfig(promote_accesses=8, report_interval_ms=50.0)
-    controller = HotChainController(env, net, ens.client("ctlzk"), nodes,
-                                    config)
-    router = HotChainRouter(ens.client("clizk"), controller.node_id, config)
-    sampler = QueueSampler(env)
-
-    def scenario():
-        yield from controller.zk.connect()
-        yield from router.zk.connect()
-        yield from controller.start()
-        yield from router.zk.create("/hot", b"v0")
-        for i in range(80):
-            yield from router.update("/hot", b"w%d" % i)
-            yield from router.read("/hot")
-            yield env.timeout(2.0)
-
-    run_all(ens, scenario())
-    assert controller.stats["promotions"] == 1
-    assert router.stats["chain_reads"] > 0
-    assert router.stats["chain_writes"] > 0
-    sampler.finish()

@@ -47,6 +47,17 @@ def build_cluster(n=3, heartbeat=20.0, election=80.0, window=30.0):
     return env, net, peers, delivered
 
 
+def assert_exactly_once_in_order(delivered, expect_payloads, skip=()):
+    """Every live replica delivered exactly ``expect_payloads``, zxid-sorted."""
+    for node, log in delivered.items():
+        if node in skip:
+            continue
+        zxids = [r.zxid for r in log]
+        assert zxids == sorted(zxids), f"{node}: delivery out of zxid order"
+        assert len(set(zxids)) == len(zxids), f"{node}: duplicate delivery"
+        assert [r.txn.data for r in log] == expect_payloads, node
+
+
 class TestZxid:
     def test_round_trip(self):
         zxid = make_zxid(3, 17)
@@ -104,6 +115,14 @@ class TestReplication:
         env.run(until=200.0)  # heartbeats re-announce the commit point
         for log in delivered.values():
             assert len(log) == 5
+
+    def test_exactly_once_in_zxid_order(self):
+        env, _net, peers, delivered = build_cluster()
+        payloads = [str(i).encode() for i in range(25)]
+        for p in payloads:
+            peers["p0"].propose(SetDataTxn("/a", p))
+        env.run(until=300.0)  # heartbeats re-announce the commit point
+        assert_exactly_once_in_order(delivered, payloads)
 
 
 class TestElection:
@@ -169,6 +188,29 @@ class TestElection:
         peers["p2"].recover()
         env.run(until=env.now + 600.0)
         assert len(delivered["p2"]) == 4
+
+    def test_recovered_follower_syncs_suffix_only(self):
+        """Incremental sync: the rejoining follower receives the missing
+        suffix and still ends up exactly-once."""
+        env, net, peers, delivered = build_cluster()
+        pre = [str(i).encode() for i in range(6)]
+        for p in pre:
+            peers["p0"].propose(SetDataTxn("/a", p))
+        env.run(until=100.0)
+        net.crash("p2")
+        peers["p2"].crash()
+        post = [f"x{i}".encode() for i in range(6)]
+        for p in post:
+            peers["p0"].propose(SetDataTxn("/a", p))
+        env.run(until=env.now + 100.0)
+        bytes_before = net.bytes_received["p2"]
+        net.recover("p2")
+        peers["p2"].recover()
+        env.run(until=env.now + 600.0)
+        assert_exactly_once_in_order(delivered, pre + post, skip=("p0", "p1"))
+        assert_exactly_once_in_order({"p2": delivered["p2"]}, pre + post)
+        resync_bytes = net.bytes_received["p2"] - bytes_before
+        assert resync_bytes > 0
 
     def test_healed_follower_catches_up_without_election(self):
         """A follower partitioned through many commits — but for less
@@ -330,3 +372,21 @@ class TestEpochFiltering:
         for log in delivered.values():
             assert all(r.txn.data != b"doomed" for r in log)
         assert delivered["p1"][-1].txn.data == b"kept"
+
+    def test_partitioned_leader_proposal_never_delivered(self):
+        """A deposed leader's unacked proposal must never be delivered."""
+        env, net, peers, delivered = build_cluster()
+        env.run(until=30.0)
+        net.partition(["p0"], ["p1", "p2"])
+        peers["p0"].propose(SetDataTxn("/a", b"doomed"))
+        env.run(until=800.0)  # majority side elects a new leader
+        net.heal()
+        env.run(until=env.now + 400.0)
+        new_leader = next(p for p in peers.values() if p.is_leader)
+        assert new_leader.node_id != "p0"
+        new_leader.propose(SetDataTxn("/b", b"kept"))
+        env.run(until=env.now + 100.0)
+        for log in delivered.values():
+            assert all(r.txn.data != b"doomed" for r in log)
+        assert delivered["p1"][-1].txn.data == b"kept"
+        assert delivered["p0"][-1].txn.data == b"kept"
