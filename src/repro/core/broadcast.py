@@ -38,6 +38,26 @@ An :class:`AtomicBroadcast` endpoint lives at one replica and exposes:
   PBFT view) — the fencing token for leases, session expiry and every
   other leader-scoped privilege. Epoch-fence call sites go through
   this property, never through kernel internals.
+* **commit holds** — ``hold(zxid)`` / ``release(zxid)`` at a leader:
+  while a stamp is held the leader's committed watermark stays below
+  it, and so does everything the leader advertises (Zab ``Commit``,
+  heartbeats and ``NewLeader.committed_zxid``; Raft ``leader_commit``),
+  so no replica delivers the held record or anything after it. The
+  record still replicates: a hold delays the commit, not the quorum
+  round. ``release`` lifts one hold and commits whatever the quorum has
+  acked since. Holds are leader-volatile and die with the leadership.
+  A record proposed at a held stamp carries ``held=True`` in the log.
+  ``on_elected`` (optional callback) fires when this endpoint wins a
+  leadership and before it advertises anything, so a caller can hold
+  the inherited log from its first ``held`` record on before any
+  follower may deliver it. A leader whose inherited log is held is
+  not established (``is_leader`` stays False) until a release commits
+  that log: establishment means the history is committed. The
+  lease stage (``zk/leases.py``) is the one user: it holds a write's
+  commit until the leases on what it writes are revoked. Zab and Raft
+  implement holds; the PBFT adapter of the conformance harness does
+  not (PBFT has no leases and no single committing leader), and its
+  column of the hold tests is absent on purpose.
 * **membership** — voting members are fixed at construction;
   ``observer_ids`` / ``is_observer`` describe non-voting learners that
   receive the stream but never count toward any quorum.
@@ -61,6 +81,7 @@ it. :func:`detector_wait` is that rule, shared by Zab and Raft.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["AtomicBroadcast", "NotLeaderError", "ZK_KERNELS", "DS_KERNELS",
@@ -127,8 +148,8 @@ class AtomicBroadcast:
         current leadership as known locally (``is_leader`` is True only
         for an *established* leader — one whose history the quorum has
         confirmed, so ``propose`` and ``sync_barrier`` are safe);
-    ``on_role_change``
-        optional callback, see module docstring.
+    ``on_role_change`` / ``on_elected``
+        optional callbacks, see module docstring.
     """
 
     node_id: str
@@ -136,6 +157,7 @@ class AtomicBroadcast:
     committed_zxid: int
     log: List
     on_role_change: Optional[Callable[[], None]]
+    on_elected: Optional[Callable[[], None]]
 
     # -- lifecycle -------------------------------------------------------
 
@@ -157,6 +179,39 @@ class AtomicBroadcast:
 
     def handle(self, src: str, msg: object) -> bool:
         """Process a protocol message; False if the payload is foreign."""
+        raise NotImplementedError
+
+    #: held stamps, sorted ascending (kernels that implement holds
+    #: start each leadership with an empty list and cap their commit
+    #: rule, ``_advance_commit``, below the first).
+    _holds: List[int]
+
+    def hold(self, zxid: int) -> None:
+        """Leader-only: keep the commit watermark below ``zxid``."""
+        insort(self._holds, zxid)
+
+    def release(self, zxid: int) -> None:
+        """Lift one hold on ``zxid`` and commit what it held back."""
+        holds = self._holds
+        idx = bisect_left(holds, zxid)
+        if idx < len(holds) and holds[idx] == zxid:
+            del holds[idx]
+            self._advance_commit()
+
+    def _mark_held(self, record) -> bool:
+        """Flag ``record`` (``held``) if it is proposed at a held stamp.
+
+        Kernels call this as they append a proposal, after the caller
+        has held its stamp (``next_zxid``), so the flag replicates with
+        the record and a successor leader knows which inherited records
+        may still be fenced. True if the record was flagged."""
+        holds = self._holds
+        if holds and holds[-1] == record.zxid:
+            record.held = True
+            return True
+        return False
+
+    def _advance_commit(self) -> None:
         raise NotImplementedError
 
     # -- introspection ---------------------------------------------------

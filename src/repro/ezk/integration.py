@@ -204,8 +204,7 @@ class EzkBinding(ExtensionBinding):
     def _propose(self, proxy: ZkBufferedState) -> None:
         txn = proxy.to_multi_txn()
         if txn.txns:
-            self.server._apply_to_spec(txn)
-            self.server.broadcast.propose(txn, None)
+            self.server._propose(txn, None)
 
     def _handle_em_event(self, event: StateEvent) -> None:
         relative = event.path[len(EM_ROOT) + 1:]

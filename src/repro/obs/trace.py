@@ -22,7 +22,7 @@ Write-path milestones::
 
 Read-path milestones: ``send -> ingress -> reply -> recv`` (phases
 ingress / execute / reply). Side activity that does not sit on the
-request's critical path — watch fan-out, lease-gate waits — is recorded
+request's critical path — watch fan-out, lease-gate commit holds — is recorded
 as **aux spans** attached to the owning trace, exempt from phase tiling.
 
 Trace ids are assigned in ``begin()`` order from a plain counter; with

@@ -44,13 +44,20 @@ Like Zab, a freshly elected leader must not serve until its history is
 authoritative: it proposes a **no-op barrier entry** for its term
 (``noop_txn``) and reports ``is_leader`` only once that entry commits —
 which, by the figure 8 rule, is also the moment every inherited entry
-is committed. Durable state (term, vote, log, commit and delivery
-pointers) survives ``crash()``, modelling an fsync'd log.
+is committed. A leader's **holds** (``hold``/``release``) keep its
+commit index, and so every ``leader_commit`` it sends, below a held
+stamp; a hold on the inherited suffix therefore also holds the barrier
+and establishment behind it. The commit of a record proposed held is
+advertised at once rather than at the next heartbeat, so followers
+rarely keep a released record uncommitted. Durable state (term, vote,
+log, commit and delivery pointers) survives ``crash()``, modelling an
+fsync'd log.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
@@ -62,6 +69,10 @@ from ..sim import Environment
 __all__ = ["RaftConfig", "RaftPeer", "RaftRole", "RaftEntry", "RaftRecord",
            "RequestVote", "VoteReply", "AppendEntries", "AppendReply",
            "InstallSnapshot", "SnapshotReply"]
+
+
+def _entry_zxid(entry: "RaftEntry") -> int:
+    return entry.record.zxid
 
 
 class RaftRole(str, Enum):
@@ -210,6 +221,11 @@ class RaftPeer(AtomicBroadcast):
         self.leader_id: Optional[str] = None
         self._established = False
         self._noop_index = 0
+        #: held stamps, sorted: the commit index stays below the first
+        #: (leader-volatile; a new leadership starts with none).
+        self._holds: List[int] = []
+        #: index of the newest record proposed held (``_mark_held``).
+        self._held_index = 0
         #: leader bookkeeping, per learner (voters + observers).
         self._next_index: Dict[str, int] = {}
         self._match_index: Dict[str, int] = {}
@@ -226,6 +242,7 @@ class RaftPeer(AtomicBroadcast):
         self._last_leader_contact = env.now
         self._alive = True
         self.on_role_change: Optional[Callable[[], None]] = None
+        self.on_elected: Optional[Callable[[], None]] = None
         #: introspection counters (asserted by the conformance suite).
         self.snapshots_installed = 0
         self.snapshots_sent = 0
@@ -292,6 +309,7 @@ class RaftPeer(AtomicBroadcast):
     def crash(self) -> None:
         """Stop participating. Durable state persists (disk)."""
         self._alive = False
+        self._holds = []
 
     def recover(self) -> None:
         """Come back up as a follower; the leader's heartbeat AppendEntries
@@ -321,6 +339,8 @@ class RaftPeer(AtomicBroadcast):
     def _append_local(self, txn, meta) -> int:
         index = self._last_index + 1
         record = self._record(make_zxid(self.current_term, index), txn, meta)
+        if self._mark_held(record):
+            self._held_index = index
         self._entries.append(RaftEntry(self.current_term, record))
         self._match_index[self.node_id] = index
         return index
@@ -371,6 +391,7 @@ class RaftPeer(AtomicBroadcast):
         self.role = RaftRole.FOLLOWER
         self.leader_id = None
         self._established = False
+        self._holds = []
         if was_leader and self.on_role_change:
             self.on_role_change()
 
@@ -529,6 +550,9 @@ class RaftPeer(AtomicBroadcast):
         self.role = RaftRole.LEADER
         self.leader_id = self.node_id
         self._init_leader_state()
+        self._holds = []
+        if self.on_elected:
+            self.on_elected()
         # Barrier no-op: committing an entry of our own term is the only
         # safe way to commit the inherited suffix (figure 8), and its
         # commit is what flips is_leader on.
@@ -653,11 +677,21 @@ class RaftPeer(AtomicBroadcast):
         matches = sorted(self._match_index.get(v, 0)
                          for v in (self.node_id, *self.peer_ids))
         candidate = matches[len(matches) - self.quorum]
+        if self._holds:
+            # Highest index whose stamp is below the first hold.
+            candidate = min(candidate, bisect_left(
+                self._entries, self._holds[0], key=_entry_zxid))
         if candidate <= self.commit_index:
             return
         if self._term_at(candidate) != self.current_term:
             return
+        before = self.commit_index
         self._set_commit(candidate)
+        if before < self._held_index <= candidate:
+            # Advertise a held record's commit now, not at the next
+            # heartbeat: one that followers still hold as uncommitted
+            # is one a successor must hold again.
+            self._replicate_all()
         if not self._established and self.commit_index >= self._noop_index:
             self._established = True
             obs = self.env.obs

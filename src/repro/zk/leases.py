@@ -9,42 +9,47 @@ the client then serves ``get_data``/``exists`` for that key from its
 own memory at 0 RTT until the lease expires or is revoked.
 
 Linearizability is preserved by making writers pay instead of readers:
-a write to a leased key **blocks at the leader** until every lease on
-the key has been revoked (explicit revoke RPC, acked by the holder) or
-has expired on the server clock plus a grace window. A cache-served
-read therefore can never return a value older than a committed write —
-the write could not have committed while the lease was live.
+a write to a leased key is proposed at once, but the leader **holds its
+commit** (``AtomicBroadcast.hold``) until every lease on what it writes
+has been revoked (explicit revoke RPC, acked by the holder) or has
+expired on the server clock plus a grace window. The revocation round
+trip runs beside the quorum round instead of in front of it, and a
+cache-served read can never return a value older than a committed
+write — the write could not commit while the lease was live.
 
 The fences, in the order they bite:
 
-* **grant fence** — the leader refuses a grant while the key has a
-  write pending (ingress-marked), in flight in the prep pipeline
-  (speculative-tree mzxid ahead of the committed tree), or while the
-  leadership is inside its recovery window. A granting follower
-  additionally confirms the leader's view of the key's ``mzxid``
-  matches its own before attaching the lease to the reply. Under
-  extensions (EZK) a write's paths are known at ingress except for the
-  *unbounded* ones — ops an extension consumes and ``/em`` registry
-  writes — so only those fence every live lease, and grants are
-  refused while one sits between ingress and prep, while a registry
-  txn is proposed but not yet applied, while any event extension is
-  registered, or when an extension would consume the holder's own read
-  of the key (DESIGN §11, "Leases under extensions"). Every refusal is
-  counted as ``leases.denied`` plus ``leases.denied.<reason>``;
+* **grant fence** — the leader refuses a grant while a write to the
+  key is in flight (speculative-tree mzxid ahead of the committed tree:
+  proposed, possibly held, not yet applied), or while the leadership is
+  inside its recovery window. A granting follower additionally
+  confirms the leader's view of the key's ``mzxid`` matches its own
+  before attaching the lease to the reply. Under extensions (EZK) the
+  commit fence reads a txn's real write set, after the extension ran,
+  so only ``/em`` registry writes fence every live lease; grants are
+  refused while a registry txn is proposed but not yet applied, while
+  any event extension is registered, or when an extension would
+  consume the holder's own read of the key (DESIGN §11, "Leases under
+  extensions"). Every refusal is counted as ``leases.denied`` plus
+  ``leases.denied.<reason>``;
 * **revoke fence** — monotonically increasing lease ids (epoch-scaled,
   so a new leadership can never reuse one) let a client discard a
   grant that arrives *after* its revoke raced past it on another
   channel;
 * **expiry fence** — holders stop serving strictly before
-  ``expires_at`` on the shared clock; the leader unblocks writers only
-  at ``expires_at + grace_ms``, so a dead client that can't ack still
+  ``expires_at`` on the shared clock; the leader releases a held commit
+  only at ``expires_at + grace_ms``, so a dead client that can't ack still
   can't serve past a write's commit. Session expiry deliberately does
   *not* free leases early: the fenced client may be alive-but-silent,
   so its leases run out their natural term;
 * **epoch fence** — a freshly elected leader knows nothing about the
   old leadership's grants (leases are leader-soft state), so it holds
-  *all* tree writes for one full ``duration_ms + grace_ms`` recovery
-  window — the Chubby/GFS master-failover rule.
+  the commit of every write, and of the log suffix it inherited from
+  the first record proposed held on, for one full
+  ``duration_ms + grace_ms`` recovery window counted from the election
+  — the Chubby/GFS master-failover rule. The inherited hold matters
+  because an old proposal can sit in followers' logs while its revoke
+  to a partitioned holder is unacked.
 
 Everything here is inert unless ``ZkConfig.leases`` is set and the
 client opted in with ``cached_reads=True``; the wire envelopes are
@@ -54,16 +59,14 @@ message sizes — and therefore every simulated latency — are untouched.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..sim import Callback
 from .data_tree import Stat
-from .errors import ConnectionLossError
-from .txn import (CloseSessionOp, CreateOp, CreateTxn, DeleteOp, DeleteTxn,
-                  ExistsOp, GetDataOp, MultiOp, MultiTxn, SetDataOp,
-                  SetDataTxn, Txn, ZxidClientRequest, ZxidReply)
+from .txn import (CloseSessionTxn, CreateTxn, DeleteTxn, ExistsOp, GetDataOp,
+                  MultiTxn, RequestMeta, SetDataTxn, Txn, ZxidClientRequest,
+                  ZxidReply)
 
 __all__ = [
     "LeaseConfig", "Lease", "LeaseTable", "WriteGate", "LeaseStage",
@@ -207,29 +210,28 @@ class Lease:
 
 @dataclass
 class WriteGate:
-    """One write parked behind lease revocation (leader-local).
+    """One proposal's commit, held behind lease revocation (leader-local).
 
-    The gate carries its own continuation: ``proceed(parked_at)`` runs
-    the write once every lease it waits on is revoked or expired, and
-    ``abort(reason)`` answers its client when leadership moves first
-    (``None`` for a write no client waits on: an expiry close).
-    ``deadline`` is the deferred lease-term-plus-grace release; a gate
-    that settles before it cancels it, so the queued entry stops
-    holding the gate, its continuations and the write they carry.
+    ``zxid`` is the held stamp: the broadcast layer commits nothing at
+    or past it until the gate fires, which releases the hold once every
+    lease in ``waiting`` is revoked or expired. ``meta`` names the
+    client the write belongs to (``None`` for a server-internal txn: an
+    expiry close, an event-extension write). ``deadline`` is the
+    deferred lease-term-plus-grace release; a gate that settles before
+    it cancels it, so the queued entry stops holding the gate.
     """
 
-    paths: Tuple[str, ...]
+    zxid: int
     waiting: Set[int]               # lease ids still unrevoked
-    parked_at: float
-    proceed: Callable[[Optional[float]], None]
-    abort: Optional[Callable[[str], None]] = None
-    unbounded: bool = False         # fences every live lease (see LeaseTable)
+    held_at: float
+    meta: Optional[RequestMeta] = None
+    n_paths: int = 0
     fired: bool = False
     deadline: Optional[Callback] = None
 
 
 class LeaseTable:
-    """The leader's book of grants, revocations and parked writers.
+    """The leader's book of grants, revocations and held commits.
 
     Pure bookkeeping — no clocks, no network. :class:`LeaseStage` owns
     the event scheduling and message sends; keeping the table passive
@@ -243,20 +245,9 @@ class LeaseTable:
         #: dropped lazily on access).
         self.leases: Dict[str, Dict[int, Lease]] = {}
         self.by_id: Dict[int, Lease] = {}
-        #: path -> refcount of writes between ingress and prep-translate
-        #: (no grants while positive: the speculative tree cannot fence
-        #: a write the prep stage has not seen yet).
-        self.write_pending: Dict[str, int] = {}
-        #: *unbounded* writes between ingress and prep: ones whose write
-        #: set only an extension decides, at prep (an op an extension
-        #: consumes, an ``/em`` registry write). Such a write fences
-        #: every live lease, and no key may be granted while one is in
-        #: that window; after prep the speculative tree holds its real
-        #: write set and the mzxid fence takes over.
-        self.unbounded_pending = 0
-        #: writes parked behind revocation.
+        #: proposals whose commit is held behind revocation.
         self.gates: List[WriteGate] = []
-        #: new-leadership fence: no write fires before this time.
+        #: new-leadership fence: no write commits before this time.
         self.recovery_until: float = 0.0
         self._next_seq = 0
         self._epoch = 1
@@ -275,8 +266,6 @@ class LeaseTable:
         """
         self.leases.clear()
         self.by_id.clear()
-        self.write_pending.clear()
-        self.unbounded_pending = 0
         self.gates = []
         self._epoch = epoch
         self._next_seq = 0
@@ -287,11 +276,8 @@ class LeaseTable:
     # -- grants ------------------------------------------------------------
 
     def grant(self, path: str, session_id: int, client_node: str,
-              now: float) -> Optional[Lease]:
-        """Issue a lease, or None while the path has a writer between
-        ingress and prep (the caller counts the refusal)."""
-        if self.write_pending.get(path):
-            return None
+              now: float) -> Lease:
+        """Issue a lease (the stage's grant fence has already passed)."""
         self._next_seq += 1
         # Epoch-scaled ids: monotone across leaderships, so a client's
         # stale-revoke ring can never confuse an old id with a new one.
@@ -318,7 +304,7 @@ class LeaseTable:
         return found
 
     def all_active(self, now: float) -> List[Lease]:
-        """Every live lease: what an unbounded write must fence."""
+        """Every live lease: what a registry write must fence."""
         return self.active_on(list(self.leases), now)
 
     def _drop(self, lease: Lease) -> None:
@@ -352,21 +338,7 @@ class LeaseTable:
             if lease is not None:
                 self._drop(lease)
 
-    # -- write gating ------------------------------------------------------
-
-    def acquire_pending(self, paths, unbounded: bool = False) -> None:
-        self.unbounded_pending += unbounded
-        for path in paths:
-            self.write_pending[path] = self.write_pending.get(path, 0) + 1
-
-    def release_pending(self, paths, unbounded: bool = False) -> None:
-        self.unbounded_pending = max(0, self.unbounded_pending - unbounded)
-        for path in paths:
-            count = self.write_pending.get(path, 0) - 1
-            if count > 0:
-                self.write_pending[path] = count
-            else:
-                self.write_pending.pop(path, None)
+    # -- held commits ------------------------------------------------------
 
     def close_gate(self, gate: WriteGate) -> None:
         gate.fired = True
@@ -374,7 +346,8 @@ class LeaseTable:
             self.gates.remove(gate)
 
     def drain_gates(self) -> List[WriteGate]:
-        """Leadership lost: every parked write dies with it."""
+        """Leadership moved: the holds died with it (the proposals are
+        the broadcast layer's now)."""
         gates, self.gates = self.gates, []
         for gate in gates:
             gate.fired = True
@@ -391,10 +364,11 @@ class LeaseStage:
 
     A :class:`~repro.zk.server.ZkServer` creates one when
     ``ZkConfig.leases`` is set and calls it only at these points: a
-    read's reply, leader write ingress (:meth:`admit`), prep, a role
-    change, an expiry close, a crash, and the five lease messages
-    (:meth:`receive`). The stage owns the scheduling, the sends and the
-    grant fence; :class:`LeaseTable` is the passive book it keeps.
+    read's reply, the leader's one propose site (:meth:`fence_commit`),
+    an election won (:meth:`on_elected`), a role change, a crash, and
+    the five lease messages (:meth:`receive`). The stage owns the
+    scheduling, the sends and the grant fence; :class:`LeaseTable` is
+    the passive book it keeps.
     """
 
     def __init__(self, server, config: LeaseConfig):
@@ -416,6 +390,9 @@ class LeaseStage:
         #: (or found unsettled in its log on election) that writes the
         #: extension registry. Grants wait until it settles (R2).
         self.registry_zxid = 0
+        #: (epoch, time) of the last leadership this replica won: the
+        #: recovery window is counted from the election.
+        self._won = (0, 0.0)
 
     def crash(self) -> None:
         self.waits.clear()
@@ -515,10 +492,7 @@ class LeaseStage:
             return "session"      # never arm a cache the fence already killed
         extensions = server.extensions
         if extensions is not None:
-            # Leases under extensions (DESIGN §11): the write sets the
-            # leader cannot know at ingress.
-            if table.unbounded_pending:
-                return "unbounded"                      # R1
+            # Leases under extensions (DESIGN §11).
             if self.registry_zxid > server._settled_zxid:
                 return "registry"                       # R2
             if extensions.manager.handles_events():
@@ -536,8 +510,7 @@ class LeaseStage:
             spec_stat = spec.exists(path)
             if spec_stat is None or spec_stat.mzxid != auth_stat.mzxid:
                 return "in_flight"  # a write to this key is in the pipeline
-        lease = table.grant(path, session_id, client_node, now)
-        return "pending" if lease is None else lease  # pending: at ingress
+        return table.grant(path, session_id, client_node, now)
 
     # -- messages ----------------------------------------------------------
 
@@ -600,109 +573,55 @@ class LeaseStage:
         for gate in ready:
             self._fire(gate)
 
-    # -- write gating (leader) ---------------------------------------------
+    # -- commit fence (leader) ---------------------------------------------
 
-    def admit(self, meta, op) -> None:
-        """Leader write ingress: fence the write's leases, then prep it.
+    def fence_commit(self, txn: Txn, zxid: int,
+                     meta: Optional[RequestMeta]) -> None:
+        """Hold ``txn``'s commit until no lease covers what it writes.
 
-        A write is fenced by its declared paths unless it is *unbounded*
-        (R1): an operation extension consumes it, or it writes the
-        extension registry. Only an extension decides such a write's
-        paths, at prep, so it fences every live lease instead.
+        The server's one propose site calls this just before ``txn``
+        reaches the speculative tree and the log as stamp ``zxid``. The
+        blockers come from the txn's real write set: exactly the paths
+        it writes (a session close: the session's ephemerals), whoever
+        decided them — a client, an operation extension, an event
+        extension. A write under ``/em`` fences every live lease
+        instead (R1), and grants wait for it to settle (R2). The revokes
+        go out in the event that proposes, so their round trip overlaps
+        the quorum round; inside the recovery window every commit waits
+        for its end.
         """
-        paths = self._write_paths(meta, op)
+        paths = _txn_paths(txn)
+        if txn.__class__ is CloseSessionTxn:
+            paths = self._ephemerals(txn.session_id)
         extensions = self.server.extensions
-        unbounded = extensions is not None and (
-            extensions.writes_registry(paths)
-            or extensions.consumes(str(meta.session_id), op))
-        self._gate_update(meta, op, paths, unbounded)
-
-    def prepped(self, paths: Tuple[str, ...], unbounded: bool) -> None:
-        """Prep took the write: the translate runs in this same event, so
-        from here on the speculative tree (mzxid fence) covers it."""
-        self.table.release_pending(paths, unbounded)
-
-    def regate(self, meta, op, paths: Tuple[str, ...]) -> None:
-        """R3: the registry changed since ingress, and an extension
-        rewrote a write gated on its declared paths. The rewrite is
-        dropped (nothing reached the speculative tree); the write fences
-        every lease before it runs again."""
-        self._gate_update(meta, op, paths, True)
-
-    def proposed(self, txn: Txn, zxid: int) -> None:
-        """R2: grants wait for a proposed registry write to settle."""
-        extensions = self.server.extensions
-        if extensions is not None and extensions.writes_registry(
-                _txn_paths(txn)):
-            self.registry_zxid = zxid
-
-    def close_session(self, session_id: int) -> None:
-        """Expiry close (leader): it deletes the session's ephemerals, so
-        it waits behind their leases like any other write. Without this,
-        an expiry sweep could delete a leased ephemeral while its
-        (other-session) holder still serves it from cache."""
-        paths = self._ephemerals(session_id)
-        self._gate(paths, False,
-                   functools.partial(self._close, session_id, paths))
-
-    def _close(self, session_id: int, paths: Tuple[str, ...],
-               _parked_at: Optional[float]) -> None:
-        self.table.release_pending(paths)
-        self.server._propose_close(session_id)
-
-    def _write_paths(self, meta, op) -> Tuple[str, ...]:
-        if isinstance(op, (CreateOp, SetDataOp, DeleteOp)):
-            return (op.path,)
-        if isinstance(op, MultiOp):
-            return tuple(sub.path for sub in op.ops
-                         if isinstance(sub, (CreateOp, SetDataOp, DeleteOp)))
-        if isinstance(op, CloseSessionOp):
-            return self._ephemerals(meta.session_id)
-        return ()
-
-    def _ephemerals(self, session_id: int) -> Tuple[str, ...]:
-        server = self.server
-        tree = server._spec_tree if server._spec_tree is not None \
-            else server.tree
-        return tuple(tree.ephemerals_of(session_id))
-
-    def _gate_update(self, meta, op, paths: Tuple[str, ...],
-                     unbounded: bool) -> None:
-        self._gate(paths, unbounded,
-                   functools.partial(self._to_prep, meta, op, paths,
-                                     unbounded),
-                   functools.partial(self._abort, meta))
-
-    def _gate(self, paths: Tuple[str, ...], unbounded: bool,
-              proceed: Callable[[Optional[float]], None],
-              abort: Optional[Callable[[str], None]] = None) -> None:
-        """Fence a write's leases, then ``proceed``: at once when nothing
-        blocks it, else through the one :class:`WriteGate` opened here.
-
-        The pending marks raised here stop grants on the write's paths
-        (on every path, if unbounded) until the continuation lowers them:
-        once the speculative tree holds the write (its mzxid fences
-        grants from then on), or the write is dropped.
-        """
+        registry = (extensions is not None
+                    and extensions.writes_registry(paths))
+        if registry:
+            self.registry_zxid = zxid                           # R2
         table = self.table
         now = self.env.now
-        blockers = (table.all_active(now) if unbounded
+        blockers = (table.all_active(now) if registry            # R1
                     else table.active_on(paths, now))
-        table.acquire_pending(paths, unbounded)
         if not blockers and now >= table.recovery_until:
-            proceed(None)
             return
         grace = self.config.grace_ms
         not_before = max([table.recovery_until]
                          + [b.expires_at + grace for b in blockers])
-        gate = WriteGate(paths, {b.lease_id for b in blockers}, now,
-                         proceed, abort, unbounded)
+        gate = WriteGate(zxid, {b.lease_id for b in blockers}, now, meta,
+                         len(paths))
         table.gates.append(gate)
+        self.broadcast.hold(zxid)
         for blocker in blockers:
             self.net.send(self.node_id, blocker.client_node,
                           LeaseRevoke(blocker.path, blocker.lease_id))
         gate.deadline = self.env.defer(max(0.0, not_before - now),
                                        self._deadline, gate)
+
+    def _ephemerals(self, session_id: int) -> List[str]:
+        server = self.server
+        tree = server._spec_tree if server._spec_tree is not None \
+            else server.tree
+        return list(tree.ephemerals_of(session_id))
 
     def _deadline(self, gate: WriteGate) -> None:
         """Leases still unacked have run out their term plus grace."""
@@ -712,53 +631,90 @@ class LeaseStage:
         self._fire(gate)
 
     def _fire(self, gate: WriteGate) -> None:
-        """Release a gate once every lease it waits on is gone."""
+        """Release a held commit once every lease it waits on is gone."""
         if gate.fired or gate.waiting or not self.server._alive:
             return
         self.table.close_gate(gate)
         gate.deadline.cancel()
-        if self.broadcast.is_leader:
-            gate.proceed(gate.parked_at)
-            return
-        self.table.release_pending(gate.paths, gate.unbounded)
-        if gate.abort is not None:
-            gate.abort("leadership moved")
-
-    def _to_prep(self, meta, op, paths: Tuple[str, ...], unbounded: bool,
-                 parked_at: Optional[float]) -> None:
+        now = self.env.now
         obs = self.env.obs
-        if (parked_at is not None and obs is not None
-                and obs.tracer is not None):
-            # The gate wait surfaces as an aux span of the write's trace.
-            obs.tracer.aux(meta.client_node, meta.xid, "lease_gate",
-                           parked_at, self.env.now, self.node_id,
-                           detail=f"paths={len(paths)}")
-        self.server._enter_prep(meta, op, paths, unbounded)
-
-    def _abort(self, meta, reason: str) -> None:
-        self.server._reply_error(meta, ConnectionLossError(reason))
+        if obs is not None:
+            obs.metrics.observe("leases.hold_ms", self.node_id,
+                                now - gate.held_at)
+            meta = gate.meta
+            if meta is not None and obs.tracer is not None:
+                # The hold surfaces as an aux span of the write's trace.
+                obs.tracer.aux(meta.client_node, meta.xid, "lease_gate",
+                               gate.held_at, now, self.node_id,
+                               detail=f"paths={gate.n_paths}")
+        self.broadcast.release(gate.zxid)
 
     # -- leadership ----------------------------------------------------------
+
+    def on_elected(self) -> None:
+        """A leadership was won: hold the inherited log from its first
+        held record on.
+
+        The kernel calls this before it advertises any commit point. A
+        proposal of the old leadership can sit in followers' logs with
+        its commit held for a revoke its partitioned holder never
+        acked. Such a record carries ``held``, and neither it nor
+        anything after it may be delivered until every lease the old
+        leadership granted has run out. That is the recovery window
+        (``recovery_until``), counted from here, so the inherited hold
+        and the fence on this leadership's own writes end at the same
+        instant. A record proposed unheld had no live lease on what it
+        writes, and the grant fence refused new ones while it was in
+        flight, so an inherited suffix without a held record commits at
+        once. Establishment waits behind a held suffix on both kernels
+        (Raft's barrier no-op sits after it; Zab establishes once it
+        commits), so nothing is prepped or answered against a history
+        that is not yet committed.
+        """
+        self._drain()
+        broadcast = self.broadcast
+        epoch = broadcast.leadership_epoch
+        self._won = (epoch, self.env.now)
+        committed = broadcast.committed_zxid
+        first_held = 0
+        for record in reversed(broadcast.log):
+            if record.zxid <= committed:
+                break
+            if record.held:
+                first_held = record.zxid
+        if first_held:
+            broadcast.hold(first_held)
+            self.env.defer(self.config.duration_ms + self.config.grace_ms,
+                           self._release_inherited, epoch, first_held)
+
+    def _release_inherited(self, epoch: int, stamp: int) -> None:
+        if self.broadcast.leadership_epoch == epoch:
+            self.broadcast.release(stamp)
+
+    def _drain(self) -> None:
+        for gate in self.table.drain_gates():
+            gate.deadline.cancel()
 
     def on_role_change(self) -> None:
         """Leases are leader-soft state: a role change wipes the book.
 
-        Parked writes die with the old leadership (their clients retry
-        against the new topology), and a *new* leadership that is not
-        the bootstrap one raises the recovery fence: it cannot know what
-        the old leader granted, so every write waits out one full lease
-        term — the Chubby/GFS master-failover rule.
+        Held commits die with the old leadership (their proposals are
+        the kernel's to commit or drop), and a *new* leadership that is
+        not the bootstrap one raises the recovery fence: it cannot know
+        what the old leader granted, so every commit waits out one full
+        lease term from the election — the Chubby/GFS master-failover
+        rule.
         """
-        for gate in self.table.drain_gates():
-            if gate.abort is not None:
-                gate.abort("leadership changed")
+        self._drain()
         # Fencing keys on the kernel-neutral leadership epoch (Zab
         # epoch / Raft term): 1 is the bootstrap leadership, anything
         # above means an election happened and old grants may be at
         # large on clients of the previous leader.
         epoch = self.broadcast.leadership_epoch
         fence = self.broadcast.is_leader and epoch > 1
-        self.table.reset_for_leadership(epoch, self.env.now, fence)
+        won_epoch, won_at = self._won
+        self.table.reset_for_leadership(
+            epoch, won_at if won_epoch == epoch else self.env.now, fence)
         if self.server.extensions is not None:
             self.registry_zxid = self._unsettled_registry_zxid()
 

@@ -39,8 +39,9 @@ registry after recovery (§3.8).
 
 Read leases are one more stage, ``leases`` (``None``, or the replica's
 :class:`~repro.zk.leases.LeaseStage`): it may attach a lease to a read's
-reply, parks leader-bound writes and expiry closes behind revocation,
-and asks the extension slot which writes fence every lease (DESIGN §11).
+reply, and at the leader's one propose site (:meth:`ZkServer._propose`)
+it holds each txn's commit until the leases on what the txn writes are
+revoked (DESIGN §11).
 """
 
 from __future__ import annotations
@@ -261,9 +262,10 @@ class ZkServer:
         #: the EZK binding (see module docstring); None = plain ZooKeeper.
         self.extensions: Optional[ExtensionBinding] = None
         #: the lease stage (see module docstring); None = no leases.
-        self.leases: Optional[LeaseStage] = (
-            LeaseStage(self, self.config.leases)
-            if self.config.leases is not None else None)
+        self.leases: Optional[LeaseStage] = None
+        if self.config.leases is not None:
+            self.leases = LeaseStage(self, self.config.leases)
+            self.broadcast.on_elected = self.leases.on_elected
 
         # Observability plane: the first obs-configured server installs
         # it on the env; the session table gets its metric hook here
@@ -422,8 +424,6 @@ class ZkServer:
         """Leader ingress for an update or sync, local or forwarded."""
         if op.__class__ is SyncOp:
             self._answer_sync(meta)
-        elif self.leases is not None:
-            self.leases.admit(meta, op)
         else:
             self._enter_prep(meta, op)
 
@@ -560,20 +560,12 @@ class ZkServer:
 
     # -- prep stage (leader) -----------------------------------------------
 
-    def _enter_prep(self, meta: RequestMeta, op: Op,
-                    lease_paths: Optional[Tuple[str, ...]] = None,
-                    unbounded: bool = False) -> None:
+    def _enter_prep(self, meta: RequestMeta, op: Op) -> None:
         self.heartbeats.touch(meta.session_id, self.env.now)
         self.cpu.submit(self.timings.prep_ms + self.timings.log_write_ms,
-                        self._prep, meta, op, lease_paths, unbounded)
+                        self._prep, meta, op)
 
-    def _prep(self, meta: RequestMeta, op: Op,
-              lease_paths: Optional[Tuple[str, ...]] = None,
-              unbounded: bool = False) -> None:
-        # ``lease_paths`` is set exactly when the lease stage gated the
-        # write (on those paths, or on every lease if ``unbounded``).
-        if lease_paths is not None:
-            self.leases.prepped(lease_paths, unbounded)
+    def _prep(self, meta: RequestMeta, op: Op) -> None:
         if not self._alive:
             return
         if not self.broadcast.is_leader:
@@ -611,29 +603,47 @@ class ZkServer:
                 self._reply_error(meta, error)
                 return
             if txn is not None:
-                if lease_paths is not None and not unbounded:
-                    self.leases.regate(meta, op, lease_paths)   # R3
-                    return
-                # The extension ran against the speculative tree; apply
-                # its write-set and propose in the same event so the next
-                # prep sees it (atomicity under pipelining). The extra
-                # leader CPU it consumed is billed as a queue item — only
-                # on the matched path, so regular clients see none of it
-                # (§6.2's <0.4% overhead claim).
+                # The extension ran against the speculative tree; its
+                # write-set is applied and proposed in this same event so
+                # the next prep sees it (atomicity under pipelining). The
+                # extra leader CPU it consumed is billed as a queue item —
+                # only on the matched path, so regular clients see none
+                # of it (§6.2's <0.4% overhead claim).
                 self.cpu.submit(self.timings.extension_exec_ms)
-                self._apply_to_spec(txn)
+                zxid = self._propose(txn, meta)
         if txn is None:
             try:
                 txn = self._translate(meta, op, spec)
+                in_spec = op.__class__ in _SPEC_TRANSLATED
             except ZkError as error:
                 # Faithful to ZooKeeper: rejected updates still travel
-                # the ordered pipeline as error transactions.
+                # the ordered pipeline as error transactions (which
+                # change no tree).
                 txn = ErrorTxn(to_code(error), str(error))
-        zxid = self.broadcast.propose(txn, meta)
+                in_spec = True
+            zxid = self._propose(txn, meta, in_spec)
         self._proposed_xids[(meta.client_node, meta.xid)] = zxid
         self._mark_propose(meta, zxid)
-        if lease_paths is not None:
-            self.leases.proposed(txn, zxid)     # R2
+
+    def _propose(self, txn: Txn, meta: Optional[RequestMeta],
+                 in_spec: bool = False) -> int:
+        """The leader's one propose site: client updates, extension
+        rewrites, event-extension writes and expiry closes all end here.
+
+        ``txn`` is applied to the speculative tree (unless the prep
+        translation already wrote it there: ``in_spec``), its commit is
+        fenced behind the leases on what it writes, and it is proposed,
+        all in one event. The fence comes first, while the spec still
+        holds what a session close deletes.
+        """
+        broadcast = self.broadcast
+        if self.leases is not None:
+            self.leases.fence_commit(txn, broadcast.next_zxid, meta)
+        if not in_spec:
+            # Stamped with the zxid the propose() below assigns.
+            _apply_txn_to_tree(self._spec_tree, txn,
+                               zxid=broadcast.next_zxid, now=self.env.now)
+        return broadcast.propose(txn, meta)
 
     def _mark_propose(self, meta: RequestMeta, zxid: int) -> None:
         obs = self.env.obs
@@ -685,7 +695,10 @@ class ZkServer:
         self._succeed(meta, value, zxid)
 
     def _translate(self, meta: RequestMeta, op: Op, spec: DataTree) -> Txn:
-        """Turn a validated update op into a deterministic txn (mutates spec)."""
+        """Turn a validated update op into a deterministic txn. A single
+        create, set or delete writes ``spec`` itself (see
+        ``_SPEC_TRANSLATED``); every other txn reaches it in
+        :meth:`_propose`."""
         if isinstance(op, CreateOp):
             owner = meta.session_id if op.ephemeral else None
             # Stamp the zxid the upcoming propose() will assign: czxid
@@ -716,9 +729,7 @@ class ZkServer:
                     overlay.delete(sub.path, sub.version)
                 else:
                     raise ZkError(f"op not allowed in multi: {sub!r}")
-            txn = MultiTxn(overlay.txns)
-            self._apply_to_spec(txn)
-            return txn
+            return MultiTxn(overlay.txns)
         if isinstance(op, CreateSessionOp):
             return CreateSessionTxn(0, op.timeout_ms, op.client_id)
         if isinstance(op, CloseSessionOp):
@@ -732,16 +743,6 @@ class ZkServer:
             self._closing_sessions.add(meta.session_id)
             return CloseSessionTxn(meta.session_id)
         raise ZkError(f"unknown update operation: {op!r}")
-
-    def _apply_to_spec(self, txn: Txn) -> None:
-        spec = self._spec_tree
-        if spec is None:
-            return
-        # Callers run before propose(), so next_zxid is the zxid this
-        # txn will carry — spec czxids stay identical to the committed
-        # tree's (extensions sort sub-objects by them).
-        _apply_txn_to_tree(spec, txn, zxid=self.broadcast.next_zxid,
-                           now=self.env.now)
 
     def _on_role_change(self) -> None:
         if self.leases is not None:
@@ -968,19 +969,7 @@ class ZkServer:
                     obs = self.env.obs
                     if obs is not None:
                         obs.metrics.inc("sessions.expired", self.node_id)
-                    if self.leases is not None:
-                        self.leases.close_session(session_id)
-                    else:
-                        self._propose_close(session_id)
-
-    def _propose_close(self, session_id: int) -> None:
-        """Propose an expired session's close, unless it is gone already."""
-        if (session_id in self.sessions
-                and session_id in self._closing_sessions):
-            # Spec first: _apply_to_spec stamps with the zxid the
-            # propose() right after it will assign.
-            self._apply_to_spec(CloseSessionTxn(session_id))
-            self.broadcast.propose(CloseSessionTxn(session_id), None)
+                    self._propose(CloseSessionTxn(session_id), None)
 
     # -- introspection (four-letter words) -----------------------------------
 
@@ -1152,6 +1141,11 @@ _TXN_APPLIERS = {
     CreateSessionTxn: _session_create_on_tree,
     CloseSessionTxn: _session_close_on_tree,
 }
+
+#: Update ops whose prep translation writes the speculative tree itself
+#: (a sequential create must advance the spec's sequence counter, which
+#: applying the resulting CreateTxn would not).
+_SPEC_TRANSLATED = (CreateOp, SetDataOp, DeleteOp)
 
 #: Txns :meth:`ZkServer._apply` hands to the server rather than the tree.
 _SERVER_APPLIERS = {

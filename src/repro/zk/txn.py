@@ -270,11 +270,17 @@ class TxnRecord:
     simulation. ``zxid`` and ``txn`` never change once the record is
     appended; ``meta`` changes only through :meth:`repoint`, which drops
     the cached size with it.
+
+    ``held`` marks a record proposed with its commit held (see
+    ``AtomicBroadcast.hold``): a successor leader holds its inherited
+    log from the first such record on. The flag rides in the record's
+    tag bytes, so it adds nothing to the wire size.
     """
 
     zxid: int
     txn: Txn
     meta: Optional[RequestMeta] = None
+    held: bool = field(default=False, repr=False)
     _wire_size: Optional[int] = field(default=None, repr=False, compare=False)
 
     def repoint(self, meta: RequestMeta) -> None:

@@ -17,6 +17,11 @@ with the properties the paper's evaluation depends on:
   only the log suffix after its last zxid;
 * a replica recovering from a crash rejoins by asking the current leader
   for a sync;
+* a leader can **hold** a stamp (``hold``/``release``): its commit
+  watermark, and every commit point it advertises, stay below the held
+  stamp until it is released, while the proposal itself replicates. A
+  new leader whose inherited log is held establishes only when the
+  release commits it (heartbeating meanwhile);
 * **observers** are non-voting learners (ZooKeeper's read-scaling
   replicas): they receive proposals, commits, heartbeats, and leader
   syncs like followers, but they never ack, never vote, and never count
@@ -168,6 +173,9 @@ class ZabPeer(AtomicBroadcast):
         self._ack_values: List[int] = []
         self._establish_acks: set[str] = set()
         self._established = False
+        #: held stamps, sorted: the commit watermark stays below the
+        #: first (leader-volatile; a new leadership starts with none).
+        self._holds: List[int] = []
 
         # election bookkeeping
         self._votes: Dict[str, tuple[int, str]] = {}
@@ -185,6 +193,7 @@ class ZabPeer(AtomicBroadcast):
         self._sync_pending = False
         self._alive = True
         self.on_role_change: Optional[Callable[[], None]] = None
+        self.on_elected: Optional[Callable[[], None]] = None
 
     # -- introspection ---------------------------------------------------
 
@@ -246,6 +255,7 @@ class ZabPeer(AtomicBroadcast):
     def crash(self) -> None:
         """Stop participating. Log and committed pointer persist (disk)."""
         self._alive = False
+        self._holds = []
 
     def recover(self) -> None:
         """Come back up; rejoin by looking for the current leader."""
@@ -288,6 +298,7 @@ class ZabPeer(AtomicBroadcast):
         self._counter += 1
         zxid = make_zxid(self.epoch, self._counter)
         record = TxnRecord(zxid=zxid, txn=txn, meta=meta)
+        self._mark_held(record)
         self.log.append(record)
         obs = self.env.obs
         if obs is not None:
@@ -296,6 +307,14 @@ class ZabPeer(AtomicBroadcast):
         self._fan_out(Proposal(self.epoch, record))
         self._advance_commit()
         return zxid
+
+    def _below_holds(self, zxid: int) -> int:
+        """``zxid``, or the last logged stamp below the first hold."""
+        holds = self._holds
+        if not holds or zxid < holds[0]:
+            return zxid
+        idx = bisect_left(self.log, holds[0], key=_record_zxid)
+        return self.log[idx - 1].zxid if idx else 0
 
     # -- message dispatch ------------------------------------------------------
 
@@ -363,16 +382,22 @@ class ZabPeer(AtomicBroadcast):
 
     def _advance_commit(self) -> None:
         if not self.is_leader:
+            if self._synced() and not self._established:
+                # A release lifted the hold on the inherited suffix.
+                self._finish_establishment()
             return
         values = self._ack_values
         if len(values) < self.quorum:
             return
-        # The quorum watermark: the highest zxid acked by >= quorum nodes.
+        # The quorum watermark: the highest zxid acked by >= quorum nodes,
+        # kept below any held stamp.
         candidate = values[len(values) - self.quorum]
-        # Only commit entries from the current epoch directly (older entries
-        # are committed transitively, as in Raft/Zab).
+        if self._holds:
+            candidate = self._below_holds(candidate)
         if candidate <= self.committed_zxid:
             return
+        # Only commit entries from the current epoch directly (older entries
+        # are committed transitively, as in Raft/Zab).
         if zxid_epoch(candidate) != self.epoch:
             return
         self.committed_zxid = candidate
@@ -408,7 +433,9 @@ class ZabPeer(AtomicBroadcast):
 
     def _heartbeat_loop(self):
         while self._alive:
-            if self.is_leader:
+            # A synced leader beats even while a held inherited suffix
+            # keeps it unestablished, so followers do not suspect it.
+            if self.is_leader or self._synced():
                 beat = Heartbeat(self.epoch, self.node_id, self.committed_zxid)
                 self._fan_out(beat)
             yield self.env.timeout(self.config.heartbeat_ms)
@@ -561,8 +588,14 @@ class ZabPeer(AtomicBroadcast):
         # (it holds the highest zxid in its quorum) — nothing to
         # reconcile against.
         self._sync_pending = False
+        self._holds = []
+        if self.on_elected:
+            self.on_elected()
         # Establishment syncs everyone from scratch: full log (prefix 0).
-        sync = NewLeader(self.epoch, list(self.log), self.last_zxid)
+        # Followers deliver up to the advertised commit point on
+        # arrival, so it stays below any hold on the inherited suffix.
+        sync = NewLeader(self.epoch, list(self.log),
+                         self._below_holds(self.last_zxid))
         self._fan_out(sync)
         if self.quorum == 1:  # degenerate single-node ensemble
             self._finish_establishment()
@@ -609,21 +642,33 @@ class ZabPeer(AtomicBroadcast):
             return  # observers never count toward establishment
         self._establish_acks.add(src)
         self._ack_update(src, self.last_zxid)
-        if len(self._establish_acks) >= self.quorum and not self._established:
+        if self._synced() and not self._established:
             self._finish_establishment()
 
+    def _synced(self) -> bool:
+        """A live leader whose NewLeader a quorum has acked."""
+        return (self._alive and self.role is Role.LEADER
+                and len(self._establish_acks) >= self.quorum)
+
     def _finish_establishment(self) -> None:
-        self._established = True
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zab.leaderships", self.node_id)
         # Commit the whole inherited log (Zab: NEW_LEADER quorum-ack implies
-        # everything in the new leader's history is committed).
-        if self.last_zxid > self.committed_zxid:
-            self.committed_zxid = self.last_zxid
+        # everything in the new leader's history is committed), up to
+        # the first hold. A held inherited suffix keeps the leader
+        # unestablished until its release commits it (as Raft's barrier
+        # waits behind it): nothing is proposed, prepped or answered
+        # against a history that is not yet committed.
+        committed = self._below_holds(self.last_zxid)
+        held = committed < self.last_zxid
+        if not held:
+            self._established = True
+            obs = self.env.obs
+            if obs is not None:
+                obs.metrics.inc("zab.leaderships", self.node_id)
+        if committed > self.committed_zxid:
+            self.committed_zxid = committed
         self._deliver_committed()
         self._fan_out(Commit(self.epoch, self.committed_zxid))
-        if self.on_role_change:
+        if not held and self.on_role_change:
             self.on_role_change()
 
     def _on_sync_request(self, src: str, msg: SyncRequest) -> None:

@@ -5,7 +5,9 @@ election + log matching) and PBFT (Byzantine three-phase ordering),
 asserting the contract every layer above ``core/broadcast.py`` depends
 on: total order, prefix agreement, no loss across leader changes,
 sync-barrier linearizability, snapshot/suffix-sync equivalence, and
-monotone leadership epochs (the fencing token).
+monotone leadership epochs (the fencing token). Commit holds run over
+Zab and Raft only: the PBFT adapter does not implement ``hold`` (see
+``core/broadcast.py``).
 
 The teeth: two seeded Raft mutants — one skips the log-matching check,
 one counts votes without the term/phase check — and the suite must
@@ -142,6 +144,95 @@ class TestAtomicBroadcastContract:
                      if e.node_id != leader.node_id]
         assert max(e.kernel.leadership_epoch for e in survivors) > 1, \
             "failover must bump the leadership epoch"
+
+
+# ---------------------------------------------------------------------------
+# Commit holds (leader-side; Zab and Raft)
+# ---------------------------------------------------------------------------
+
+HOLD_KERNELS = ("zab", "raft")
+
+
+def replicated(cluster, zxid) -> bool:
+    return all(e.kernel.last_zxid >= zxid for e in cluster.alive_endpoints())
+
+
+@pytest.mark.parametrize("kernel", HOLD_KERNELS)
+class TestCommitHolds:
+    def test_held_stamp_and_later_ones_replicate_but_wait(self, kernel):
+        cluster = BroadcastCluster(kernel)
+        propose_all(cluster, ["a1"])
+        assert cluster.settle() is None
+        leader = cluster.leader().kernel
+        held = leader.next_zxid
+        leader.hold(held)
+        assert leader.propose("held") == held
+        later = [leader.propose("b1"), leader.propose("b2")]
+        # Many heartbeats and acks later: everyone logged all three,
+        # nobody delivered any, and no commit point advertised them.
+        cluster.run(400.0)
+        assert replicated(cluster, later[-1])
+        for endpoint in cluster.endpoints.values():
+            assert endpoint.payloads() == ["a1"], endpoint.node_id
+            assert endpoint.kernel.committed_zxid < held, endpoint.node_id
+        leader.release(held)
+        assert cluster.settle() is None
+        for endpoint in cluster.endpoints.values():
+            assert endpoint.payloads() == ["a1", "held", "b1", "b2"]
+
+    def test_release_delivers_in_stamp_order(self, kernel):
+        cluster = BroadcastCluster(kernel)
+        leader = cluster.leader().kernel
+        first = leader.next_zxid
+        leader.hold(first)
+        leader.propose("x1")
+        second = leader.next_zxid
+        leader.hold(second)
+        leader.propose("x2")
+        leader.propose("x3")
+        cluster.run(200.0)
+        # Releasing the later hold first frees nothing: the earlier one
+        # still keeps the watermark below every stamp after it.
+        leader.release(second)
+        cluster.run(200.0)
+        for endpoint in cluster.endpoints.values():
+            assert endpoint.payloads() == [], endpoint.node_id
+        leader.release(first)
+        assert cluster.settle() is None
+        for endpoint in cluster.endpoints.values():
+            assert endpoint.payloads() == ["x1", "x2", "x3"]
+
+    def test_leadership_change_drops_the_holds(self, kernel):
+        cluster = BroadcastCluster(kernel)
+        ep = cluster.endpoints
+        propose_all(cluster, ["a1"])
+        assert cluster.settle() is None
+        # n2 takes over (highest rank among equal logs) and holds a stamp.
+        cluster.crash("n0")
+        assert run_until(cluster, lambda: ep["n2"].kernel.is_leader, 5_000.0)
+        cluster.recover("n0")
+        assert cluster.settle() is None
+        held = ep["n2"].kernel.next_zxid
+        ep["n2"].kernel.hold(held)
+        ep["n2"].kernel.propose("held")
+        assert run_until(cluster, lambda: replicated(cluster, held), 100.0,
+                         step_ms=1.0)
+        # Cut off, n2 loses the leadership without crashing; nobody
+        # holds the proposal under n1, so it commits there.
+        cluster.partition(["n2"])
+        assert run_until(cluster, lambda: ep["n1"].kernel.is_leader, 5_000.0)
+        ep["n1"].kernel.propose("b1")
+        cluster.heal()
+        assert cluster.settle() is None
+        # n2 wins again: its old hold died with the old leadership, so
+        # it commits at once.
+        cluster.crash("n1")
+        assert run_until(cluster, lambda: ep["n2"].kernel.is_leader, 5_000.0)
+        ep["n2"].kernel.propose("c1")
+        cluster.recover("n1")
+        assert cluster.settle() is None
+        for endpoint in ep.values():
+            assert endpoint.payloads() == ["a1", "held", "b1", "c1"]
 
 
 # ---------------------------------------------------------------------------

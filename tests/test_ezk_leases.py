@@ -2,18 +2,19 @@
 can actually write (DESIGN §11, "Leases under extensions").
 
 Every case gives a ``cached_reads`` reader a lease on ``/p`` and then
-changes ``/p`` by a route the write's declared paths do not name. The
-reader must never serve the old value past that change, and a reader
-whose reads an extension consumes must reach the extension. Each case
-pins one rule; the rule's name is in the test name:
+changes ``/p`` by a route the request itself does not name. The reader
+must never serve the old value past that change, and a reader whose
+reads an extension consumes must reach the extension. The commit fence
+reads the txn an extension produced, so a consumed op is fenced on the
+paths it really writes. Each remaining rule has a case named after it:
 
-* R1 — ops an extension consumes and ``/em`` writes fence every lease;
+* R1 — ``/em`` registry writes fence every lease;
 * R2 — no grant while a registry txn is in flight, nor one for a read
   an extension consumes;
-* R3 — a write an extension rewrites at prep is fenced again first;
 * R4 — no grant while an event extension is registered.
 
-Plain EZK writes, on the other hand, fence only their own paths.
+Plain EZK writes, on the other hand, fence only their own paths. Every
+case runs over Zab, and again over Raft as ``TestOverRaft::<case>``.
 """
 
 from __future__ import annotations
@@ -69,9 +70,16 @@ class ReadP(Extension):
 '''
 
 
-def make_ensemble(obs=None):
+@pytest.fixture
+def kernel():
+    """The consensus kernel under the module-level cases: Zab. Every
+    case runs again over Raft in :class:`TestOverRaft`."""
+    return "zab"
+
+
+def make_ensemble(kernel, obs=None):
     ens = EzkEnsemble(n_replicas=3, seed=1, config=ZkConfig(
-        local_reads=True, leases=LeaseConfig(), obs=obs))
+        kernel=kernel, local_reads=True, leases=LeaseConfig(), obs=obs))
     ens.start()
     return ens
 
@@ -129,10 +137,10 @@ def setup(ens, source, name, *paths):
     return owner
 
 
-def test_plain_write_leaves_other_leases_alive():
+def test_plain_write_leaves_other_leases_alive(kernel):
     # §6.2: a registered extension costs regular clients nothing. A
     # write no extension consumes fences its own path and no other.
-    ens = make_ensemble()
+    ens = make_ensemble(kernel)
     setup(ens, POKE_EXT, "poke", "/p", "/q")
     reader = connected(ens, cached_reads=True)
     writer = connected(ens)
@@ -143,10 +151,11 @@ def test_plain_write_leaves_other_leases_alive():
     assert reader._cache.stats["revokes"] == 0
 
 
-def test_r1_consumed_read_fences_every_lease():
+def test_r1_consumed_read_fences_every_lease(kernel):
     # (a) An acknowledged extension, triggered by a read of /trigger,
-    # rewrites /p: the read names no path /p's lease could fence on.
-    ens = make_ensemble()
+    # rewrites /p: the read names no path, but the txn it becomes
+    # writes /p, so /p's lease is revoked before that txn commits.
+    ens = make_ensemble(kernel)
     setup(ens, POKE_EXT, "poke", "/p")
     reader = connected(ens, cached_reads=True)
     writer = connected(ens)
@@ -156,19 +165,17 @@ def test_r1_consumed_read_fences_every_lease():
     manager = ens.binding(ens.leader.node_id).manager
     executions = manager.executions
     assert run(ens, writer.get_data("/trigger"))[0] == "poked"
-    # Fenced at ingress, the extension runs once. (Fenced only by its
-    # declared paths, R3 would still catch the rewrite at prep, but
-    # only by running the extension a second time.)
+    # Fenced at propose, the extension runs once.
     assert manager.executions == executions + 1
     run_until(ens, everywhere(ens, "/p", b"new"))
     data, _stat = run(ens, reader.get_data("/p"))[0]
     assert data == b"new"
 
 
-def test_r1_registry_write_fences_every_lease():
+def test_r1_registry_write_fences_every_lease(kernel):
     # (d) The reader acknowledges an extension that consumes its reads
     # of a path it has cached: its next read must reach the extension.
-    ens = make_ensemble()
+    ens = make_ensemble(kernel)
     setup(ens, READ_P_EXT, "readp", "/p")
     reader = connected(ens, cached_reads=True)
     run(ens, heat_up(reader, "/p"))
@@ -179,7 +186,8 @@ def test_r1_registry_write_fences_every_lease():
 
 @pytest.mark.parametrize("delay_ms,reason", [(0.05, "registry"),
                                               (0.3, "consumed")])
-def test_r2_no_grant_for_a_read_the_registry_is_taking_over(delay_ms,
+def test_r2_no_grant_for_a_read_the_registry_is_taking_over(kernel,
+                                                             delay_ms,
                                                              reason):
     # The reader's lease-earning read races its own acknowledgement. A
     # delay rule lands the grant request at the leader either while the
@@ -187,7 +195,7 @@ def test_r2_no_grant_for_a_read_the_registry_is_taking_over(delay_ms,
     # change), or just after (the registry says an extension consumes
     # this reader's reads of /p). Either grant would leave the reader
     # serving /p from its cache after the ack returned.
-    ens = make_ensemble(obs=ObsConfig(trace=False))
+    ens = make_ensemble(kernel, obs=ObsConfig(trace=False))
     setup(ens, READ_P_EXT, "readp", "/p")
     reader = connected(ens, replica="ezk1", cached_reads=True)
     run(ens, reader.get_data("/p"))           # first read: heat, no lease
@@ -198,41 +206,54 @@ def test_r2_no_grant_for_a_read_the_registry_is_taking_over(delay_ms,
     assert metrics.total("leases.denied." + reason) == 1
 
 
-def test_r3_rewrite_at_prep_is_fenced_again():
-    # (c) The writer's update of /q waits at the gate on the reader's
-    # lease on /q (its revoke ack is delayed) while the leader's
-    # registry comes to authorize the writer for an extension that
-    # turns updates of /q into writes of /p. The registry is changed
-    # directly here, as applying the writer's ack would change it: a
-    # committed ack cannot overtake the gated update, because R1 makes
-    # the ack wait out the same lease and the update fires first. The
-    # registry does change under a gated write when a new leader
-    # applies its predecessor's ack, or when the leader's apply stage
-    # lags the follower the writer's next request came through.
-    ens = make_ensemble()
+def test_rewritten_write_commit_waits_for_the_revoke(kernel):
+    # (c) The writer's update of /q is rewritten by an extension into a
+    # write of /p. The commit fence reads the txn the extension
+    # produced, so it holds that commit until the reader's /p lease is
+    # revoked (the ack is delayed), and leaves the /q lease the update
+    # named, but does not write, alone.
+    ens = make_ensemble(kernel)
     setup(ens, REDIRECT_EXT, "redirect", "/p", "/q")
     reader = connected(ens, cached_reads=True)
     writer = connected(ens)
+    run(ens, writer.acknowledge_extension("redirect"))
     run(ens, heat_up(reader, "/p", "/q"))
     assert cached(reader, "/p") and cached(reader, "/q")
+    p_lease = reader._cache.entries["/p"].lease_id
+    env = ens.env
     ens.net.add_delay_rule(20.0, msg_types=[LeaseRevokeAck],
                            src=reader.node_id)
-    update = ens.env.process(writer.set_data("/q", b"new"))
-    ens.env.run(until=ens.env.now + 5.0)
-    assert ens.leader.leases.table.gates, "the update must wait at the gate"
-    for binding in ens.bindings:
-        binding.manager.acknowledge("redirect", writer.client_id)
-    assert ens.env.run(until=update) == "redirected"
+    update = env.process(writer.set_data("/q", b"new"))
+    env.run(until=env.now + 5.0)
+    leader = ens.leader
+    gates = leader.leases.table.gates
+    assert [gate.waiting for gate in gates] == [{p_lease}]
+    held = gates[0]
+    # The rewrite replicated; only its commit waits.
+    assert all(server.broadcast.last_zxid >= held.zxid
+               for server in ens.servers)
+    assert leader.broadcast.committed_zxid < held.zxid
+    stale = []
+    while not update.triggered:
+        if cached(reader, "/p") and any(
+                server.tree.get_data("/p")[0] == b"new"
+                for server in ens.servers):
+            stale.append(env.now)
+        env.run(until=env.now + 0.05)
+    assert update.value == "redirected"
+    assert not stale, stale
+    assert env.now - held.held_at >= 20.0
+    assert cached(reader, "/q")
     run_until(ens, everywhere(ens, "/p", b"new"))
     data, _stat = run(ens, reader.get_data("/p"))[0]
     assert data == b"new"
 
 
-def test_r4_no_grant_while_an_event_extension_is_registered():
+def test_r4_no_grant_while_an_event_extension_is_registered(kernel):
     # (b) An event extension rewrites /p when /trigger changes; the
     # triggering write is a plain set_data that names /trigger only,
     # and the extension's own write commits without passing the gate.
-    ens = make_ensemble(obs=ObsConfig(trace=False))
+    ens = make_ensemble(kernel, obs=ObsConfig(trace=False))
     owner = setup(ens, RELAY_EXT, "relay", "/p", "/trigger")
     reader = connected(ens, cached_reads=True)
     run(ens, heat_up(reader, "/p"))
@@ -243,12 +264,16 @@ def test_r4_no_grant_while_an_event_extension_is_registered():
     assert ens.env.obs.metrics.total("leases.denied.events") > 0
 
 
-def mixed_run(obs):
+def mixed_run(kernel, obs):
     """Cached readers of /p and /q beside a writer that updates /p and
     triggers an extension that rewrites it."""
-    ens = make_ensemble(obs=obs)
+    ens = make_ensemble(kernel, obs=obs)
     owner = setup(ens, POKE_EXT, "poke", "/p", "/q")
-    readers = [connected(ens, cached_reads=True) for _ in range(4)]
+    # One reader on each replica and one more on a follower: the
+    # leader's own reader meets the in-flight fence; the followers'
+    # readers also meet their lag behind the leader (moved).
+    readers = [connected(ens, replica=replica, cached_reads=True)
+               for replica in ens.replica_ids + ens.replica_ids[1:2]]
     env = ens.env
 
     def reads(client):
@@ -267,17 +292,18 @@ def mixed_run(obs):
     return ens, readers
 
 
-def test_denial_counters_leave_the_run_unchanged():
-    plain, plain_readers = mixed_run(obs=None)
-    observed, observed_readers = mixed_run(obs=ObsConfig(trace=False))
+def test_denial_counters_leave_the_run_unchanged(kernel):
+    plain, plain_readers = mixed_run(kernel, obs=None)
+    observed, observed_readers = mixed_run(kernel, obs=ObsConfig(
+        trace=False))
     assert observed.env.now == plain.env.now
     assert observed.env.events_processed == plain.env.events_processed
     assert ([r._cache.stats for r in observed_readers]
             == [r._cache.stats for r in plain_readers])
 
 
-def test_denial_reasons_sum_to_the_total():
-    ens, _readers = mixed_run(obs=ObsConfig(trace=False))
+def test_denial_reasons_sum_to_the_total(kernel):
+    ens, _readers = mixed_run(kernel, obs=ObsConfig(trace=False))
     counters = ens.env.obs.metrics.counters
     total = sum(value for (name, _node), value in counters.items()
                 if name == "leases.denied")
@@ -289,3 +315,22 @@ def test_denial_reasons_sum_to_the_total():
     assert total > 0
     assert sum(by_reason.values()) == total
     assert len(by_reason) >= 2, by_reason
+
+
+class TestOverRaft:
+    """Every case of this module, over Raft.
+
+    The commit fence, the inherited hold and the grant rules all sit
+    behind the kernel-neutral broadcast contract, so each rule must
+    hold over both kernels. Only the ``kernel`` fixture differs; the
+    cases are attached below, so one added above runs here as well.
+    """
+
+    @pytest.fixture
+    def kernel(self):
+        return "raft"
+
+
+for _name, _case in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestOverRaft, _name, staticmethod(_case))

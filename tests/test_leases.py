@@ -1,33 +1,40 @@
 """Lease-protected client caching: grants, revocation, races, fencing.
 
 Unit-tests the passive bookkeeping (LeaseTable, ClientReadCache) and
-then drives the full protocol end-to-end: sub-RTT cache hits, writes
-blocking on revocation with no stale read past a committed write (both
+then drives the full protocol end-to-end: sub-RTT cache hits, commits
+held behind revocation with no stale read past a committed write (both
 for ``get_data`` and ``exists``), the sync() cache bypass, leader
-failover mid-lease (epoch fence), dead lease holders (gate deadline),
-and expiry-sweep close gating when the dying session's ephemeral is
-leased. The last three cases run over both consensus kernels: a dark
-leader's grant timeout, a gated update whose leader crashes, and a
-follower relaying its client's sync release.
+failover mid-lease (epoch fence), dead lease holders (hold deadline),
+and expiry-sweep close fencing when the dying session's ephemeral is
+leased. The cases at the end run over both consensus kernels: a dark
+leader's grant timeout, a held update whose leader crashes, a follower
+relaying its client's sync release, the in-flight grant fence on a key
+with a held proposal, the new leader's hold on the log suffix it
+inherits, writes and syncs sent across that hold, and the prompt
+commit of a suffix with no held record. The last case checks the
+hold's trace span and histogram.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.zk import NoNodeError, Stat, ZkEnsemble
+from repro.obs import ObsConfig
+from repro.zk import (BadVersionError, NodeExistsError, NoNodeError, Stat,
+                      ZkEnsemble)
 from repro.zk.client import _DEFAULT_TIMEOUT_MS
 from repro.zk.leases import (CACHE_MISS, ClientReadCache, LeaseConfig,
                              LeaseRequest, LeaseRevoke, LeaseTable)
 from repro.zk.server import ZkConfig
+from repro.zk.txn import CreateSessionTxn, ErrorTxn
 
 LEASES = LeaseConfig()
 KERNELS = ["zab", "raft"]
 
 
-def make_ensemble(kernel="zab"):
+def make_ensemble(kernel="zab", obs=None):
     ens = ZkEnsemble(n_replicas=3, seed=1,
-                     config=ZkConfig(kernel=kernel, leases=LEASES))
+                     config=ZkConfig(kernel=kernel, leases=LEASES, obs=obs))
     ens.start()
     return ens
 
@@ -74,14 +81,6 @@ def test_lease_config_validates():
     with pytest.raises(ValueError):
         LeaseConfig(grace_ms=-1.0).validate()
     LEASES.validate()
-
-
-def test_grant_denied_while_write_pending():
-    table = LeaseTable(LEASES)
-    table.acquire_pending(("/k",))
-    assert table.grant("/k", session_id=1, client_node="c", now=0.0) is None
-    table.release_pending(("/k",))
-    assert table.grant("/k", session_id=1, client_node="c", now=0.0)
 
 
 def test_active_on_prunes_past_grace():
@@ -231,8 +230,8 @@ def check_no_stale_read_past_committed_write(ensemble, call):
         yield from writer.create("/hot", b"old")
         yield from heat_up(reader, "/hot", call=call)
         assert cached(reader, call, "/hot")
-        # The write blocks until the reader's lease is revoked; once it
-        # returns, the reader must observe the new value.
+        # The write's commit waits until the reader's lease is revoked;
+        # once it returns, the reader must observe the new value.
         yield from writer.set_data("/hot", b"new")
         seen = yield from read(reader, call, "/hot")
         assert seen == (b"new" if call == "get_data" else 1)
@@ -295,8 +294,8 @@ def test_leader_failover_mid_lease(ensemble):
     ensemble.server("zk0").crash()
     run_until(ensemble, lambda: ensemble.leader is not None
               and ensemble.leader.node_id != "zk0")
-    # The new leader lost the lease table; the epoch fence holds all
-    # writes for a full lease duration + grace, so the orphan lease
+    # The new leader lost the lease table; the epoch fence holds every
+    # commit for a full lease duration + grace, so the orphan lease
     # expires before any post-failover write can commit.
     recovery = ensemble.leader.leases.table.recovery_until
     assert recovery > env.now
@@ -320,8 +319,8 @@ def test_dead_lease_holder_does_not_block_writes_forever(ensemble):
         yield from heat_up(reader, "/hot")
 
     run(ensemble, setup())
-    # The holder vanishes: revokes go unanswered, so the write gate
-    # must fall through at lease expiry + grace, not wait on the ack.
+    # The holder vanishes: revokes go unanswered, so the commit hold
+    # must end at lease expiry + grace, not wait on the ack.
     ensemble.net.crash(reader.node_id)
     t0 = env.now
     durations = {}
@@ -338,7 +337,7 @@ def test_dead_lease_holder_does_not_block_writes_forever(ensemble):
 
 def test_expiry_close_gated_on_leased_ephemeral(ensemble):
     # The dying session's ephemeral is leased by another client: the
-    # CloseSession proposal must wait for that lease, and the holder
+    # CloseSession commit must wait for that lease, and the holder
     # must never serve the ephemeral from cache after the delete.
     owner = connected_client(ensemble, session_timeout_ms=2000.0)
     holder = connected_client(ensemble, replica="zk1", cached_reads=True)
@@ -379,7 +378,8 @@ def test_expiry_close_gated_on_leased_ephemeral(ensemble):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end, both kernels: the grant timeout, the gate drain, the relay
+# end-to-end, both kernels: the grant timeout, the hold drain, the relay,
+# the in-flight fence, the inherited hold
 # ---------------------------------------------------------------------------
 
 
@@ -412,11 +412,12 @@ def test_dark_leader_read_is_answered_plain_after_grant_timeout(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_update_gated_when_its_leader_crashes_applies_once(kernel):
-    # The update waits at zk0's gate on a lease whose holder never acks.
-    # zk0 crashes, a new leader is elected, the gate's deadline passes
-    # while zk0 is down, and zk0 recovers: its role change drains the
-    # gate with ConnectionLoss, and the client's retry through zk0
-    # applies the write once, well inside the client's RPC deadline.
+    # The update's commit is held at zk0 on a lease whose holder never
+    # acks. zk0 crashes after the proposal replicated, a new leader is
+    # elected and holds the inherited proposal out its recovery window,
+    # the gate's deadline passes while zk0 is down, and zk0 recovers:
+    # its role change drains the dead gate, and the update applies
+    # once, through zk0, well inside the client's RPC deadline.
     ens = make_ensemble(kernel)
     reader = connected_client(ens, replica="zk1", cached_reads=True)
     writer = connected_client(ens, replica="zk0")
@@ -431,11 +432,11 @@ def test_update_gated_when_its_leader_crashes_applies_once(kernel):
     update = env.process(writer.set_data("/hot", b"new"))
     env.run(until=env.now + 5.0)
     gates = old.leases.table.gates
-    assert gates, "the update must wait at the gate"
+    assert gates, "the update's commit must be held"
     gate = gates[0]
     old.crash()
     run_until(ens, lambda: ens.leader is not None and ens.leader is not old)
-    run_until(ens, lambda: env.now >= gate.parked_at + LEASES.duration_ms
+    run_until(ens, lambda: env.now >= gate.held_at + LEASES.duration_ms
               + LEASES.grace_ms)
     assert not gate.fired
     old.recover()
@@ -449,8 +450,9 @@ def test_update_gated_when_its_leader_crashes_applies_once(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_follower_relays_sync_release_to_free_a_parked_writer(kernel):
     # The revoke never reaches the reader, so only its release can free
-    # the writer before the lease expires. The reader's sync() drops its
-    # cache and hands the lease ids to its follower, which relays them.
+    # the held commit before the lease expires. The reader's sync()
+    # drops its cache and hands the lease ids to its follower, which
+    # relays them.
     ens = make_ensemble(kernel)
     reader = connected_client(ens, replica="zk1", cached_reads=True)
     writer = connected_client(ens, replica="zk2")
@@ -465,3 +467,204 @@ def test_follower_relays_sync_release_to_free_a_parked_writer(kernel):
     env.run(until=update)
     assert env.now < expires_at
     assert ens.leader.tree.get_data("/hot")[0] == b"new"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_grant_denied_while_its_key_has_a_held_proposal(kernel):
+    # The revoke never reaches the holder, so the write to /hot is
+    # proposed and replicated but its commit stays held. The held txn
+    # is in the leader's speculative tree, so a second reader's grant
+    # on the key is refused as in_flight until the write applies.
+    ens = make_ensemble(kernel, obs=ObsConfig(trace=False))
+    holder = connected_client(ens, replica="zk1", cached_reads=True)
+    second = connected_client(ens, replica="zk2", cached_reads=True)
+    writer = connected_client(ens, replica="zk2")
+    env = ens.env
+    run(ens, holder.create("/hot", b"old"))
+    run(ens, heat_up(holder, "/hot"))
+    assert cached(holder, "get_data", "/hot")
+    ens.net.add_drop_rule(msg_types=[LeaseRevoke], dst=holder.node_id)
+    update = env.process(writer.set_data("/hot", b"new"))
+    run_until(ens, lambda: ens.leader.leases.table.gates, step_ms=0.5)
+    leader = ens.leader
+    held = leader.leases.table.gates[0].zxid
+    run_until(ens, lambda: all(server.broadcast.last_zxid >= held
+                               for server in ens.servers), step_ms=0.5)
+    assert leader.broadcast.committed_zxid < held
+    metrics = env.obs.metrics
+    run(ens, heat_up(second, "/hot"))
+    assert metrics.total("leases.denied.in_flight") >= 1
+    assert second._cache.stats["installs"] == 0
+    assert not update.triggered
+    env.run(until=update)
+    data, _stat = run(ens, second.get_data("/hot"))[0]
+    assert data == b"new"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_new_leader_holds_the_inherited_suffix_past_old_leases(kernel):
+    # The write to /hot is proposed with its commit held for a revoke
+    # the reader never gets; then the leader dies. The proposal sits in
+    # every survivor's log, so the new leader must not deliver it (nor
+    # let a follower deliver it) while the reader may still serve /hot
+    # from the lease the old leader granted.
+    ens = make_ensemble(kernel)
+    reader = connected_client(ens, replica="zk1", cached_reads=True)
+    writer = connected_client(ens, replica="zk2")
+    env = ens.env
+    run(ens, reader.create("/hot", b"old"))
+    run(ens, heat_up(reader, "/hot"))
+    entry = reader._cache.entries["/hot"]
+    ens.net.add_drop_rule(msg_types=[LeaseRevoke], dst=reader.node_id)
+    update = env.process(writer.set_data("/hot", b"new"))
+    env.run(until=env.now + 1.0)
+    old = ens.leader
+    assert old.leases.table.gates
+    old.crash()
+    violations = []
+    while env.now < entry.expires_at + LEASES.grace_ms:
+        if cached(reader, "get_data", "/hot") and any(
+                server._alive and server.tree.get_data("/hot")[0] == b"new"
+                for server in ens.servers):
+            violations.append(env.now)
+        env.run(until=env.now + 0.5)
+    assert not violations, violations[:5]
+    env.run(until=update)
+    run_until(ens, lambda: all(server.tree.get_data("/hot")[0] == b"new"
+                               for server in ens.servers if server._alive))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_writes_after_failover_are_judged_after_the_held_suffix(kernel):
+    # The inherited suffix holds a set of /hot (held for a revoke the
+    # reader never gets) and a create of /made behind it. Writes sent
+    # the moment the leader dies are judged as if that suffix had
+    # committed: a compare-and-set on /hot's old version and a second
+    # create of /made are refused at prep, and once the suffix applies
+    # /hot can be leased again.
+    ens = make_ensemble(kernel)
+    reader = connected_client(ens, replica="zk1", cached_reads=True)
+    writer = connected_client(ens, replica="zk2")
+    maker = connected_client(ens, replica="zk2")
+    late = connected_client(ens, replica="zk1", cached_reads=True)
+    env = ens.env
+    run(ens, reader.create("/hot", b"old"))
+    run(ens, heat_up(reader, "/hot"))
+    ens.net.add_drop_rule(msg_types=[LeaseRevoke], dst=reader.node_id)
+    update = env.process(writer.set_data("/hot", b"new"))
+    make = env.process(maker.create("/made", b""))
+    env.run(until=env.now + 1.0)
+    old = ens.leader
+    assert old.leases.table.gates
+    old.crash()
+
+    def conflicting_writes():
+        with pytest.raises(BadVersionError):
+            yield from late.set_data("/hot", b"cas", version=0)
+        with pytest.raises(NodeExistsError):
+            yield from late.create("/made", b"")
+
+    run(ens, conflicting_writes())
+    leader = ens.leader
+    refused = [record.txn for record in leader.broadcast.log
+               if record.meta is not None
+               and record.meta.client_node == late.node_id]
+    assert [txn.__class__ for txn in refused] == [
+        CreateSessionTxn, ErrorTxn, ErrorTxn]
+    env.run(until=update)
+    env.run(until=make)
+    assert leader.tree.get_data("/hot")[0] == b"new"
+    run(ens, heat_up(late, "/hot"))
+    assert late._cache.data("/hot", env.now)[0] == b"new"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sync_after_failover_covers_a_write_the_old_leader_applied(kernel):
+    # The write to /hot is held until the reader acks its revoke, then
+    # commits at the old leader, which answers the writer, but no
+    # follower learns that it committed before the leader dies. The new
+    # leader inherits it held: a sync answered before the hold ends
+    # would let a read miss a write that has completed, so none is.
+    ens = ZkEnsemble(n_replicas=3, seed=1, config=ZkConfig(
+        kernel=kernel, leases=LEASES, local_reads=True))
+    ens.start()
+    reader = connected_client(ens, replica="zk1", cached_reads=True)
+    writer = connected_client(ens, replica="zk0")
+    checker = connected_client(ens, replica="zk1")
+    env = ens.env
+    run(ens, reader.create("/hot", b"old"))
+    run(ens, heat_up(reader, "/hot"))
+    old = ens.leader
+    assert old.node_id == "zk0"
+    followers = [server for server in ens.servers if server is not old]
+    before = old.broadcast.last_zxid
+    update = env.process(writer.set_data("/hot", b"new"))
+    run_until(ens, lambda: old.broadcast.last_zxid > before and all(
+        server.broadcast.last_zxid > before for server in followers),
+        step_ms=0.01)
+    # From here on no follower hears of a commit point.
+    notices = {"zab": ["Commit", "Heartbeat"], "raft": ["AppendEntries"]}
+    ens.net.add_drop_rule(msg_types=notices[kernel], src=old.node_id)
+    env.run(until=update)
+    written = old.broadcast.committed_zxid
+    assert written > before
+    old.crash()
+    assert all(server.broadcast.committed_zxid < written
+               for server in followers)
+
+    def sync_then_read():
+        yield from checker.sync()
+        data, _stat = yield from checker.get_data("/hot")
+        return data
+
+    assert run(ens, sync_then_read())[0] == b"new"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_new_leader_commits_an_unheld_inherited_suffix_at_once(kernel):
+    # A write to a key nobody leases is proposed unheld and reaches the
+    # followers' logs, but the leader dies before any follower learns
+    # it committed. Nothing in the suffix can be fenced, so the new
+    # leader commits it at establishment, not after a recovery window.
+    ens = make_ensemble(kernel)
+    writer = connected_client(ens, replica="zk2")
+    env = ens.env
+    run(ens, writer.create("/cold", b"old"))
+    old = ens.leader
+    followers = [server for server in ens.servers if server is not old]
+    before = old.broadcast.last_zxid
+    update = env.process(writer.set_data("/cold", b"new"))
+    run_until(ens, lambda: old.broadcast.last_zxid > before and all(
+        server.broadcast.last_zxid >= old.broadcast.last_zxid
+        for server in followers), step_ms=0.01)
+    zxid = old.broadcast.last_zxid
+    old.crash()
+    crashed_at = env.now
+    assert all(server.broadcast.committed_zxid < zxid
+               for server in followers)
+    env.run(until=update)
+    # Election included, the write lands before a recovery window
+    # counted from the crash could even have run out.
+    assert env.now - crashed_at < LEASES.duration_ms + LEASES.grace_ms
+    assert ens.leader.tree.get_data("/cold")[0] == b"new"
+
+
+def test_held_commit_is_traced_from_propose_to_release():
+    # The hold shows as the write's lease_gate aux span, from the
+    # propose mark to the release, and as one leases.hold_ms sample.
+    ens = make_ensemble(obs=ObsConfig())
+    reader = connected_client(ens, replica="zk1", cached_reads=True)
+    writer = connected_client(ens, replica="zk2")
+    run(ens, reader.create("/hot", b"old"))
+    run(ens, heat_up(reader, "/hot"))
+    run(ens, writer.set_data("/hot", b"new"))
+    obs = ens.env.obs
+    [trace] = [t for t in obs.tracer.traces()
+               if any(aux[0] == "lease_gate" for aux in t.aux)]
+    [(_name, t0, t1, node, detail)] = trace.aux
+    marks = {phase: t for phase, t, *_rest in trace.marks}
+    assert node == ens.leader.node_id and detail == "paths=1"
+    assert t0 == marks["propose"] < t1 < marks["deliver"]
+    holds = [sum(counts) for (name, _node), counts
+             in obs.metrics.histograms.items() if name == "leases.hold_ms"]
+    assert holds == [1]

@@ -3,16 +3,16 @@
 Every request/reply wait files something that outlives a fast reply: a
 deadline callback (``arm_deadline``: ZooKeeper calls and re-establish
 probes), a retransmit timer raced in an ``AnyOf`` (the
-DepSpace client), or a write gate's lease-term release. Those entries
+DepSpace client), or a held commit's lease-term release. Those entries
 stay queued and still fire, so the event stream does not change, but
 once the request settles they must hold nothing of it.
 
 Each scenario drives a few hundred settled calls while a sampler walks
 every pending queue entry (calendar wheel, snapshot, ``extra`` and
 ``imm``, or the heap) every few simulated milliseconds. A walk follows
-what an entry holds through callback arguments, containers, partials,
-conditions and write gates, and fails on a processed ``Event``, a fired
-``WriteGate``, or a reply message. It stops at objects of the program
+what an entry holds through callback arguments, containers, partials
+and conditions, and fails on a processed ``Event``, a fired
+``WriteGate`` (a released commit hold), or a reply message. It stops at objects of the program
 (servers, clients, in-flight network deliveries): a message on the wire
 is not a settled request.
 """
@@ -61,8 +61,6 @@ def _held_by(obj) -> list:
         if isinstance(obj, _Condition):
             held.extend(obj.events)
         return held
-    if isinstance(obj, WriteGate):
-        return [obj.proceed, obj.abort, obj.paths]
     return []
 
 
@@ -155,7 +153,7 @@ def test_zk_lease_gates_and_reconnect_probes(kernel):
             yield from roamer.exists("/k")
 
     run_all(ens, workload())
-    # Writes were parked behind revocation, and the acks released them.
+    # Commits were held behind revocation, and the acks released them.
     assert sum(r._cache.stats["revokes"] for r in readers) > 0
 
     # The roamer's replica dies: it re-establishes elsewhere with a
