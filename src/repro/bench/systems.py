@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..core.broadcast import ZK_KERNELS
 from ..depspace import DsEnsemble
 from ..depspace.bft import BftConfig
 from ..depspace.server import DsConfig
@@ -19,11 +20,14 @@ from ..recipes import CoordClient, DsCoordClient, ZkCoordClient
 from ..zk import ZkEnsemble
 from ..zk.server import ZkConfig
 
-__all__ = ["SYSTEMS", "EXTENSIBLE", "make_ensemble", "make_coords",
-           "make_chaos_ensemble", "run_all"]
+__all__ = ["SYSTEMS", "EXTENSIBLE", "KERNELS", "make_ensemble",
+           "make_coords", "make_chaos_ensemble", "run_all"]
 
 SYSTEMS = ("zk", "ezk", "ds", "eds")
 EXTENSIBLE = frozenset({"ezk", "eds"})
+#: the consensus kernels each system runs over, its default first.
+KERNELS = {"zk": ZK_KERNELS, "ezk": ZK_KERNELS,
+           "ds": ("pbft",), "eds": ("pbft",)}
 
 
 def make_ensemble(kind: str, seed: int = 11, **kwargs):
@@ -56,9 +60,10 @@ def make_chaos_ensemble(kind: str, seed: int = 11, n_clients: int = 3,
     not into bootstrap.
 
     ``kernel`` selects the consensus kernel (``None`` keeps the family
-    default: Zab for ZK, PBFT for DS). ``"raft"`` runs the same
-    ensembles over :mod:`repro.raft`, seeding the election-timeout RNG
-    from the schedule seed so replays stay byte-identical.
+    default: Zab for ZK, PBFT for DS). ``"raft"`` runs a ZK-family
+    ensemble over :mod:`repro.raft`, seeding the election-timeout RNG
+    from the schedule seed so replays stay byte-identical. The DS
+    family has one kernel, PBFT; any other raises ``ValueError``.
 
     ``obs`` attaches an :class:`~repro.obs.ObsConfig` so chaos replays
     can dump a causal trace of the exact faulted run (``--trace`` on
@@ -83,6 +88,8 @@ def make_chaos_ensemble(kind: str, seed: int = 11, n_clients: int = 3,
         proc = ensemble.env.process(connect_all())
         ensemble.env.run(until=proc)
     elif kind in ("ds", "eds"):
+        if kernel not in (None, "pbft"):
+            raise ValueError(f"{kind} runs over pbft only, not {kernel!r}")
         cls = DsEnsemble if kind == "ds" else EdsEnsemble
         # Status gossip on: without PBFT's checkpoint stand-in a replica
         # healed from a partition after the last client request never
@@ -90,9 +97,6 @@ def make_chaos_ensemble(kind: str, seed: int = 11, n_clients: int = 3,
         config = DsConfig(lease_ms=8000.0,
                           bft=BftConfig(status_interval_ms=500.0),
                           obs=obs)
-        if kernel is not None and kernel != "pbft":
-            config.kernel = kernel
-            config.raft = RaftConfig(seed=seed)
         ensemble = cls(f=1, seed=seed, config=config)
         ensemble.start()
         raw = [ensemble.client() for _ in range(n_clients)]

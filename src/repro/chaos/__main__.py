@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..bench.systems import SYSTEMS
+from ..bench.systems import KERNELS, SYSTEMS
 from ..obs import ObsConfig
 from .explorer import RECIPES, run_chaos
 from .failover import FAILOVER_SCENARIO, run_failover_chaos
@@ -40,6 +40,9 @@ def main(argv=None) -> int:
                         help="write a causal trace of the replay as JSONL "
                              "(render with: python -m repro.obs PATH)")
     args = parser.parse_args(argv)
+    if args.kernel not in (None, *KERNELS[args.system]):
+        parser.error(f"--kernel {args.kernel}: {args.system} runs over "
+                     f"{' or '.join(KERNELS[args.system])}")
 
     obs_cfg = ObsConfig() if args.trace else None
     if args.recipe == FAILOVER_SCENARIO:

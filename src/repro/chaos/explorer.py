@@ -322,8 +322,10 @@ def run_chaos(system: str, recipe: str, seed: int, n_clients: int = 3,
               obs=None) -> ChaosRun:
     """One cell of the chaos matrix; returns history + checker verdict.
 
-    ``kernel`` adds the consensus-kernel axis: ``"raft"`` runs the same
-    cell over the Raft backend (``None`` keeps the family default).
+    ``kernel`` adds the consensus-kernel axis: ``"raft"`` runs a ZK-family
+    cell over the Raft backend (``None`` keeps the family default; the DS
+    family runs over PBFT only, see
+    :func:`~repro.bench.systems.make_chaos_ensemble`).
     ``obs`` (an :class:`~repro.obs.ObsConfig`) traces the replay; the
     fault schedule and history are unchanged either way.
     """

@@ -75,15 +75,10 @@ class _ZkAdapter:
 class _DsAdapter:
     """DepSpace family: all 3f+1 replicas vote; the primary 'leads'."""
 
-    _MSG_TYPES = {
-        "pbft": ("PrePrepare", "Prepare", "Commit"),
-        "raft": ("AppendEntries", "InstallSnapshot"),
-    }
+    replication_msg_types = ("PrePrepare", "Prepare", "Commit")
 
     def __init__(self, ensemble: DsEnsemble):
         self.ensemble = ensemble
-        kernel = getattr(ensemble.config, "kernel", "pbft")
-        self.replication_msg_types = self._MSG_TYPES[kernel]
 
     @property
     def voter_ids(self) -> List[str]:

@@ -84,8 +84,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["AtomicBroadcast", "NotLeaderError", "ZK_KERNELS", "DS_KERNELS",
-           "detector_wait", "make_zxid", "zxid_epoch", "zxid_counter"]
+__all__ = ["AtomicBroadcast", "NotLeaderError", "ZK_KERNELS", "detector_wait",
+           "make_zxid", "zxid_epoch", "zxid_counter"]
 
 
 class NotLeaderError(Exception):
@@ -127,9 +127,8 @@ def detector_wait(now: float, last_contact: float, timeout_ms: float,
     return heartbeat_ms, remaining <= 0.0
 
 
-#: kernels selectable via ``ZkConfig.kernel`` / ``DsConfig.kernel``.
+#: kernels selectable via ``ZkConfig.kernel`` (the DS family runs PBFT).
 ZK_KERNELS = ("zab", "raft")
-DS_KERNELS = ("pbft", "raft")
 
 
 class AtomicBroadcast:

@@ -11,7 +11,6 @@ from .access import AccessControl, AccessDeniedError
 from .bft import BftConfig, BftPeer, BftRequest, RequestId
 from .client import DsClient, DsClientError
 from .ensemble import DsEnsemble
-from .ordering import RaftOrdering
 from .policy import (Policy, PolicyViolationError, deny_ops, protect_prefix,
                      require_arity, require_field_type)
 from .protocol import (CasOp, DsOp, DsReply, InOp, InpOp, OutOp, RdAllOp,
@@ -30,7 +29,7 @@ __all__ = [
     "AccessControl", "AccessDeniedError",
     "Policy", "PolicyViolationError", "deny_ops", "require_arity",
     "require_field_type", "protect_prefix",
-    "BftPeer", "BftConfig", "BftRequest", "RequestId", "RaftOrdering",
+    "BftPeer", "BftConfig", "BftRequest", "RequestId",
     "DsOp", "OutOp", "RdpOp", "InpOp", "RdOp", "InOp", "CasOp", "ReplaceOp",
     "RdAllOp", "RenewOp", "DsReply",
 ]

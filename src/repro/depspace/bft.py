@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..obs import M_DELIVER, M_PROPOSE
 from ..sim import Environment, estimate_size
 
-__all__ = ["BftConfig", "BftPeer", "BftRequest", "mark_ordering"]
+__all__ = ["BftConfig", "BftPeer", "BftRequest"]
 
 
 @dataclass
@@ -148,7 +148,7 @@ def mark_ordering(obs, request_id: RequestId, phase: str, now: float,
                   node_id: str, epoch: int, seq: int) -> None:
     """Stamp an ordering milestone on the request's trace.
 
-    ``propose`` is the primary/leader sequencing the request, ``deliver``
+    ``propose`` is the primary sequencing the request, ``deliver``
     a replica handing the agreed request to execution; the first of each
     bounds the trace's broadcast and quorum phases like Zab's and Raft's
     marks do in the zk family. Callers test ``env.obs is not None``

@@ -45,15 +45,6 @@ class DsEnsemble:
 
     @property
     def primary(self) -> DsReplica:
-        if getattr(self.config, "kernel", "pbft") == "raft":
-            for replica in self.replicas:
-                if replica._alive and replica.ordering.is_primary:
-                    return replica
-            # Mid-election: fall back to the latest locally-known leader.
-            leader_id = next(
-                (r.ordering.primary_id for r in self.replicas
-                 if r._alive and r.ordering.primary_id), self.replica_ids[0])
-            return self.replica(leader_id)
         view = max(r.ordering.view for r in self.replicas if r._alive)
         return self.replicas[view % len(self.replicas)]
 

@@ -8,7 +8,7 @@ from typing import Any, Optional, Tuple
 __all__ = [
     "DsOp", "OutOp", "RdpOp", "InpOp", "RdOp", "InOp", "CasOp", "ReplaceOp",
     "RdAllOp", "RenewOp", "DsReply", "StateRequest", "StateResponse",
-    "is_blocking", "is_insert",
+    "is_blocking",
 ]
 
 
@@ -86,10 +86,6 @@ class RenewOp(DsOp):
 
 def is_blocking(op: DsOp) -> bool:
     return isinstance(op, (RdOp, InOp))
-
-
-def is_insert(op: DsOp) -> bool:
-    return isinstance(op, (OutOp, CasOp, ReplaceOp))
 
 
 @dataclass

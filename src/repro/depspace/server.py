@@ -30,15 +30,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.binding import ExtensionBinding
-from ..core.broadcast import DS_KERNELS
 from ..core.errors import ExtensionError
 from ..obs import (M_INGRESS, M_REPLY, FourLetterReply, FourLetterRequest,
                    Observability, ObsConfig)
-from ..raft import RaftConfig
 from ..sim import Environment, FifoResource, Network
 from .access import AccessControl, AccessDeniedError
 from .bft import BftConfig, BftPeer, BftRequest, RequestId
-from .ordering import RaftOrdering
 from .policy import Policy, PolicyViolationError
 from .protocol import (CasOp, DsOp, DsReply, InOp, InpOp, OutOp, RdAllOp,
                        RdOp, RdpOp, RenewOp, ReplaceOp, StateRequest,
@@ -75,11 +72,6 @@ class DsConfig:
     #: f+1) matching replies. Off by default — the paper's DepSpace
     #: numbers are reproduced without it (see the ablation benchmark).
     unordered_reads: bool = False
-    #: ordering kernel: ``"pbft"`` (default, Byzantine fault tolerant)
-    #: or ``"raft"`` (crash-only, see :mod:`repro.depspace.ordering`).
-    kernel: str = "pbft"
-    #: Raft kernel tuning when ``kernel="raft"`` (None = defaults).
-    raft: Optional[RaftConfig] = None
     #: observability plane (tracing + metrics + four-letter words).
     #: None (the default) leaves ``env.obs`` unset: no hook fires and
     #: simulated behaviour is byte-identical to pre-obs builds.
@@ -130,26 +122,12 @@ class DsReplica:
         #: last reply per client, resent on duplicate requests.
         self._reply_cache: Dict[str, DsReply] = {}
 
-        kernel = getattr(self.config, "kernel", "pbft")
-        send = functools.partial(net.send, node_id)
-        # Fan-out path: size the payload once for the whole broadcast.
-        send_many = functools.partial(net.broadcast, node_id)
-        if kernel == "pbft":
-            self.ordering = BftPeer(env, node_id, replica_ids,
-                                    send=send,
-                                    execute=self._execute_request,
-                                    config=self.config.bft,
-                                    send_many=send_many)
-        elif kernel == "raft":
-            self.ordering = RaftOrdering(env, node_id, replica_ids,
-                                         send=send,
-                                         execute=self._execute_request,
-                                         config=self.config.bft,
-                                         raft_config=self.config.raft,
-                                         send_many=send_many)
-        else:
-            raise ValueError(f"unknown kernel {kernel!r} (expected one "
-                             f"of {DS_KERNELS})")
+        self.ordering = BftPeer(
+            env, node_id, replica_ids,
+            send=functools.partial(net.send, node_id),
+            execute=self._execute_request, config=self.config.bft,
+            # Fan-out path: size the payload once for the whole broadcast.
+            send_many=functools.partial(net.broadcast, node_id))
         self.ordering.on_gap = self._on_gap
 
         #: the EDS binding (see module docstring); None = plain DepSpace.
@@ -189,8 +167,6 @@ class DsReplica:
         self._alive = True
         self.net.recover(self.node_id)
         self.ordering.recover()
-        if self.config.kernel != "pbft":
-            return  # the Raft leader backfills recovered replicas itself
         self._resync_generation += 1
         self.env.process(self._resync_loop(self._resync_generation))
 
@@ -509,13 +485,13 @@ class DsReplica:
         if command == "stat":
             waiting = sum(len(ws) for ws in self._waiters.values())
             return (f"node: {self.node_id}\n"
-                    f"kernel: {self.config.kernel}\n"
-                    f"view: {getattr(self.ordering, 'view', 0)}\n"
+                    "kernel: pbft\n"
+                    f"view: {self.ordering.view}\n"
                     f"exec_seq: {self.ordering._exec_seq}\n"
                     f"spaces: {len(self.spaces)}\n"
                     f"blocked_waiters: {waiting}")
         if command == "mntr":
-            lines = [f"ds_kernel\t{self.config.kernel}",
+            lines = ["ds_kernel\tpbft",
                      f"ds_exec_seq\t{self.ordering._exec_seq}",
                      f"ds_spaces\t{len(self.spaces)}"]
             obs = self.env.obs
@@ -540,8 +516,6 @@ class DsReplica:
         self.env.process(self._resync_loop(self._resync_generation))
 
     def _on_state_request(self, src: str, msg: StateRequest) -> None:
-        if self.config.kernel != "pbft":
-            return  # no snapshot protocol: the kernel backfills itself
         if not self.ordering.exec_truthful:
             # A view-change horizon skip advances exec_seq *before* the
             # matching snapshot arrives, so right now our spaces and
@@ -570,8 +544,6 @@ class DsReplica:
                       StateResponse(self.ordering._exec_seq, snapshot, fingerprint))
 
     def _on_state_response(self, src: str, msg: StateResponse) -> None:
-        if self.config.kernel != "pbft":
-            return
         if msg.upto_seq < self.ordering._exec_seq:
             # The donor is behind us. If our own state is sound we are
             # provably not the replica that needs a snapshot — stop

@@ -1,12 +1,10 @@
 """Raft consensus — the third :class:`~repro.core.broadcast.AtomicBroadcast`
-kernel (alongside Zab and PBFT).
+kernel (alongside Zab and PBFT), the ZK family's alternative to Zab
+(``ZkConfig(kernel="raft")``).
 
 Payload-agnostic by construction: the peer stamps and replicates opaque
-records built by an injectable ``record_factory``, so the same kernel
-carries ZooKeeper transactions (``repro.zk`` with
-``ZkConfig(kernel="raft")``) and DepSpace tuple-space requests
-(``repro.depspace`` with ``DsConfig(kernel="raft")``) without this
-package importing either family.
+records built by an injectable ``record_factory``, so it carries
+ZooKeeper transactions without this package importing ``repro.zk``.
 """
 
 from .peer import (AppendEntries, AppendReply, InstallSnapshot, RaftConfig,

@@ -17,7 +17,8 @@ from .errors import (BadArgumentsError, NoChildrenForEphemeralsError,
                      NodeExistsError, NoNodeError, NotEmptyError,
                      BadVersionError)
 
-__all__ = ["Stat", "ZNode", "DataTree", "split_path", "parent_of", "validate_path"]
+__all__ = ["Stat", "ZNode", "DataTree", "split_path", "parent_of",
+           "validate_path", "advance_sequence"]
 
 
 #: Paths that already passed validation — recipes hammer the same few
@@ -94,6 +95,20 @@ class ZNode:
     @property
     def is_ephemeral(self) -> bool:
         return self.stat.ephemeral_owner is not None
+
+
+def advance_sequence(parent: ZNode, name: str) -> None:
+    """Move ``parent``'s counter past ``name``'s 10-digit suffix, if any.
+
+    A ``CreateTxn`` carries the name the leader resolved at prep, so this
+    is how a tree that applies it (every replica's committed tree, and
+    the leader a failover later copies from it) learns the suffixes
+    handed out, without the counter travelling on the wire.
+    """
+    suffix = name[-10:]
+    if len(suffix) == 10 and suffix.isascii() and suffix.isdigit():
+        parent.sequence_counter = max(parent.sequence_counter,
+                                      int(suffix) + 1)
 
 
 class DataTree:
@@ -178,6 +193,7 @@ class DataTree:
         stat = Stat(zxid, zxid, now, now, 0, 0, ephemeral_owner, len(data))
         self._nodes[actual] = ZNode(data, stat)
         parent.children.add(name)
+        advance_sequence(parent, name)
         parent.stat.cversion += 1
         parent.stat.num_children = len(parent.children)
         if ephemeral_owner is not None:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .data_tree import DataTree, Stat, ZNode, split_path, validate_path
+from .data_tree import (DataTree, Stat, ZNode, advance_sequence, split_path,
+                        validate_path)
 from .errors import (BadArgumentsError, NoChildrenForEphemeralsError,
                      NodeExistsError, NoNodeError, NotEmptyError,
                      BadVersionError)
@@ -141,6 +142,7 @@ class TreeOverlay:
         self._nodes[actual] = ZNode(data=data, stat=stat)
         _, name = split_path(actual)
         parent.children.add(name)
+        advance_sequence(parent, name)
         parent.stat.cversion += 1
         parent.stat.num_children = len(parent.children)
         self.txns.append(CreateTxn(actual, data, ephemeral_owner))

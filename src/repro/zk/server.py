@@ -1143,8 +1143,8 @@ _TXN_APPLIERS = {
 }
 
 #: Update ops whose prep translation writes the speculative tree itself
-#: (a sequential create must advance the spec's sequence counter, which
-#: applying the resulting CreateTxn would not).
+#: (it validates the op and resolves a sequential name there), so
+#: :meth:`ZkServer._propose` must not apply their txn a second time.
 _SPEC_TRANSLATED = (CreateOp, SetDataOp, DeleteOp)
 
 #: Txns :meth:`ZkServer._apply` hands to the server rather than the tree.

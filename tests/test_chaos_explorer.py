@@ -42,12 +42,12 @@ def test_explore_cell_over_seeds(system, recipe):
 
 
 @pytest.mark.parametrize("recipe", RECIPES)
-@pytest.mark.parametrize("system", ("zk", "ds"))
+@pytest.mark.parametrize("system", ("zk",))
 def test_explore_cell_over_seeds_raft(system, recipe):
     """The kernel axis: the same schedules over the Raft backend.
 
-    With the default-kernel matrix above, this completes the
-    {zk, ds} × {zab, pbft, raft} kernel coverage."""
+    With the default-kernel matrix above, this completes the kernel
+    coverage: zk over {zab, raft}, ds over pbft (its one kernel)."""
     failures = []
     for seed in SEEDS:
         run = run_chaos(system, recipe, seed, kernel="raft")

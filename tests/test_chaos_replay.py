@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.systems import make_chaos_ensemble
 from repro.chaos import random_schedule, run_chaos
+from repro.chaos.__main__ import main as replay_main
 
 CELLS = [("ezk", "queue", 17), ("ds", "counter", 5)]
 
@@ -46,7 +48,7 @@ def test_replay_byte_identical_across_kernels(system, recipe, seed,
     assert heap.result == cal.result
 
 
-RAFT_CELLS = [("zk", "queue", 17), ("ds", "counter", 5)]
+RAFT_CELLS = [("zk", "queue", 17)]
 
 
 @pytest.mark.parametrize("system,recipe,seed", RAFT_CELLS)
@@ -61,6 +63,24 @@ def test_raft_cells_replay_byte_identical(system, recipe, seed):
     assert first.history.canonical() == second.history.canonical()
     assert first.result == second.result
     assert first.repro.endswith("--kernel raft")
+
+
+@pytest.mark.parametrize("system,kernel", [("ds", "raft"), ("eds", "zab"),
+                                           ("zk", "pbft"), ("ezk", "pbft")])
+def test_replay_cli_rejects_a_kernel_the_family_lacks(system, kernel, capsys):
+    """A usage error, not a traceback and not a silent run over the
+    family default."""
+    with pytest.raises(SystemExit) as exited:
+        replay_main(["--system", system, "--recipe", "queue", "--seed", "1",
+                     "--kernel", kernel])
+    assert exited.value.code == 2
+    assert f"--kernel {kernel}: {system} runs over" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system,kernel", [("ds", "raft"), ("eds", "zab")])
+def test_ds_chaos_ensemble_runs_over_pbft_only(system, kernel):
+    with pytest.raises(ValueError, match="pbft only"):
+        make_chaos_ensemble(system, kernel=kernel)
 
 
 def test_schedule_generation_is_pure():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.depspace import (ANY, AccessControl, AccessDeniedError, DsEnsemble,
                             Policy, Prefix, deny_ops)
+from repro.depspace.protocol import StateRequest, StateResponse
 
 
 @pytest.fixture
@@ -218,6 +219,56 @@ class TestReplication:
         run(ensemble, scenario())
         recovered = ensemble.replica("ds2")
         assert recovered.space().rdp(("after", ANY)) is not None
+
+    def test_lagging_replica_skips_then_installs_a_snapshot(self, ensemble,
+                                                            monkeypatch):
+        """PBFT's one catch-up path: a replica cut off while the others
+        executed skips to the view-change horizon, refuses to donate its
+        state until a snapshot makes it truthful again, then converges."""
+        client = ensemble.client()
+        lagger = ensemble.replica("ds3")
+        bft = lagger.ordering
+        skips, donations = [], []
+        skip_to = bft._skip_to
+
+        def spy_skip(seq):
+            skips.append((bft._exec_seq, seq))
+            skip_to(seq)
+            # Asked for state now, it must stay silent: its spaces lag
+            # the sequence number it would advertise.
+            lagger.handle_message("ds1", StateRequest(0))
+
+        send = ensemble.net.send
+
+        def spy_send(src, dst, msg):
+            if src == lagger.node_id and isinstance(msg, StateResponse):
+                donations.append(bft.exec_truthful)
+            return send(src, dst, msg)
+
+        monkeypatch.setattr(bft, "_skip_to", spy_skip)
+        monkeypatch.setattr(ensemble.net, "send", spy_send)
+
+        def scenario():
+            yield from client.out("k", 0)
+            others = [r for r in ensemble.replica_ids if r != "ds3"]
+            ensemble.net.partition(["ds3"], others + [client.node_id])
+            for i in range(1, 6):
+                yield from client.out("k", i)
+            ensemble.net.heal()
+            ensemble.replica("ds0").crash()
+            for i in range(6, 9):
+                yield from client.out("k", i)
+            yield ensemble.env.timeout(3000.0)
+
+        run(ensemble, scenario())
+        assert skips == [(1, 6)]
+        assert donations == []
+        assert bft.exec_truthful
+        lagger.handle_message("ds1", StateRequest(0))
+        assert donations == [True]
+        assert ensemble.spaces_consistent()
+        live = {r.ordering._exec_seq for r in ensemble.replicas if r._alive}
+        assert live == {9}
 
 
 class TestLeasesEndToEnd:

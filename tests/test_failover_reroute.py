@@ -7,6 +7,10 @@ one election later — not when the client's 3 s RPC deadline fires — and
 answered exactly once, because the new leader's at-most-once guard
 recognises what the old leader managed to replicate.
 
+The last scenarios check what a new leader inherits: sequence counters
+the committed tree learned from resolved names, and a speculative tree
+that matches the committed one whenever the pipeline is drained.
+
 Every scenario runs over both consensus kernels: the hook is the
 kernel-neutral ``AtomicBroadcast.on_role_change``.
 """
@@ -20,6 +24,7 @@ from repro.raft import RaftConfig
 from repro.recipes import ExtensionBarrier, ExtensionQueue, ZkCoordClient
 from repro.zk import ZkEnsemble
 from repro.zk.server import ZkConfig
+from repro.zk.txn import CreateOp, SetDataOp
 
 KERNELS = ("zab", "raft")
 
@@ -321,3 +326,77 @@ def test_crash_drops_the_relay_table(kernel):
     origin.recover()
     env.run(until=env.now + 1500.0)
     assert not origin._relayed
+
+
+# ---------------------------------------------------------------------------
+# (5) sequential names and the leader's speculative tree across a failover
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sequential_names_survive_a_failover(kernel):
+    """A new leader's counter comes from the committed tree, which only
+    learns a suffix from the resolved name its ``CreateTxn`` carries."""
+    ensemble = _cluster(kernel)
+    env = ensemble.env
+    client = _follower_client(ensemble)
+    _run(ensemble, client.create("/q"))
+    for _ in range(2):
+        _run(ensemble, client.create("/q/n-", sequential=True))
+    ensemble.leader.crash()
+    env.run(until=env.now + 3000.0)
+    assert _run(ensemble, client.create("/q/n-", sequential=True)) \
+        == "/q/n-0000000002"
+
+
+def _node_state(node):
+    """What must agree between two trees; ctime/mtime are left out (the
+    spec tree stamps them at prep, the committed tree at apply)."""
+    stat = node.stat
+    return (node.data, stat.version, stat.cversion, stat.czxid, stat.mzxid,
+            stat.ephemeral_owner, sorted(node.children),
+            node.sequence_counter)
+
+
+def _assert_spec_matches_committed(ensemble):
+    leader = ensemble.leader
+    spec, tree = leader._spec_tree, leader.tree
+    assert sorted(spec.paths()) == sorted(tree.paths())
+    for path in tree.paths():
+        assert _node_state(spec.node(path)) == _node_state(tree.node(path)), \
+            f"{leader.node_id} {path}"
+
+
+def _write_mix(client, tag):
+    """Every kind of tree write a client can propose, sequential names
+    through a plain create and through a multi."""
+    base = f"/{tag}"
+    yield from client.create(base, b"0")
+    for _ in range(2):
+        yield from client.create(f"{base}/n-", b"s", sequential=True)
+    yield from client.multi([CreateOp(f"{base}/m-", b"m", sequential=True),
+                             CreateOp(f"{base}/m-", b"m", sequential=True),
+                             SetDataOp(base, b"1")])
+    yield from client.create(f"{base}/e", b"e", ephemeral=True)
+    yield from client.create(f"{base}/gone", b"x")
+    yield from client.delete(f"{base}/gone")
+    yield from client.set_data(base, b"2")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_leader_spec_tree_matches_committed_tree_at_quiesce(kernel):
+    ensemble = _cluster(kernel)
+    env = ensemble.env
+    client = _follower_client(ensemble)
+    _run(ensemble, _write_mix(client, "a"))
+    env.run(until=env.now + 200.0)
+    _assert_spec_matches_committed(ensemble)
+
+    old = ensemble.leader
+    old.crash()
+    env.run(until=env.now + 3000.0)
+    assert ensemble.leader not in (None, old)
+    _run(ensemble, _write_mix(client, "b"))
+    _run(ensemble, client.create("/a/n-", sequential=True))
+    env.run(until=env.now + 200.0)
+    _assert_spec_matches_committed(ensemble)

@@ -292,14 +292,13 @@ class TestLeaderSilence:
 
 
 class TestDepSpace:
-    @pytest.mark.parametrize("kernel", ("pbft", "raft"))
-    def test_traced_ds_run(self, kernel):
+    def test_traced_ds_run(self):
         from repro.depspace import DsEnsemble
         from repro.depspace.server import DsConfig
 
         obs_cfg = ObsConfig()
         ensemble = DsEnsemble(f=1, seed=11,
-                              config=DsConfig(kernel=kernel, obs=obs_cfg))
+                              config=DsConfig(obs=obs_cfg))
         ensemble.start()
         client = ensemble.client()
 

@@ -148,6 +148,23 @@ class TestSequentialNodes:
         run(ensemble, producer(c1), producer(c2))
         assert len(set(paths)) == 2
 
+    def test_sequential_creates_in_successive_multis(self, ensemble):
+        """The committed txn names the suffix a multi resolved; applying it
+        to the leader's speculative tree must advance the counter too."""
+        client = connected_client(ensemble)
+
+        def scenario():
+            yield from client.create("/q")
+            paths = []
+            for _ in range(2):
+                paths += yield from client.multi(
+                    [CreateOp("/q/m-", b"", sequential=True)])
+            paths.append((yield from client.create("/q/m-", sequential=True)))
+            return paths
+
+        assert run(ensemble, scenario())[0] == [
+            "/q/m-0000000000", "/q/m-0000000001", "/q/m-0000000002"]
+
 
 class TestWatches:
     def test_data_watch_fires_on_set(self, ensemble):
