@@ -95,6 +95,10 @@ class ExtensionManager:
                 extra_names=extra,
                 enabled=self.verifier_config.enabled)
         self._extensions: Dict[str, RegisteredExtension] = {}
+        #: True while any registered extension subscribes to events;
+        #: kept current by register/deregister/reload, so the backends'
+        #: per-event hooks skip building notices while it is False.
+        self.handles_events = False
         self._order = 0
         #: counters for the ablation benchmarks.
         self.executions = 0
@@ -119,6 +123,7 @@ class ExtensionManager:
             event_subs=tuple(instance.event_subscriptions()),
             order=self._order)
         self._extensions[name] = record
+        self._note_event_subs()
         return record
 
     def verify_cached(self, source: str, name: str = "") -> CodeType:
@@ -138,6 +143,11 @@ class ExtensionManager:
 
     def deregister(self, name: str) -> None:
         self._extensions.pop(name, None)
+        self._note_event_subs()
+
+    def _note_event_subs(self) -> None:
+        self.handles_events = any(
+            record.event_subs for record in self._extensions.values())
 
     def acknowledge(self, name: str, client_id: str) -> None:
         """A non-owner client opts in to the extension (§3.6)."""
@@ -170,6 +180,7 @@ class ExtensionManager:
     def reload(self, records: Iterable[Tuple[str, str, str, List[str]]]) -> None:
         """Rebuild the cache from persisted registration records."""
         self._extensions.clear()
+        self._note_event_subs()
         for name, source, owner, acked in records:
             record = self.register(name, source, owner)
             record.acked.update(acked)
@@ -201,10 +212,6 @@ class ExtensionManager:
             if any(sub.matches(event) for sub in record.event_subs)
         ]
         return sorted(matching, key=lambda r: r.order)
-
-    def handles_events(self) -> bool:
-        """True while any registered extension subscribes to events."""
-        return any(record.event_subs for record in self._extensions.values())
 
     def suppresses_notification(self, client_id: str,
                                 event: EventNotice) -> bool:

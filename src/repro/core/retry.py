@@ -22,8 +22,9 @@ The request/reply waits that do *not* retransmit on a timer (the
 ZooKeeper client's calls and probes) bound each attempt with
 :func:`arm_deadline` instead: one deferred callback that answers the
 call's future with :data:`TIMED_OUT`. The caller cancels it as soon as
-the future settles, so a reply does not stay reachable from the event
-queue for the rest of the deadline.
+the future settles, which withdraws it from the event queue: a fast
+reply leaves nothing queued for the rest of the deadline, and the
+deadline never fires or counts as an event.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ def arm_deadline(env, delay_ms: float, pending: dict, key, future):
     awaiting a reply). The ``triggered`` check also covers retries that
     reuse the key: a stale deadline holds the *old* future and must not
     pop the replacement. The caller ``cancel()``s the callback once its
-    ``yield future`` returns: the entry stays queued and fires as a
-    no-op, so the event stream is unchanged, but it no longer holds the
-    future and the reply.
+    ``yield future`` returns, which withdraws it from the queue (a
+    no-op when the deadline is what settled the future).
     """
     return env.defer(delay_ms, _expire, pending, key, future)
 

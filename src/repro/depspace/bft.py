@@ -23,12 +23,13 @@ omitted — they do not affect the measured behaviour at simulation scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from ..obs import M_DELIVER, M_PROPOSE
 from ..sim import Environment, estimate_size
 
-__all__ = ["BftConfig", "BftPeer", "BftRequest"]
+__all__ = ["BftConfig", "BftPeer", "BftRequest", "ExecutedIds"]
 
 
 @dataclass
@@ -63,6 +64,63 @@ class RequestId:
 
     def __hash__(self) -> int:
         return self._hash
+
+
+class ExecutedIds:
+    """The request ids a replica has executed, held per client as a
+    watermark plus the executed seqs above it.
+
+    PBFT's at-most-once state need not grow with history: clients number
+    their requests 1, 2, 3, ... (:class:`~repro.depspace.client.DsClient`)
+    and nearly all of them execute in that order, so every seq from 1 up
+    to a client's watermark has executed, and only the seqs executed
+    past a gap are kept one by one. Membership answers exactly as the
+    set of every id added would, gaps, repeats and out-of-order adds
+    included (a seq below 1 is simply kept above the watermark).
+    Iteration yields those ids, so a state-transfer snapshot still ships
+    them as a plain set.
+    """
+
+    __slots__ = ("_marks", "_above")
+
+    def __init__(self, ids: Iterable[RequestId] = ()):
+        #: client -> w: every seq in 1..w has executed.
+        self._marks: Dict[str, int] = {}
+        #: client -> executed seqs the watermark does not cover.
+        self._above: Dict[str, Set[int]] = {}
+        for request_id in ids:
+            self.add(request_id)
+
+    def __contains__(self, request_id: RequestId) -> bool:
+        seq = request_id.seq
+        if 0 < seq <= self._marks.get(request_id.client_id, 0):
+            return True
+        above = self._above.get(request_id.client_id)
+        return above is not None and seq in above
+
+    def add(self, request_id: RequestId) -> None:
+        client = request_id.client_id
+        seq = request_id.seq
+        mark = self._marks.get(client, 0)
+        if seq == mark + 1:
+            above = self._above.get(client)
+            if above:
+                while seq + 1 in above:
+                    seq += 1
+                    above.remove(seq)
+                if not above:
+                    del self._above[client]
+            self._marks[client] = seq
+        elif seq > mark or seq < 1:
+            self._above.setdefault(client, set()).add(seq)
+
+    def __iter__(self) -> Iterator[RequestId]:
+        for client, mark in self._marks.items():
+            for seq in range(1, mark + 1):
+                yield RequestId(client, seq)
+        for client, above in self._above.items():
+            for seq in above:
+                yield RequestId(client, seq)
 
 
 @dataclass
@@ -171,6 +229,7 @@ class BftPeer:
         self.env = env
         self.node_id = node_id
         self.replica_ids = list(replica_ids)
+        self._replica_set = frozenset(replica_ids)
         self.n = len(replica_ids)
         self.f = (self.n - 1) // 3
         if self.n < 3 * self.f + 1 or self.f < 1:
@@ -190,7 +249,7 @@ class BftPeer:
         self._pending: Dict[RequestId, Tuple[BftRequest, float]] = {}
         #: primary: request ids proposed but not yet executed.
         self._proposed_ids: Set[RequestId] = set()
-        self._executed_ids: Set[RequestId] = set()
+        self._executed_ids = ExecutedIds()
         self._view_votes: Dict[int, Dict[str, int]] = {}
         #: server hook: we are missing executions up to seq; fetch state.
         self.on_gap: Optional[Callable[[int], None]] = None
@@ -243,6 +302,10 @@ class BftPeer:
         self.env.process(self._timeout_sweep())
 
     # -- client requests ---------------------------------------------------------
+
+    def executed(self, request_id: RequestId) -> bool:
+        """True once this replica has executed ``request_id``."""
+        return request_id in self._executed_ids
 
     def on_request(self, request: BftRequest) -> None:
         """A client request arrived at this replica (clients send to all)."""
@@ -348,6 +411,8 @@ class BftPeer:
         self._check_prepared(msg.seq, slot)
 
     def _on_prepare(self, src: str, msg: Prepare) -> None:
+        if src not in self._replica_set:
+            return
         if msg.view > self.view or msg.seq > self._max_seen_seq:
             self._note_progress(msg.view, msg.seq)
         if msg.view != self.view:
@@ -355,7 +420,9 @@ class BftPeer:
         slot = self._slot(msg.seq)
         if slot is None:
             return
-        slot.prepares.add(msg.replica_id)
+        # The vote belongs to the authenticated transport sender, not to
+        # the replica id the message names.
+        slot.prepares.add(src)
         self._check_prepared(msg.seq, slot)
 
     def _check_prepared(self, seq: int, slot: _Slot) -> None:
@@ -369,6 +436,8 @@ class BftPeer:
         self._check_committed(slot)
 
     def _on_commit(self, src: str, msg: Commit) -> None:
+        if src not in self._replica_set:
+            return
         if msg.view > self.view or msg.seq > self._max_seen_seq:
             self._note_progress(msg.view, msg.seq)
         if msg.view != self.view:
@@ -376,7 +445,7 @@ class BftPeer:
         slot = self._slot(msg.seq)
         if slot is None:
             return
-        slot.commits.add(msg.replica_id)
+        slot.commits.add(src)
         self._check_committed(slot)
 
     def _check_committed(self, slot: _Slot) -> None:
@@ -463,10 +532,10 @@ class BftPeer:
         self._maybe_install_view(new_view)
 
     def _on_view_change(self, src: str, msg: ViewChange) -> None:
-        if msg.new_view <= self.view:
+        if msg.new_view <= self.view or src not in self._replica_set:
             return
         votes = self._view_votes.setdefault(msg.new_view, {})
-        votes[msg.replica_id] = msg.last_executed
+        votes[src] = msg.last_executed
         # Join the view change once f + 1 others want it (PBFT liveness rule).
         if len(votes) > self.f and self.node_id not in votes:
             self._vote_view_change(msg.new_view)

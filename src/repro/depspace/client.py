@@ -117,6 +117,7 @@ class DsClient:
             timer = self.env.timeout(self._backoff.delay(retransmits))
             outcome = yield self.env.any_of([future, timer])
             if future in outcome:
+                timer.cancel()      # the reply won: withdraw the retransmit
                 break
             retransmits += 1
             if not blocking and retransmits > _MAX_RETRANSMITS:

@@ -35,7 +35,7 @@ from ..obs import (M_INGRESS, M_REPLY, FourLetterReply, FourLetterRequest,
                    Observability, ObsConfig)
 from ..sim import Environment, FifoResource, Network
 from .access import AccessControl, AccessDeniedError
-from .bft import BftConfig, BftPeer, BftRequest, RequestId
+from .bft import BftConfig, BftPeer, BftRequest, ExecutedIds, RequestId
 from .policy import Policy, PolicyViolationError
 from .protocol import (CasOp, DsOp, DsReply, InOp, InpOp, OutOp, RdAllOp,
                        RdOp, RdpOp, RenewOp, ReplaceOp, StateRequest,
@@ -224,7 +224,7 @@ class DsReplica:
             self.cpu.submit(self.timings.verify_ms + self.timings.fast_read_ms,
                             self._execute_fast_read, request)
             return
-        if request.request_id in self.ordering._executed_ids:
+        if self.ordering.executed(request.request_id):
             cached = self._reply_cache.get(request.request_id.client_id)
             if (cached is not None and cached.request_key
                     == (request.request_id.client_id, request.request_id.seq)):
@@ -562,7 +562,7 @@ class DsReplica:
         self._reply_cache.update(msg.snapshot.get("reply_cache", {}))
         bft = self.ordering
         bft._exec_seq = msg.snapshot["exec_seq"]
-        bft._executed_ids = set(msg.snapshot["executed_ids"])
+        bft._executed_ids = ExecutedIds(msg.snapshot["executed_ids"])
         bft._next_seq = max(bft._next_seq, bft._exec_seq)
         donor_view = msg.snapshot.get("view", 0)
         if donor_view > bft.view:
@@ -573,7 +573,7 @@ class DsReplica:
         # Requests the donor already executed must stop looking "stuck"
         # (they would otherwise drive view-change votes forever).
         for rid in list(bft._pending):
-            if rid in bft._executed_ids:
+            if bft.executed(rid):
                 del bft._pending[rid]
         bft._stall_exec_seq = -1
         # The installed snapshot matches exec_seq again by definition;

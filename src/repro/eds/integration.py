@@ -192,7 +192,10 @@ class EdsBinding(ExtensionBinding):
     def on_events(self, events: List[DsEvent], ts: float) -> None:
         """Run event extensions for ``events``; the writes of each run raise
         follow-up events in turn, up to ``_MAX_EVENT_DEPTH`` levels."""
-        if self._event_depth >= _MAX_EVENT_DEPTH:
+        if (self._event_depth >= _MAX_EVENT_DEPTH
+                or not self.manager.handles_events):
+            # Registrations arrive as _em-space ops, never as events, so
+            # nothing in this batch can subscribe the first extension.
             return
         replica = self.replica
 

@@ -190,11 +190,14 @@ class EzkBinding(ExtensionBinding):
         primary, which then distributes the resulting state modifications.
         A follower only applies registrations under ``/em``."""
         leader = self.server.broadcast.is_leader
+        manager = self.manager
         for event in events:
             if event.path.startswith(_EM_PREFIX):
                 self._handle_em_event(event)
                 continue
-            if not leader:
+            # Read per event: an /em event earlier in the batch may have
+            # registered the first event extension.
+            if not leader or not manager.handles_events:
                 continue
             kind = _NOTICE_KINDS.get(event.event_type)
             if kind is not None:

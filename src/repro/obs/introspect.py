@@ -61,8 +61,9 @@ def probe(env, net, target: str, command: str,
 
     net.register(node_id, on_message)
     net.send(node_id, target, FourLetterRequest(1, command))
-    guard = env.any_of([done, env.timeout(timeout_ms)])
-    env.run(until=guard)
+    timer = env.timeout(timeout_ms)
+    env.run(until=env.any_of([done, timer]))
+    timer.cancel()
     if not done.triggered:
         raise TimeoutError(f"{target} did not answer {command!r} "
                            f"within {timeout_ms:g} ms")

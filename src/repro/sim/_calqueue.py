@@ -30,6 +30,11 @@ either kernel.  The argument:
   ``when > now`` that index into the cursor bucket or earlier — again
   pushed later than any equal-time snapshot entry, so the snapshot wins
   ties.
+* Withdrawing an entry (:meth:`CalendarQueue.remove`) deletes it from
+  whichever structure holds it and touches no other entry's ``(when,
+  seq)``, so the drain order of the rest is unchanged. A future bucket
+  it empties is dropped from the wheel; its index stays in ``_occ``
+  until the cursor passes it, and is skipped there.
 
 The hot path keeps to slotted attributes, tuple-based entries and no
 closures, which keeps the interpreter's per-push and per-pop overhead
@@ -38,8 +43,9 @@ low.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, List, Optional, Tuple
 
 __all__ = ["CalendarQueue", "DEFAULT_BUCKET_MS"]
@@ -110,15 +116,65 @@ class CalendarQueue:
         Only called with ``_imm``/``_extra`` empty and the snapshot
         exhausted.  Returns False when the queue is fully empty.
         """
-        if not self._occ:
-            return False
-        idx = heappop(self._occ)
-        bucket = self._wheel.pop(idx)
-        bucket.sort()
-        self._snap = bucket
-        self._si = 0
-        self._cursor = idx
-        return True
+        occ = self._occ
+        while occ:
+            idx = heappop(occ)
+            bucket = self._wheel.pop(idx, None)
+            if bucket is None:
+                continue        # emptied by withdrawals
+            bucket.sort()
+            self._snap = bucket
+            self._si = 0
+            self._cursor = idx
+            return True
+        return False
+
+    # -- withdrawing -------------------------------------------------------
+
+    def remove(self, when: float, item: Any) -> None:
+        """Take ``item``, filed for ``when``, back out of the queue.
+
+        A no-op when it is no longer queued (it already fired, or was
+        withdrawn before).
+        """
+        if when < self.env._now:
+            return
+        if when == self.env._now:
+            try:
+                self._imm.remove(item)
+                return
+            except ValueError:
+                pass
+        idx = int(when * self.inv_width)
+        if idx > self._cursor:
+            bucket = self._wheel.get(idx)
+            if bucket is None:
+                return
+            for i, entry in enumerate(bucket):
+                if entry[2] is item:
+                    # Buckets are sorted when opened: order is free here.
+                    last = bucket.pop()
+                    if i < len(bucket):
+                        bucket[i] = last
+                    elif not bucket:
+                        del self._wheel[idx]
+                    return
+            return
+        snap = self._snap
+        i = bisect_left(snap, (when,), self._si)
+        while i < len(snap) and snap[i][0] == when:
+            if snap[i][2] is item:
+                del snap[i]
+                return
+            i += 1
+        extra = self._extra
+        for i, entry in enumerate(extra):
+            if entry[2] is item:
+                last = extra.pop()
+                if i < len(extra):
+                    extra[i] = last
+                    heapify(extra)
+                return
 
     # -- inspection --------------------------------------------------------
 
@@ -140,8 +196,12 @@ class CalendarQueue:
             t = self._extra[0][0]
         if t != _INF:
             return t
-        if self._occ:
-            return min(self._wheel[self._occ[0]])[0]
+        occ = self._occ
+        while occ:
+            bucket = self._wheel.get(occ[0])
+            if bucket is not None:
+                return min(bucket)[0]
+            heappop(occ)        # emptied by withdrawals
         return None
 
     # -- consuming ---------------------------------------------------------

@@ -15,7 +15,9 @@ instance with ``Environment(kernel=...)``):
 
 Both kernels deliver **identically ordered** event streams for the same
 program (pinned by tests/test_sim_determinism.py), so replay lines and
-figure results do not depend on the kernel choice.
+figure results do not depend on the kernel choice. Both also agree on
+withdrawal: a cancelled deferred callback or timer never fires, is never
+counted, and leaves every other entry's tie order alone.
 """
 
 from __future__ import annotations
@@ -71,16 +73,54 @@ class Environment:
             self._cal: Optional[CalendarQueue] = None
             self._queue: list[tuple[float, int, Event]] = []
             self._seq = 0
+            #: ids of withdrawn entries still in the heap; they are
+            #: skipped, uncounted, when they reach the top. An id cannot
+            #: be reused while the heap still holds its object.
+            self._withdrawn: set[int] = set()
             #: every producer (schedule/defer/succeed/network delivery)
             #: files occurrences through this one bound callable.
             self._push = self._heap_push
+            self._withdraw = self._heap_withdraw
         else:
             self._cal = CalendarQueue(self)
             self._push = self._cal.push
+            #: take a pending entry filed for ``when`` back out of the
+            #: queue (``Callback.cancel``, ``Timeout.cancel``); a no-op
+            #: for one that already fired.
+            self._withdraw = self._cal.remove
 
     def _heap_push(self, when: float, item: Any) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (when, self._seq, item))
+
+    def _heap_withdraw(self, when: float, item: Any) -> None:
+        if when < self._now:
+            return
+        if when == self._now and not any(
+                entry[2] is item for entry in self._queue):
+            return      # it already fired at this instant
+        self._withdrawn.add(id(item))
+
+    def _heap_pop(self) -> Optional[Any]:
+        """Pop the next live heap entry and advance the clock to it;
+        None when only withdrawn entries (or nothing) remain."""
+        queue = self._queue
+        withdrawn = self._withdrawn
+        while queue:
+            when, _seq, event = heapq.heappop(queue)
+            if withdrawn and id(event) in withdrawn:
+                withdrawn.discard(id(event))
+                continue
+            self._now = when
+            return event
+        return None
+
+    def _heap_skip_withdrawn(self) -> None:
+        """Drop withdrawn entries from the top of the heap."""
+        queue = self._queue
+        withdrawn = self._withdrawn
+        while queue and id(queue[0][2]) in withdrawn:
+            withdrawn.discard(id(heapq.heappop(queue)[2]))
 
     # -- clock -------------------------------------------------------------
 
@@ -108,12 +148,14 @@ class Environment:
 
         The cheap alternative to ``timeout().add_callback(...)`` for
         fire-and-forget work: no Event allocation, no callbacks list,
-        no closure. The returned :class:`Callback` is not awaitable.
+        no closure. The returned :class:`Callback` is not awaitable;
+        its ``cancel()`` withdraws it from the queue.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        callback = Callback(fn, args)
-        self._push(self._now + delay, callback)
+        when = self._now + delay
+        callback = Callback(fn, args, self, when)
+        self._push(when, callback)
         return callback
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -136,14 +178,11 @@ class Environment:
         """Process the single next event, advancing the clock."""
         cal = self._cal
         if cal is None:
-            if not self._queue:
-                raise Infeasible("no scheduled events")
-            when, _seq, event = heapq.heappop(self._queue)
-            self._now = when
+            event = self._heap_pop()
         else:
             event = cal.pop_one()
-            if event is None:
-                raise Infeasible("no scheduled events")
+        if event is None:
+            raise Infeasible("no scheduled events")
         self.events_processed += 1
         event._process()
 
@@ -155,13 +194,16 @@ class Environment:
         """
         cal = self._cal
         if cal is None:
-            return [entry[2] for entry in self._queue]
+            withdrawn = self._withdrawn
+            return [entry[2] for entry in self._queue
+                    if id(entry[2]) not in withdrawn]
         return cal.items()
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if the queue is empty."""
         cal = self._cal
         if cal is None:
+            self._heap_skip_withdrawn()
             return self._queue[0][0] if self._queue else None
         return cal.peek()
 
@@ -183,14 +225,20 @@ class Environment:
         # events per run the per-event method call is measurable
         # (BENCH_core.json). events_processed is settled on exit so the
         # counter stays honest even if an event handler raises.
+        # Withdrawn entries are skipped without touching the clock or
+        # the count.
         queue = self._queue
         pop = heapq.heappop
+        withdrawn = self._withdrawn
         count = 0
 
         if until is None:
             try:
                 while queue:
                     when, _seq, event = pop(queue)
+                    if withdrawn and id(event) in withdrawn:
+                        withdrawn.discard(id(event))
+                        continue
                     self._now = when
                     count += 1
                     event._process()
@@ -202,11 +250,10 @@ class Environment:
             target = until
             try:
                 while not target.processed:
-                    if not queue:
+                    event = self._heap_pop()
+                    if event is None:
                         raise Infeasible(
                             "event queue drained before the awaited event triggered")
-                    when, _seq, event = pop(queue)
-                    self._now = when
                     count += 1
                     event._process()
             finally:
@@ -221,6 +268,9 @@ class Environment:
         try:
             while queue and queue[0][0] <= deadline:
                 when, _seq, event = pop(queue)
+                if withdrawn and id(event) in withdrawn:
+                    withdrawn.discard(id(event))
+                    continue
                 self._now = when
                 count += 1
                 event._process()

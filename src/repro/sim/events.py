@@ -44,23 +44,36 @@ class Callback:
     callbacks list plus a closure per occurrence; this slotted wrapper
     carries just the function and its arguments. It is **not awaitable**
     — processes must not yield it; use :class:`Event` for that.
+
+    ``env`` and ``when`` are set by :meth:`Environment.defer`, the one
+    producer whose callbacks can be withdrawn again.
     """
 
-    __slots__ = ("fn", "args")
+    __slots__ = ("fn", "args", "env", "when")
 
-    def __init__(self, fn: Callable[..., None], args: tuple = ()):
+    def __init__(self, fn: Callable[..., None], args: tuple = (),
+                 env: Optional["Environment"] = None,  # noqa: F821
+                 when: float = 0.0):
         self.fn = fn
         self.args = args
+        self.env = env
+        self.when = when
 
     def cancel(self) -> None:
-        """Drop the function and its arguments; the entry fires as a no-op.
+        """Withdraw the callback: it never runs and is never counted.
 
-        The queue entry stays where it is, so the event count, the
-        sequence numbers and the tie order of everything else are
-        unchanged: cancelling only lets go of what the callback held.
+        A deferred callback leaves the queue wherever it sits; every
+        other entry keeps its sequence number and its tie order.
+        Cancelling one that already ran, or cancelling twice, is a
+        no-op. The function and its arguments are dropped either way,
+        so a caller that keeps the handle holds nothing of the request.
         """
         self.fn = _noop
         self.args = ()
+        env = self.env
+        if env is not None:
+            self.env = None
+            env._withdraw(self.when, self)
 
     def _process(self) -> None:
         self.fn(*self.args)
@@ -165,7 +178,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed virtual-time delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "when")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
@@ -174,7 +187,26 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env._push(env._now + delay, self)
+        self.when = when = env._now + delay
+        env._push(when, self)
+
+    def cancel(self) -> None:
+        """Withdraw a timer that lost its race: it never fires and is
+        never counted, and every other entry keeps its tie order.
+
+        Meant for a timer raced in an :class:`AnyOf` whose other
+        constituent won (the condition has already let go of it). A
+        timer something still waits on is refused with ``RuntimeError``;
+        one that already fired is left alone. A withdrawn timer must not
+        be waited on: it never triggers.
+        """
+        callbacks = self.callbacks
+        if callbacks is None:
+            return
+        if callbacks:
+            raise RuntimeError("cannot cancel a timer something waits on")
+        self._value = None
+        self.env._withdraw(self.when, self)
 
 
 class Process(Event):
@@ -282,8 +314,9 @@ class _Condition(Event):
 
         Called once the condition has triggered, after which ``_observe``
         is a no-op: a losing constituent (say, the deadline a reply beat)
-        still fires, but no longer holds this condition, the winner and
-        its value until then.
+        no longer holds this condition, the winner and its value. The
+        kernel does not withdraw it, since a caller may still hold and
+        await it; the caller that owns a lost timer cancels it.
         """
         observe = self._observe
         for event in self.events:

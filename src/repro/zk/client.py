@@ -330,6 +330,7 @@ class ZkClient:
             probe = self.env.timeout(_BLOCK_PROBE_MS)
             yield self.env.any_of([future, probe])
             if future.triggered:
+                probe.cancel()
                 return future.value
             if self.net.is_crashed(self.replica):
                 self._pending.pop(xid, None)

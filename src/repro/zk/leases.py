@@ -380,7 +380,7 @@ class LeaseStage:
         self.broadcast = server.broadcast
         self.table = LeaseTable(config)
         #: follower: read replies parked on a LeaseRequest, by grant key:
-        #: (meta, op, value, zxid, mzxid).
+        #: (meta, op, value, zxid, mzxid, grant timeout callback).
         self.waits: Dict[int, tuple] = {}
         self._wait_seq = 0
         #: cacheable reads per key in the current heat window.
@@ -395,6 +395,8 @@ class LeaseStage:
         self._won = (0, 0.0)
 
     def crash(self) -> None:
+        for entry in self.waits.values():
+            entry[-1].cancel()
         self.waits.clear()
 
     def _count(self, *names: str) -> None:
@@ -434,11 +436,11 @@ class LeaseStage:
         # a dark leader can never stall reads.
         self._wait_seq += 1
         key = self._wait_seq
-        self.waits[key] = (meta, op, value, zxid, stat.mzxid)
         self.net.send(self.node_id, leader, LeaseRequest(
             meta.session_id, op.path, key, self.node_id, meta.client_node,
             stat.mzxid))
-        self.env.defer(self.config.grant_timeout_ms, self._answer_plain, key)
+        self.waits[key] = (meta, op, value, zxid, stat.mzxid, self.env.defer(
+            self.config.grant_timeout_ms, self._grant_timeout, key))
         return True
 
     def _leased_reply(self, meta, value, zxid: int, lease_id: int,
@@ -495,7 +497,7 @@ class LeaseStage:
             # Leases under extensions (DESIGN §11).
             if self.registry_zxid > server._settled_zxid:
                 return "registry"                       # R2
-            if extensions.manager.handles_events():
+            if extensions.manager.handles_events:
                 return "events"                         # R4
             client_id = str(session_id)
             if (extensions.consumes(client_id, GetDataOp(path))
@@ -531,7 +533,8 @@ class LeaseStage:
         entry = self.waits.pop(msg.grant_key, None)
         if entry is None:
             return                # timed out; the grant just expires unused
-        meta, op, value, zxid, mzxid = entry
+        meta, op, value, zxid, mzxid, timer = entry
+        timer.cancel()
         stat = self.server.tree.exists(op.path)
         if msg.mzxid != mzxid or stat is None or stat.mzxid != mzxid:
             # The key moved while the grant was in flight: installing
@@ -542,14 +545,21 @@ class LeaseStage:
                            msg.epoch)
 
     def _on_deny(self, src: str, msg: LeaseDeny) -> None:
-        self._answer_plain(msg.grant_key)
+        entry = self.waits.pop(msg.grant_key, None)
+        if entry is not None:
+            entry[-1].cancel()
+            self._answer_plain(entry)
 
-    def _answer_plain(self, grant_key: int) -> None:
-        """Deny or grant timeout: answer the parked read plain."""
+    def _grant_timeout(self, grant_key: int) -> None:
         entry = self.waits.pop(grant_key, None)
-        if entry is None or not self.server._alive:
+        if entry is not None:
+            self._answer_plain(entry)
+
+    def _answer_plain(self, entry: tuple) -> None:
+        """Deny or grant timeout: answer the parked read plain."""
+        if not self.server._alive:
             return
-        meta, _op, value, zxid, _mzxid = entry
+        meta, _op, value, zxid, _mzxid, _timer = entry
         self.server._succeed(meta, value, zxid)
 
     def _on_revoke_ack(self, src: str, msg: LeaseRevokeAck) -> None:

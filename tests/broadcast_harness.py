@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.broadcast import NotLeaderError, make_zxid
-from repro.depspace.bft import BftConfig, BftPeer, BftRequest, RequestId
+from repro.depspace.bft import (BftConfig, BftPeer, BftRequest, ExecutedIds,
+                                RequestId)
 from repro.raft import RaftConfig, RaftPeer
 from repro.raft.peer import RaftRecord
 from repro.sim import Environment, Network
@@ -204,14 +205,14 @@ class PbftBroadcast:
         self.log = list(msg.entries)
         self.committed_zxid = self.last_zxid
         peer._exec_seq = msg.exec_seq
-        peer._executed_ids = set(msg.executed_ids)
+        peer._executed_ids = ExecutedIds(msg.executed_ids)
         peer._next_seq = max(peer._next_seq, peer._exec_seq)
         if msg.view > peer.view:
             peer.view = msg.view
             peer._proposed_ids = set()
             peer._next_seq = peer._exec_seq
         for rid in list(peer._pending):
-            if rid in peer._executed_ids:
+            if peer.executed(rid):
                 del peer._pending[rid]
         peer._stall_exec_seq = -1
         peer.exec_truthful = True

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.depspace.bft import (BftConfig, BftPeer, BftRequest, RequestId)
+from repro.depspace.bft import (BftConfig, BftPeer, BftRequest, Commit,
+                                PrePrepare, Prepare, RequestId, ViewChange)
 from repro.sim import Environment, LatencyModel, Network
 
 
@@ -143,3 +144,54 @@ class TestViewChange:
             send_request(net, peers, "c1", i + 1)
         env.run(until=1000.0)
         assert all(p.view == 0 for p in peers.values())
+
+
+class TestVoteSenders:
+    """A vote counts for the replica that sent it over the transport,
+    whatever ``replica_id`` the message claims; a sender that is not a
+    replica casts none."""
+
+    FORGED = ("r0", "r1", "r2", "r3")
+
+    def _forge(self, peer, sender, make):
+        for claimed in self.FORGED:
+            if claimed != sender:
+                peer.handle(sender, make(claimed))
+
+    def test_one_sender_cannot_complete_a_prepare_quorum(self):
+        _env, _net, peers, _ex = build_cluster()
+        primary = peers["r0"]
+        request = BftRequest(RequestId("c1", 1), "op")
+        primary.on_request(request)     # the pre-prepare: r0's vote
+        slot = primary._slots[1]
+        for sender in ("r3", "c9"):
+            self._forge(primary, sender,
+                        lambda claimed: Prepare(0, 1, request.request_id,
+                                                claimed))
+        assert slot.prepares == {"r0", "r3"}
+        assert not slot.prepared
+
+    def test_one_sender_cannot_complete_a_commit_quorum(self):
+        _env, _net, peers, executed = build_cluster()
+        backup = peers["r1"]
+        request = BftRequest(RequestId("c1", 1), "op")
+        backup.handle("r0", PrePrepare(0, 1, 0.0, request))
+        backup.handle("r2", Prepare(0, 1, request.request_id, "r2"))
+        slot = backup._slots[1]
+        assert slot.prepared and slot.commits == {"r1"}
+        for sender in ("r3", "c9"):
+            self._forge(backup, sender,
+                        lambda claimed: Commit(0, 1, request.request_id,
+                                               claimed))
+        assert slot.commits == {"r1", "r3"}
+        assert not slot.committed and not executed["r1"]
+
+    def test_one_sender_cannot_complete_a_view_change_quorum(self):
+        _env, _net, peers, _ex = build_cluster()
+        backup = peers["r1"]
+        for sender in ("r3", "c9"):
+            self._forge(backup, sender,
+                        lambda claimed: ViewChange(1, 0, claimed))
+        # One vote is not f + 1: r1 neither joins nor installs view 1.
+        assert backup._view_votes[1] == {"r3": 0}
+        assert backup.view == 0

@@ -259,6 +259,24 @@ class TestManagerLifecycle:
         assert result == 8
         assert manager.executions == 1
 
+    def test_handles_events_tracks_the_registry(self):
+        manager = ExtensionManager()
+        assert not manager.handles_events
+        manager.register("ctr", COUNTER_EXT, owner="a")
+        assert not manager.handles_events
+        manager.register("ev", EVENT_EXT, owner="a")
+        assert manager.handles_events
+        # Re-registering the name with operation-only code drops it.
+        manager.register("ev", COUNTER_EXT, owner="a")
+        assert not manager.handles_events
+        manager.register("ev", EVENT_EXT, owner="a")
+        manager.deregister("ev")
+        assert not manager.handles_events
+        manager.reload([("ev", EVENT_EXT, "a", [])])
+        assert manager.handles_events
+        manager.reload([("ctr", COUNTER_EXT, "a", [])])
+        assert not manager.handles_events
+
     def test_execute_event_end_to_end(self):
         manager = ExtensionManager()
         record = manager.register("ev", EVENT_EXT, owner="a")

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import ExtensionRejectedError
 from repro.ezk import EzkEnsemble
+from repro.ezk.integration import pack_registration
 from repro.zk import ZkError
+from repro.zk.server import StateEvent
+from repro.zk.watches import EventType
 
 COUNTER_EXT = '''
 class CounterIncrement(Extension):
@@ -252,6 +255,30 @@ class TestEventExtensions:
             return (yield from client.exists("/tombstones/a"))
 
         assert run(ensemble, scenario())[0] is not None
+
+    def test_event_extension_registered_mid_batch_sees_later_events(
+            self, ensemble):
+        """The leader reads the event-extension flag per event: an /em
+        registration early in an applied batch runs for the events
+        after it in that batch."""
+        client = connected(ensemble)
+
+        def setup():
+            yield from client.create("/watched", b"")
+            yield from client.create("/tombstones", b"")
+
+        run(ensemble, setup())
+        leader = ensemble.leader
+        binding = ensemble.binding(leader.node_id)
+        assert not binding.manager.handles_events
+        binding.on_events([
+            StateEvent(EventType.NODE_CREATED, "/em/on-del",
+                       pack_registration(str(client.session_id), EVENT_EXT)),
+            StateEvent(EventType.NODE_DELETED, "/watched/c"),
+        ])
+        assert binding.manager.handles_events
+        ensemble.env.run(until=ensemble.env.now + 100.0)
+        assert leader.tree.exists("/tombstones/c") is not None
 
     def test_event_extension_state_replicated(self, ensemble):
         client = connected(ensemble)

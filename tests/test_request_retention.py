@@ -1,11 +1,11 @@
 """A settled request leaves nothing reachable from the event queue.
 
-Every request/reply wait files something that outlives a fast reply: a
+Every request/reply wait files a timer that a fast reply beats: a
 deadline callback (``arm_deadline``: ZooKeeper calls and re-establish
-probes), a retransmit timer raced in an ``AnyOf`` (the
-DepSpace client), or a held commit's lease-term release. Those entries
-stay queued and still fire, so the event stream does not change, but
-once the request settles they must hold nothing of it.
+probes), a retransmit timer raced in an ``AnyOf`` (the DepSpace
+client), a lease grant timeout, or a held commit's lease-term release.
+The owner withdraws the timer once the reply wins, so it leaves the
+queue: it never fires and is never counted.
 
 Each scenario drives a few hundred settled calls while a sampler walks
 every pending queue entry (calendar wheel, snapshot, ``extra`` and
@@ -14,7 +14,14 @@ what an entry holds through callback arguments, containers, partials
 and conditions, and fails on a processed ``Event``, a fired
 ``WriteGate`` (a released commit hold), or a reply message. It stops at objects of the program
 (servers, clients, in-flight network deliveries): a message on the wire
-is not a settled request.
+is not a settled request. No sample may find a lease grant timeout
+whose parked read was already answered, and once the workload is done
+the queue must hold no dead entry either: a cancelled callback, or a
+timer nothing waits on, either of which could only fire as a no-op.
+
+The PBFT replica's at-most-once record is bounded the same way, by a
+per-client watermark (``ExecutedIds``); a property test pins that it
+answers exactly as the set of executed ids it replaces.
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ import functools
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.depspace.bft import ExecutedIds, RequestId
 from repro.depspace.protocol import DsReply
 from repro.recipes import ExtensionQueue
-from repro.sim import Callback, Event, Process
-from repro.sim.events import _Condition
-from repro.zk.leases import LeaseConfig, WriteGate
+from repro.sim import Callback, Event, Process, Timeout
+from repro.sim.events import _Condition, _noop
+from repro.zk.leases import LeaseConfig, LeaseStage, WriteGate
 from repro.zk.server import ZkConfig
 from repro.zk.txn import ClientReply
 from tests.recipe_helpers import make_coords, make_ensemble, run_all
@@ -89,6 +98,24 @@ def settled_held(env) -> list:
     return found
 
 
+def dead_entries(env) -> list:
+    """Queued entries that can only fire as no-ops: cancelled callbacks
+    and timers nothing waits on."""
+    return [entry for entry in env.queued()
+            if (isinstance(entry, Callback) and entry.fn is _noop)
+            or (isinstance(entry, Timeout) and not entry.callbacks)]
+
+
+def orphaned_grant_timeouts(env) -> list:
+    """Lease grant timeouts whose parked read was already answered: a
+    timer nothing waits on, though it holds only an int key."""
+    return [entry for entry in env.queued()
+            if isinstance(entry, Callback)
+            and getattr(entry.fn, "__func__", None)
+            is LeaseStage._grant_timeout
+            and entry.args[0] not in entry.fn.__self__.waits]
+
+
 class QueueSampler:
     """Walks the queue every ``period_ms`` until stopped."""
 
@@ -96,6 +123,7 @@ class QueueSampler:
         self.env = env
         self.samples = 0
         self.held: list = []
+        self.orphans = 0
         self._stopped = False
         env.process(self._run(period_ms))
 
@@ -107,6 +135,7 @@ class QueueSampler:
     def check(self) -> None:
         self.samples += 1
         self.held.extend(settled_held(self.env))
+        self.orphans += len(orphaned_grant_timeouts(self.env))
 
     def finish(self) -> None:
         self.check()
@@ -116,6 +145,10 @@ class QueueSampler:
             f"{getattr(entry, 'fn', entry)!r} holds {type(obj).__name__}"
             for entry, obj in self.held})
         assert not self.held, "\n".join(described[:10])
+        assert not self.orphans
+        dead = dead_entries(self.env)
+        assert not dead, sorted({repr(getattr(entry, "fn", entry))
+                                 for entry in dead})[:10]
 
 
 @pytest.fixture(params=KERNELS)
@@ -198,3 +231,27 @@ def test_ds_family_retransmit_races(kernel, kind):
     run_all(ens, worker(coords[0], "a"), worker(coords[1], "b"))
     sampler.finish()
 
+
+#: Seqs around the watermark's edge: below 1, repeats, gaps, reordering.
+_SEQS = st.integers(min_value=-2, max_value=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from("abc"), _SEQS),
+                max_size=120))
+def test_executed_ids_answer_exactly_as_a_set(steps):
+    executed, reference = ExecutedIds(), set()
+    for is_add, client, seq in steps:
+        request_id = RequestId(client, seq)
+        if is_add:
+            executed.add(request_id)
+            reference.add(request_id)
+        assert (request_id in executed) == (request_id in reference)
+    for client in "abc":
+        for seq in range(-2, 42):
+            request_id = RequestId(client, seq)
+            assert (request_id in executed) == (request_id in reference)
+    assert set(executed) == reference
+    # A snapshot's ids rebuild the same record.
+    rebuilt = ExecutedIds(set(executed))
+    assert set(rebuilt) == reference

@@ -147,3 +147,98 @@ def test_unknown_kernel_rejected(sim_kernel):
     sim_kernel("btree")
     with pytest.raises(ValueError):
         Environment()
+
+
+def _cancel_soup_trace(kernel: str, seed: int, n_procs: int = 30,
+                       horizon: float = 300.0) -> list:
+    """A soup whose processes file deferred callbacks and race timers,
+    then withdraw them at random: pending ones in every queue structure
+    (zero delay, same bucket, far future), ones that already ran, and
+    ones due at the current instant."""
+    env = Environment(kernel=kernel)
+    trace = []
+    handles = []
+    gates = [env.event() for _ in range(n_procs)]
+
+    def fire(me, tag):
+        trace.append(("fire", me, tag, env.now))
+
+    def delay_for(rng):
+        roll = rng.random()
+        if roll < 0.2:
+            return 0.0
+        if roll < 0.4:
+            return rng.randrange(1, 20) * DEFAULT_BUCKET_MS
+        if roll < 0.8:
+            return rng.random() * 2.0
+        return 20.0 + rng.random() * 200.0
+
+    def proc(env, me):
+        rng = random.Random(seed * 1000 + me)
+        for step in range(40):
+            roll = rng.random()
+            if roll < 0.45:
+                handles.append(env.defer(delay_for(rng), fire, me, step))
+            elif roll < 0.75 and handles:
+                handles[rng.randrange(len(handles))].cancel()
+            elif roll < 0.9:
+                gate = gates[rng.randrange(n_procs)]
+                timer = env.timeout(delay_for(rng))
+                outcome = yield env.any_of([gate, timer])
+                if gate in outcome:
+                    timer.cancel()
+                trace.append(("race", me, step, gate in outcome, env.now))
+                continue
+            elif not gates[me].triggered:
+                gates[me].succeed(step)
+            yield env.timeout(delay_for(rng))
+            trace.append(("wake", me, step, env.now))
+
+    for i in range(n_procs):
+        env.process(proc(env, i))
+    env.run(until=horizon)
+    trace.append(("events", env.events_processed, len(env.queued())))
+    env.run()
+    trace.append(("drained", env.now, env.events_processed))
+    return trace
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_soup_with_random_cancels_identical(seed):
+    assert _cancel_soup_trace("heap", seed) == _cancel_soup_trace(
+        "calendar", seed)
+
+
+def _outlasting_run(system: str) -> tuple:
+    """A few calls, then idle well past the ZooKeeper client's 3 s call
+    deadline and the DepSpace client's 1 s retransmit timer."""
+    from tests.recipe_helpers import make_ensemble, run_all
+
+    ens = make_ensemble(system)
+    env = ens.env
+    client = ens.client()
+    if system == "zk":
+        def calls():
+            yield from client.connect()
+            for i in range(20):
+                yield from client.create(f"/n{i}", b"x")
+                yield from client.get_data(f"/n{i}")
+    else:
+        def calls():
+            for i in range(20):
+                yield from client.out("k", i)
+                yield from client.rdp("k", i)
+
+    run_all(ens, calls())
+    settled = (env.now, env.events_processed)
+    env.run(until=env.now + 5000.0)
+    return settled, env.events_processed, len(env.queued())
+
+
+@pytest.mark.parametrize("system", ["zk", "ds"])
+def test_run_outlasting_withdrawn_timers_identical(system, sim_kernel):
+    results = {}
+    for kernel in KERNELS:
+        sim_kernel(kernel)
+        results[kernel] = _outlasting_run(system)
+    assert results["heap"] == results["calendar"]

@@ -276,7 +276,7 @@ def test_yield_already_processed_event():
 
 
 # ---------------------------------------------------------------------------
-# settled requests let go: cancelled callbacks and detached conditions
+# settled requests let go: withdrawn callbacks and detached conditions
 # (both kernels, through the sim_kernel fixture)
 # ---------------------------------------------------------------------------
 
@@ -291,7 +291,7 @@ class _Payload:
     """Weak-referenceable stand-in for what a callback holds."""
 
 
-def test_cancelled_callback_drops_args_but_still_fires_in_place(kernel_env):
+def test_cancelled_callback_drops_args_and_leaves_the_queue(kernel_env):
     env = kernel_env
     order = []
     payload = _Payload()
@@ -303,10 +303,210 @@ def test_cancelled_callback_drops_args_but_still_fires_in_place(kernel_env):
     victim.cancel()
     del payload
     assert held() is None
+    assert victim not in env.queued()
     env.run()
     assert order == ["early", "a", "b"]
-    # The cancelled entry still fired: the event count is unchanged.
+    # The withdrawn entry never ran and is not counted.
+    assert env.events_processed == 3
+
+
+# ---------------------------------------------------------------------------
+# withdrawal from every place the calendar queue files an entry; the heap
+# kernel runs the same scenarios and must agree on order and count
+# ---------------------------------------------------------------------------
+
+
+def _where(env, item):
+    """The calendar structure holding ``item`` (None on the heap kernel)."""
+    cal = env._cal
+    if cal is None:
+        return None
+    if any(entry is item for entry in cal._imm):
+        return "imm"
+    if any(entry[2] is item for entry in cal._snap[cal._si:]):
+        return "snap"
+    if any(entry[2] is item for entry in cal._extra):
+        return "extra"
+    if any(entry[2] is item for bucket in cal._wheel.values()
+           for entry in bucket):
+        return "wheel"
+    return "gone"
+
+
+def _expect_place(env, item, place):
+    assert _where(env, item) in (None, place)
+
+
+def test_withdraw_from_a_future_bucket(kernel_env):
+    env = kernel_env
+    order = []
+    env.defer(5.0, order.append, "a")
+    victim = env.defer(5.0, order.append, "victim")
+    env.defer(5.0, order.append, "b")
+    _expect_place(env, victim, "wheel")
+    victim.cancel()
+    _expect_place(env, victim, "gone")
+    env.run()
+    assert order == ["a", "b"]
+    assert env.events_processed == 2
+
+
+def test_withdraw_the_only_entry_of_a_future_bucket(kernel_env):
+    env = kernel_env
+    order = []
+    victim = env.defer(7.0, order.append, "victim")
+    env.defer(9.0, order.append, "late")
+    victim.cancel()
+    assert env.peek() == 9.0
+    # The emptied bucket's time slot is refilled after the withdrawal.
+    env.defer(7.0, order.append, "refill")
+    env.run()
+    assert order == ["refill", "late"]
+    assert env.now == 9.0 and env.events_processed == 2
+
+
+def test_withdraw_from_the_drain_snapshot(kernel_env):
+    env = kernel_env
+    order = []
+    handles = {}
+
+    def canceller():
+        order.append("canceller")
+        _expect_place(env, handles["victim"], "snap")
+        handles["victim"].cancel()
+
+    env.defer(5.0, canceller)
+    env.defer(5.0, order.append, "x")
+    handles["victim"] = env.defer(5.0, order.append, "victim")
+    env.defer(5.0, order.append, "y")
+    env.defer(5.2, order.append, "z")
+    env.run()
+    assert order == ["canceller", "x", "y", "z"]
     assert env.events_processed == 4
+
+
+def test_withdraw_from_extra(kernel_env):
+    env = kernel_env
+    order = []
+    handles = {}
+
+    def filer():
+        order.append("filer")
+        # Same bucket as now, later time: the calendar's extra heap.
+        env.defer(0.2, order.append, "p")
+        handles["victim"] = env.defer(0.2, order.append, "victim")
+        env.defer(0.2, order.append, "q")
+        env.defer(0.1, canceller)
+        _expect_place(env, handles["victim"], "extra")
+
+    def canceller():
+        order.append("canceller")
+        handles["victim"].cancel()
+        _expect_place(env, handles["victim"], "gone")
+
+    env.defer(5.0, filer)
+    env.run()
+    assert order == ["filer", "canceller", "p", "q"]
+    assert env.events_processed == 4
+
+
+def test_withdraw_from_imm(kernel_env):
+    env = kernel_env
+    order = []
+    handles = {}
+
+    def filer():
+        order.append("filer")
+        env.defer(0.0, order.append, "i0")
+        handles["victim"] = env.defer(0.0, order.append, "victim")
+        env.defer(0.0, order.append, "i1")
+        _expect_place(env, handles["victim"], "imm")
+
+    def canceller():
+        # Queued at 5.0 before the clock got there: drains ahead of
+        # every same-instant push the filer made.
+        order.append("canceller")
+        handles["victim"].cancel()
+
+    env.defer(5.0, filer)
+    env.defer(5.0, canceller)
+    env.run()
+    assert order == ["filer", "canceller", "i0", "i1"]
+    assert env.events_processed == 4
+
+
+def test_withdraw_after_run_until_jumped_past_the_cursor(kernel_env):
+    env = kernel_env
+    order = []
+    env.run(until=1000.0)
+    env.defer(0.0, order.append, "i0")
+    victim = env.defer(0.0, order.append, "victim")
+    future = env.defer(3.0, order.append, "later")
+    victim.cancel()
+    future.cancel()
+    env.run()
+    assert order == ["i0"]
+    assert env.now == 1000.0 and env.events_processed == 1
+
+
+def test_cancel_after_firing_is_a_no_op(kernel_env):
+    env = kernel_env
+    order = []
+    fired = env.defer(1.0, order.append, "fired")
+    env.run(until=1.0)
+    # Same instant, already run: nothing else may be taken out.
+    env.defer(0.0, order.append, "next")
+    fired.cancel()
+    fired.cancel()
+    env.run()
+    assert order == ["fired", "next"]
+    assert env.events_processed == 2
+
+
+def test_callback_cancelling_itself_while_running(kernel_env):
+    env = kernel_env
+    handles = {}
+    env.defer(2.0, lambda: handles["self"].cancel())
+    handles["self"] = env.queued()[0]
+    env.defer(2.0, lambda: None)
+    env.run()
+    assert env.events_processed == 2
+
+
+def test_timeout_cancel_withdraws_a_lost_race(kernel_env):
+    env = kernel_env
+    future = env.event()
+    timer = env.timeout(100.0)
+
+    def waiter():
+        outcome = yield env.any_of([future, timer])
+        timer.cancel()
+        return list(outcome.values())
+
+    proc = env.process(waiter())
+    env.defer(1.0, future.succeed, "reply")
+    assert env.run(until=proc) == ["reply"]
+    assert timer not in env.queued()
+    env.run()
+    # The queue drained at the reply, not at the timer.
+    assert env.now == 1.0 and not timer.processed
+
+
+def test_timeout_cancel_refused_while_awaited(kernel_env):
+    env = kernel_env
+    timer = env.timeout(10.0, "woke")
+
+    def sleeper():
+        return (yield timer)
+
+    proc = env.process(sleeper())
+    env.run(until=1.0)
+    with pytest.raises(RuntimeError, match="waits on"):
+        timer.cancel()
+    assert env.run(until=proc) == "woke"
+    # Once fired, cancel is a no-op.
+    timer.cancel()
+    assert timer.processed and timer.value == "woke"
 
 
 def test_any_of_won_by_future_detaches_from_the_losing_timer(kernel_env):
