@@ -38,7 +38,7 @@ from typing import Dict, List, Optional
 
 from ..recipes import ensure_object
 from .systems import make_coords, make_ensemble, run_all
-from .workload import WorkloadResult, _Window
+from .workload import OBJECT_BYTES, WorkloadResult, _Window
 
 __all__ = ["Workload", "run_openloop_workload", "ARRIVALS"]
 
@@ -131,17 +131,17 @@ def _zipf_cdf(n_keys: int, skew: float) -> List[float]:
 
 def run_openloop_workload(
         kind: str, workload: Workload, warmup_ms: float = 100.0,
-        measure_ms: float = 500.0, seed: int = 41, object_bytes: int = 256,
-        sessions: int = 16, inflight_per_session: int = 64,
-        local_reads: bool = True, n_observers: int = 2) -> WorkloadResult:
+        measure_ms: float = 500.0, seed: int = 41, sessions: int = 16,
+        inflight_per_session: int = 64,
+        n_observers: int = 2) -> WorkloadResult:
     """Drive ``kind`` with the aggregate stream described by ``workload``.
 
     ``sessions * inflight_per_session`` bounds simultaneously in-flight
     requests (the aggregate pipe width); arrivals beyond it queue, and
-    their queueing delay is charged to their latency. Read scaling
-    (``local_reads`` + observers, ZK family) defaults on — the point of
-    the open-loop driver is large populations, which are read-path
-    bound.
+    their queueing delay is charged to their latency. Read scaling is
+    always on (ZK family: ``local_reads`` plus ``n_observers``; DS
+    family: unordered reads) — the point of the open-loop driver is
+    large populations, which are read-path bound.
 
     Returns a :class:`WorkloadResult` whose ``clients`` field is the
     *modeled* population; extras carry offered vs achieved rate, the
@@ -158,17 +158,15 @@ def run_openloop_workload(
             "machinery)")
     kwargs = {}
     if kind in ("zk", "ezk"):
-        if local_reads or workload.cached_reads:
-            from ..zk.server import ZkConfig
-            leases = None
-            if workload.cached_reads:
-                from ..zk.leases import LeaseConfig
-                leases = LeaseConfig()
-            kwargs["config"] = ZkConfig(local_reads=local_reads,
-                                        leases=leases)
+        from ..zk.server import ZkConfig
+        leases = None
+        if workload.cached_reads:
+            from ..zk.leases import LeaseConfig
+            leases = LeaseConfig()
+        kwargs["config"] = ZkConfig(local_reads=True, leases=leases)
         if n_observers:
             kwargs["n_observers"] = n_observers
-    elif local_reads:
+    else:
         from ..depspace.server import DsConfig
         kwargs["config"] = DsConfig(unordered_reads=True)
     ensemble = make_ensemble(kind, seed=seed, **kwargs)
@@ -176,7 +174,7 @@ def run_openloop_workload(
     client_kwargs = {"cached_reads": True} if workload.cached_reads else None
     coords, raw = make_coords(ensemble, kind, sessions,
                               client_kwargs=client_kwargs)
-    payload = b"x" * object_bytes
+    payload = b"x" * OBJECT_BYTES
     paths = [f"/ol{key}" for key in range(workload.keys)]
 
     def prepare(coord, path):

@@ -34,6 +34,16 @@ __all__ = [
     "run_read_heavy_workload",
 ]
 
+#: size of each regular client's object (§6.2's 256-byte objects).
+OBJECT_BYTES = 256
+#: §6.2's mixed workload: 15 readers and 15 writers beside the queue.
+REGULAR_READERS = 15
+REGULAR_WRITERS = 15
+#: the read-heavy driver's read share (90/10).
+READ_FRACTION = 0.9
+#: barrier rounds set up (and at most entered) per cell.
+BARRIER_ROUNDS = 4000
+
 
 @dataclass
 class WorkloadResult:
@@ -175,8 +185,8 @@ def run_counter_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
 # ---------------------------------------------------------------------------
 
 def run_queue_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
-                       measure_ms: float = 500.0, payload: bytes = b"",
-                       seed: int = 32, config=None) -> WorkloadResult:
+                       measure_ms: float = 500.0, seed: int = 32,
+                       config=None) -> WorkloadResult:
     """Each client repeatedly adds one element then removes one (§6.1.2).
 
     Throughput counts *elements through the queue* (add+remove pairs);
@@ -196,7 +206,7 @@ def run_queue_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
     def worker(queue):
         while window.open_:
             started = window.env.now
-            yield from queue.add(payload)
+            yield from queue.add(b"")
             yield from queue.remove()
             window.record(started)
 
@@ -213,7 +223,7 @@ def run_queue_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
 # ---------------------------------------------------------------------------
 
 def run_barrier_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
-                         measure_ms: float = 500.0, max_rounds: int = 4000,
+                         measure_ms: float = 500.0,
                          seed: int = 33) -> WorkloadResult:
     """Repeated barrier episodes; latency is the per-enter latency.
 
@@ -228,14 +238,14 @@ def run_barrier_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
     if kind not in EXTENSIBLE:
         # Traditional ZooKeeper needs each round's registration parent.
         def presetup():
-            for round_id in range(max_rounds):
+            for round_id in range(BARRIER_ROUNDS):
                 yield from barriers[0].setup_round(round_id)
 
         run_all(ensemble, presetup())
     window = _Window(ensemble, raw, warmup_ms, measure_ms)
 
     def worker(barrier):
-        for round_id in range(max_rounds):
+        for round_id in range(BARRIER_ROUNDS):
             if not window.open_:
                 return
             started = window.env.now
@@ -298,10 +308,8 @@ def run_election_workload(kind: str, n_clients: int,
 # ---------------------------------------------------------------------------
 
 def run_queue_with_regular_clients(
-        kind: str, queue_clients: int, regular_readers: int = 15,
-        regular_writers: int = 15, object_bytes: int = 256,
-        warmup_ms: float = 100.0, measure_ms: float = 500.0,
-        seed: int = 35) -> WorkloadResult:
+        kind: str, queue_clients: int, warmup_ms: float = 100.0,
+        measure_ms: float = 500.0, seed: int = 35) -> WorkloadResult:
     """§6.2's mixed workload: the distributed-queue experiment plus 30
     regular clients reading/writing 256-byte objects.
 
@@ -311,11 +319,11 @@ def run_queue_with_regular_clients(
     if kind not in EXTENSIBLE:
         raise ValueError("Figure 13 runs on the extensible systems only")
     ensemble = make_ensemble(kind, seed=seed)
-    total = queue_clients + regular_readers + regular_writers
+    total = queue_clients + REGULAR_READERS + REGULAR_WRITERS
     coords, raw = make_coords(ensemble, kind, total)
     queue_coords = coords[:queue_clients]
-    reader_coords = coords[queue_clients:queue_clients + regular_readers]
-    writer_coords = coords[queue_clients + regular_readers:]
+    reader_coords = coords[queue_clients:queue_clients + REGULAR_READERS]
+    writer_coords = coords[queue_clients + REGULAR_READERS:]
 
     queues = [ExtensionQueue(c) for c in queue_coords]
     run_all(ensemble, queues[0].setup(register=True))
@@ -323,7 +331,7 @@ def run_queue_with_regular_clients(
         run_all(ensemble, queue.setup(register=False))
 
     # Regular clients touch their own 256-byte objects.
-    payload = b"x" * object_bytes
+    payload = b"x" * OBJECT_BYTES
 
     def prepare(coord, index):
         yield from ensure_object(coord, f"/reg{index}", payload)
@@ -359,7 +367,7 @@ def run_queue_with_regular_clients(
     for index, coord in enumerate(reader_coords):
         ensemble.env.process(reader(coord, index))
     for offset, coord in enumerate(writer_coords):
-        ensemble.env.process(writer(coord, regular_readers + offset))
+        ensemble.env.process(writer(coord, REGULAR_READERS + offset))
     window.run()
     result = window.result(kind, queue_clients)
     result.extra["regular_read_ms"] = read_lat.mean
@@ -372,12 +380,11 @@ def run_queue_with_regular_clients(
 # ---------------------------------------------------------------------------
 
 def run_read_heavy_workload(
-        kind: str, n_clients: int, read_fraction: float = 0.9,
-        object_bytes: int = 256, warmup_ms: float = 100.0,
+        kind: str, n_clients: int, warmup_ms: float = 100.0,
         measure_ms: float = 500.0, seed: int = 37,
         local_reads: bool = False, n_observers: int = 0,
         pin_leader: bool = False, config=None) -> WorkloadResult:
-    """Fig-13-style regular clients, but read-dominated (default 90/10).
+    """Fig-13-style regular clients, but read-dominated (90/10).
 
     Each client loops over its own 256-byte object, choosing read vs
     update with a per-client deterministic RNG. This is the workload the
@@ -417,7 +424,7 @@ def run_read_heavy_workload(
     ensemble = make_ensemble(kind, seed=seed, **kwargs)
     replica = ensemble.replica_ids[0] if pin_leader else None
     coords, raw = make_coords(ensemble, kind, n_clients, replica=replica)
-    payload = b"x" * object_bytes
+    payload = b"x" * OBJECT_BYTES
 
     def prepare(coord, index):
         yield from ensure_object(coord, f"/robj{index}", payload)
@@ -435,7 +442,7 @@ def run_read_heavy_workload(
         path = f"/robj{index}"  # built once, not per op
         while window.open_:
             started = window.env.now
-            if rng.random() < read_fraction:
+            if rng.random() < READ_FRACTION:
                 yield from coord.read(path)
                 read_lat.record(window.env.now, window.env.now - started)
                 if started >= window.start:
@@ -464,7 +471,6 @@ def run_read_heavy_workload(
 # ---------------------------------------------------------------------------
 
 def run_regular_op_latency(kind: str, n_clients: int = 10,
-                           object_bytes: int = 256,
                            warmup_ms: float = 100.0,
                            measure_ms: float = 500.0,
                            seed: int = 36) -> WorkloadResult:
@@ -475,7 +481,7 @@ def run_regular_op_latency(kind: str, n_clients: int = 10,
     """
     ensemble = make_ensemble(kind, seed=seed)
     coords, raw = make_coords(ensemble, kind, n_clients)
-    payload = b"x" * object_bytes
+    payload = b"x" * OBJECT_BYTES
 
     def prepare(coord, index):
         yield from ensure_object(coord, f"/obj{index}", payload)

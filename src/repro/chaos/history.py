@@ -55,10 +55,6 @@ class OpRecord:
         return self.status == "ok"
 
     @property
-    def pending(self) -> bool:
-        return self.status == "pending"
-
-    @property
     def in_doubt(self) -> bool:
         """Fail/pending updates *may* have taken effect server-side."""
         return self.status != "ok"

@@ -40,12 +40,7 @@ import random
 from typing import Tuple
 
 __all__ = ["FaultAction", "Schedule", "random_schedule",
-           "random_storm_schedule", "KINDS"]
-
-KINDS = ("crash_leader", "crash_follower", "partition_leader",
-         "partition_follower", "partition_oneway", "drop_burst",
-         "delay_burst", "kill_client", "session_storm", "watch_storm",
-         "lease_storm")
+           "random_storm_schedule"]
 
 #: storm kinds carry a client ``count`` and may overlap a classic fault.
 STORM_KINDS = ("session_storm", "watch_storm", "lease_storm")

@@ -51,7 +51,7 @@ from .explorer import (ChaosRun, _DEADLINE_MARGIN_MS, _SETTLE_MS,
                        _await_consistency, _run_to)
 from .history import History
 from .nemesis import Nemesis
-from .schedule import Schedule, random_storm_schedule
+from .schedule import random_storm_schedule
 
 __all__ = ["SESSION_SCENARIOS", "run_session_chaos",
            "check_committed_sessions", "spawn_session_storm",
@@ -361,8 +361,7 @@ def _lease_reader(nemesis: Nemesis, action, storm_id: int, i: int):
 
 
 def run_session_chaos(system: str, scenario: str, seed: int,
-                      schedule: Schedule = None, kernel: str = None,
-                      obs=None):
+                      kernel: str = None, obs=None):
     """One storm cell: scenario × system × seeded storm schedule.
 
     ``kernel`` adds the consensus-kernel axis (``"raft"`` runs the same
@@ -374,7 +373,7 @@ def run_session_chaos(system: str, scenario: str, seed: int,
     if system not in ("zk", "ezk"):
         raise ValueError(f"session storms require the zk family, "
                          f"not {system!r}")
-    schedule = schedule or random_storm_schedule(seed, scenario)
+    schedule = random_storm_schedule(seed, scenario)
     repro = (f"PYTHONPATH=src python -m repro.chaos "
              f"--system {system} --recipe {scenario} --seed {seed}")
     if kernel is not None:

@@ -160,8 +160,9 @@ class AtomicBroadcast:
 
     # -- lifecycle -------------------------------------------------------
 
-    def bootstrap(self, leader_id: str, epoch: int = 1) -> None:
-        """Install an initial leadership without running an election."""
+    def bootstrap(self, leader_id: str) -> None:
+        """Install an initial leadership, at epoch 1, without running an
+        election."""
         raise NotImplementedError
 
     def crash(self) -> None:
@@ -267,8 +268,8 @@ def make_zk_kernel(env, node_id: str, peer_ids: List[str], send, deliver,
     if kernel == "zab":
         from ..zk.zab import ZabPeer
         return ZabPeer(env, node_id, peer_ids, send, deliver,
-                       config=config.zab, observer_ids=observer_ids,
-                       is_observer=is_observer, send_many=send_many)
+                       observer_ids=observer_ids, is_observer=is_observer,
+                       send_many=send_many)
     if kernel == "raft":
         from ..raft import RaftConfig, RaftPeer
         from ..zk.txn import TxnRecord

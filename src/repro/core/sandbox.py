@@ -172,6 +172,13 @@ def instantiate_extension(code: CodeType, name: str = "",
     Runs per registration, never cached: each replica's registration
     gets its own class object, so class-attribute state can never leak
     between replicas (the verifier allows class-level assignments).
+
+    ``helpers`` are trusted callables statically added to the sandbox
+    interface (§4.2's escape hatch for functionality the white list
+    cannot express); their names must also appear in the verifier
+    config's ``extra_names``, which :class:`ExtensionManager` arranges
+    automatically. Actively-replicated backends must only install
+    deterministic helpers (§4.1.1).
     """
     namespace: Dict[str, Any] = {
         "__builtins__": _restricted_builtins(),
@@ -205,25 +212,17 @@ def instantiate_extension(code: CodeType, name: str = "",
     return instance
 
 
-def compile_extension(source: str, name: str = "",
-                      config: Optional[VerifierConfig] = None,
-                      helpers: Optional[Dict[str, Callable]] = None
-                      ) -> Extension:
-    """Verify, compile, and instantiate one extension from source.
-
-    ``helpers`` are trusted callables statically added to the sandbox
-    interface (§4.2's escape hatch for functionality the white list
-    cannot express); their names must also appear in the verifier
-    config's ``extra_names``, which :class:`ExtensionManager` arranges
-    automatically. Actively-replicated backends must only install
-    deterministic helpers (§4.1.1).
+def compile_extension(source: str, name: str = "") -> Extension:
+    """Verify, compile, and instantiate one extension from source, under
+    the default verifier config and with no helpers (an
+    :class:`ExtensionManager` supplies both for registered extensions).
 
     Returns the instantiated :class:`Extension`. Raises
     :class:`ExtensionRejectedError` when verification fails or the
     source does not define exactly one Extension subclass.
     """
-    return instantiate_extension(
-        compile_extension_source(source, name, config), name, helpers)
+    return instantiate_extension(compile_extension_source(source, name),
+                                 name)
 
 
 def run_contained(fn: Callable[..., Any], *args: Any,

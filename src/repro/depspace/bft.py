@@ -281,6 +281,16 @@ class BftPeer:
         contract: views count from 0, epochs from 1."""
         return self.view + 1
 
+    @property
+    def exec_seq(self) -> int:
+        """The last executed sequence number."""
+        return self._exec_seq
+
+    @property
+    def executed_ids(self) -> ExecutedIds:
+        """Every request id this replica has executed."""
+        return self._executed_ids
+
     def _fan_out(self, msg: object) -> None:
         """Send ``msg`` to every other replica.
 
@@ -371,12 +381,18 @@ class BftPeer:
         """
         if view <= self.view:
             return
+        self._enter_view(view, self._exec_seq)
+        if self.on_gap is not None:
+            self.on_gap(self._exec_seq)
+
+    def _enter_view(self, view: int, next_seq: int) -> None:
+        """Install ``view``: drop the un-executed slots (their requests
+        are still pending and the new primary re-proposes them) and
+        resume sequence numbering after ``next_seq``."""
         self.view = view
         self._slots = {}
         self._proposed_ids = set()
-        self._next_seq = self._exec_seq
-        if self.on_gap is not None:
-            self.on_gap(self._exec_seq)
+        self._next_seq = next_seq
 
     def _slot(self, seq: int) -> Optional[_Slot]:
         if seq <= self._exec_seq:
@@ -545,15 +561,10 @@ class BftPeer:
         votes = self._view_votes.get(new_view, {})
         if len(votes) < 2 * self.f + 1 or new_view <= self.view:
             return
-        self.view = new_view
-        # Drop un-executed slots; their requests are still pending and will
-        # be re-proposed by the new primary.
-        self._slots = {}
-        self._proposed_ids = set()
         # Sequence numbering resumes after the most-advanced voter so the
         # new primary never reuses a slot some replica already executed.
         horizon = max([self._exec_seq, *votes.values()])
-        self._next_seq = horizon
+        self._enter_view(new_view, horizon)
         if self._exec_seq < horizon:
             self._skip_to(horizon)
         if self.is_primary:
@@ -561,6 +572,30 @@ class BftPeer:
             self._fan_out(new_view_msg)
             for request, _seen in list(self._pending.values()):
                 self._propose(request)
+
+    def install_state(self, exec_seq: int, executed_ids: Iterable[RequestId],
+                      view: int) -> None:
+        """Adopt a state-transfer donor's execution point, executed ids
+        and view (the server has restored the matching application
+        state), then run any buffered committed slots past it."""
+        self._exec_seq = exec_seq
+        self._executed_ids = ExecutedIds(executed_ids)
+        self._next_seq = max(self._next_seq, exec_seq)
+        if view > self.view:
+            self._enter_view(view, exec_seq)
+        # Requests the donor already executed must stop looking "stuck"
+        # (they would otherwise drive view-change votes forever).
+        for rid in list(self._pending):
+            if self.executed(rid):
+                del self._pending[rid]
+        self._stall_exec_seq = -1
+        # The installed snapshot matches exec_seq again by definition;
+        # drop slots it already covers and run any buffered committed
+        # slots that execution skipped while it was frozen.
+        self.exec_truthful = True
+        self._slots = {s: sl for s, sl in self._slots.items()
+                       if s > exec_seq}
+        self._execute_ready()
 
     def _skip_to(self, seq: int) -> None:
         """We missed executions up to ``seq``; defer to server state sync."""
@@ -574,10 +609,7 @@ class BftPeer:
             return
         if self.replica_ids[msg.view % self.n] != src:
             return
-        self.view = msg.view
-        self._slots = {}
-        self._proposed_ids = set()
-        self._next_seq = self._exec_seq
+        self._enter_view(msg.view, self._exec_seq)
 
 
 #: Exact-type dispatch for :meth:`BftPeer.handle` (no message subclasses).

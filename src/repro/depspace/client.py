@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.retry import DS_RETRY_POLICY, RetryPolicy
+from ..core.retry import DS_RETRY_POLICY
 from ..sim import Environment, Event, Network
 from .bft import BftRequest, RequestId
 from .protocol import (CasOp, DsOp, DsReply, InOp, InpOp, OutOp, RdAllOp,
@@ -45,20 +45,16 @@ class DsClient:
     def __init__(self, env: Environment, net: Network, node_id: str,
                  replica_ids: List[str], f: int = 1,
                  lease_ms: float = 2000.0,
-                 unordered_reads: bool = False,
-                 retry: Optional[RetryPolicy] = None):
+                 unordered_reads: bool = False):
         self.env = env
         self.net = net
         self.node_id = node_id
         self.replica_ids = list(replica_ids)
         self.f = f
         self.lease_ms = lease_ms
-        # Shared retransmit pacing (repro.core.retry). The default DS
-        # policy is a constant 1000 ms with no jitter — the historical
-        # fixed timer, draw-for-draw — so default runs are unchanged;
-        # chaos recipes can hand in a jittered policy instead.
-        self.retry = retry or DS_RETRY_POLICY
-        self._backoff = self.retry.start(f"dsclient-backoff-{node_id}")
+        # Shared retransmit pacing (repro.core.retry): a constant
+        # 1000 ms with no jitter, the historical fixed timer.
+        self._backoff = DS_RETRY_POLICY.start(f"dsclient-backoff-{node_id}")
         #: mirror of the replicas' read-only optimization flag: fast
         #: reads need 2f+1 matching replies instead of f+1.
         self.unordered_reads = unordered_reads

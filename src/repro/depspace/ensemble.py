@@ -17,15 +17,13 @@ class DsEnsemble:
     #: client implementation handed out by :meth:`client` (EDS overrides).
     client_class = DsClient
 
-    def __init__(self, env: Optional[Environment] = None, f: int = 1,
-                 config: Optional[DsConfig] = None,
-                 net: Optional[Network] = None, seed: int = 0,
-                 latency: Optional[LatencyModel] = None,
+    def __init__(self, f: int = 1, config: Optional[DsConfig] = None,
+                 seed: int = 0, latency: Optional[LatencyModel] = None,
                  name_prefix: str = "ds"):
         if f < 1:
             raise ValueError("f must be >= 1")
-        self.env = env or Environment()
-        self.net = net or Network(self.env, latency=latency, seed=seed)
+        self.env = Environment()
+        self.net = Network(self.env, latency=latency, seed=seed)
         self.config = config or DsConfig()
         self.f = f
         n = 3 * f + 1

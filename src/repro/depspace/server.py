@@ -35,7 +35,7 @@ from ..obs import (M_INGRESS, M_REPLY, FourLetterReply, FourLetterRequest,
                    Observability, ObsConfig)
 from ..sim import Environment, FifoResource, Network
 from .access import AccessControl, AccessDeniedError
-from .bft import BftConfig, BftPeer, BftRequest, ExecutedIds, RequestId
+from .bft import BftConfig, BftPeer, BftRequest, RequestId
 from .policy import Policy, PolicyViolationError
 from .protocol import (CasOp, DsOp, DsReply, InOp, InpOp, OutOp, RdAllOp,
                        RdOp, RdpOp, RenewOp, ReplaceOp, StateRequest,
@@ -189,7 +189,7 @@ class DsReplica:
         while (self._alive and not self._state_synced
                and generation == self._resync_generation):
             self.net.send(self.node_id, peers[attempt % len(peers)],
-                          StateRequest(self.ordering._exec_seq))
+                          StateRequest(self.ordering.exec_seq))
             attempt += 1
             yield self.env.timeout(self.config.bft.request_timeout_ms)
 
@@ -487,12 +487,12 @@ class DsReplica:
             return (f"node: {self.node_id}\n"
                     "kernel: pbft\n"
                     f"view: {self.ordering.view}\n"
-                    f"exec_seq: {self.ordering._exec_seq}\n"
+                    f"exec_seq: {self.ordering.exec_seq}\n"
                     f"spaces: {len(self.spaces)}\n"
                     f"blocked_waiters: {waiting}")
         if command == "mntr":
             lines = ["ds_kernel\tpbft",
-                     f"ds_exec_seq\t{self.ordering._exec_seq}",
+                     f"ds_exec_seq\t{self.ordering.exec_seq}",
                      f"ds_spaces\t{len(self.spaces)}"]
             obs = self.env.obs
             if obs is not None:
@@ -528,8 +528,8 @@ class DsReplica:
             return
         snapshot = {
             "spaces": {name: sp.snapshot() for name, sp in self.spaces.items()},
-            "exec_seq": self.ordering._exec_seq,
-            "executed_ids": set(self.ordering._executed_ids),
+            "exec_seq": self.ordering.exec_seq,
+            "executed_ids": set(self.ordering.executed_ids),
             "view": self.ordering.view,
             # Blocked waiters are part of replicated state: they are
             # registered by ordered ops and consumed deterministically
@@ -541,10 +541,10 @@ class DsReplica:
         }
         fingerprint = self.fingerprint()
         self.net.send(self.node_id, src,
-                      StateResponse(self.ordering._exec_seq, snapshot, fingerprint))
+                      StateResponse(self.ordering.exec_seq, snapshot, fingerprint))
 
     def _on_state_response(self, src: str, msg: StateResponse) -> None:
-        if msg.upto_seq < self.ordering._exec_seq:
+        if msg.upto_seq < self.ordering.exec_seq:
             # The donor is behind us. If our own state is sound we are
             # provably not the replica that needs a snapshot — stop
             # polling (stall detection restarts the chase if commits
@@ -560,29 +560,9 @@ class DsReplica:
                          for name, ws in msg.snapshot.get("waiters",
                                                           {}).items()}
         self._reply_cache.update(msg.snapshot.get("reply_cache", {}))
-        bft = self.ordering
-        bft._exec_seq = msg.snapshot["exec_seq"]
-        bft._executed_ids = ExecutedIds(msg.snapshot["executed_ids"])
-        bft._next_seq = max(bft._next_seq, bft._exec_seq)
-        donor_view = msg.snapshot.get("view", 0)
-        if donor_view > bft.view:
-            bft.view = donor_view
-            bft._slots = {}
-            bft._proposed_ids = set()
-            bft._next_seq = bft._exec_seq
-        # Requests the donor already executed must stop looking "stuck"
-        # (they would otherwise drive view-change votes forever).
-        for rid in list(bft._pending):
-            if bft.executed(rid):
-                del bft._pending[rid]
-        bft._stall_exec_seq = -1
-        # The installed snapshot matches exec_seq again by definition;
-        # drop slots it already covers and run any buffered committed
-        # slots that execution skipped while it was frozen.
-        bft.exec_truthful = True
-        bft._slots = {s: sl for s, sl in bft._slots.items()
-                      if s > bft._exec_seq}
-        bft._execute_ready()
+        self.ordering.install_state(msg.snapshot["exec_seq"],
+                                    msg.snapshot["executed_ids"],
+                                    msg.snapshot.get("view", 0))
         if self.extensions is not None:
             self.extensions.rebuild()
 

@@ -24,9 +24,8 @@ class EdsEnsemble(DsEnsemble):
 
     def __init__(self, *args,
                  verifier_config: Optional[VerifierConfig] = None,
-                 limits: Optional[SandboxLimits] = None,
-                 name_prefix: str = "eds", **kwargs):
-        super().__init__(*args, name_prefix=name_prefix, **kwargs)
+                 limits: Optional[SandboxLimits] = None, **kwargs):
+        super().__init__(*args, name_prefix="eds", **kwargs)
         self.bindings: List[EdsBinding] = [
             EdsBinding(replica, verifier_config, limits)
             for replica in self.replicas

@@ -24,9 +24,8 @@ class EzkEnsemble(ZkEnsemble):
     def __init__(self, *args,
                  verifier_config: Optional[VerifierConfig] = None,
                  limits: Optional[SandboxLimits] = None,
-                 helpers: Optional[dict] = None,
-                 name_prefix: str = "ezk", **kwargs):
-        super().__init__(*args, name_prefix=name_prefix, **kwargs)
+                 helpers: Optional[dict] = None, **kwargs):
+        super().__init__(*args, name_prefix="ezk", **kwargs)
         self.bindings: List[EzkBinding] = [
             EzkBinding(server, verifier_config, limits, helpers)
             for server in self.servers

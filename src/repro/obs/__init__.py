@@ -7,7 +7,7 @@ deterministic and replayable:
   ``(client_node, xid)`` identity requests already carry (no wire-size
   changes), dumped as per-run JSONL and rendered by
   ``python -m repro.obs``;
-* :mod:`repro.obs.metrics` — the counter/gauge/histogram registry the
+* :mod:`repro.obs.metrics` — the counter/histogram registry the
   protocol layers report into;
 * :mod:`repro.obs.introspect` — the four-letter-word endpoint
   (``ruok``/``stat``/``mntr``/``wchs``) live servers answer.

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, bucketed histograms.
+"""The metrics registry: counters and bucketed histograms.
 
 Pure bookkeeping on plain dicts — incrementing a counter schedules
 nothing, draws no randomness, and allocates at most one dict entry, so
@@ -26,15 +26,13 @@ BUCKET_BOUNDS_MS: Tuple[float, ...] = (
 
 
 class MetricsRegistry:
-    """Counters/gauges/histograms shared by every instrumented component."""
+    """Counters/histograms shared by every instrumented component."""
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "histograms")
 
     def __init__(self) -> None:
         #: (name, node) -> running total.
         self.counters: Dict[Tuple[str, str], float] = {}
-        #: (name, node) -> last set value.
-        self.gauges: Dict[Tuple[str, str], float] = {}
         #: (name, node) -> per-bucket counts (len(BUCKET_BOUNDS_MS) + 1).
         self.histograms: Dict[Tuple[str, str], List[int]] = {}
 
@@ -43,9 +41,6 @@ class MetricsRegistry:
     def inc(self, name: str, node: str = "", value: float = 1.0) -> None:
         key = (name, node)
         self.counters[key] = self.counters.get(key, 0.0) + value
-
-    def gauge(self, name: str, node: str, value: float) -> None:
-        self.gauges[(name, node)] = value
 
     def observe(self, name: str, node: str, value_ms: float) -> None:
         key = (name, node)
@@ -66,8 +61,6 @@ class MetricsRegistry:
         return {
             "counters": {f"{name}{{{node}}}": value for (name, node), value
                          in sorted(self.counters.items())},
-            "gauges": {f"{name}{{{node}}}": value for (name, node), value
-                       in sorted(self.gauges.items())},
             "histograms": {f"{name}{{{node}}}": list(counts)
                            for (name, node), counts
                            in sorted(self.histograms.items())},
@@ -75,10 +68,6 @@ class MetricsRegistry:
 
     def mntr_lines(self, node: str) -> List[str]:
         """``mntr``-style ``key\\tvalue`` lines for one node's metrics."""
-        lines = [f"{name}\t{value:g}"
-                 for (name, metric_node), value
-                 in sorted(self.counters.items()) if metric_node == node]
-        lines += [f"{name}\t{value:g}"
-                  for (name, metric_node), value
-                  in sorted(self.gauges.items()) if metric_node == node]
-        return lines
+        return [f"{name}\t{value:g}"
+                for (name, metric_node), value
+                in sorted(self.counters.items()) if metric_node == node]

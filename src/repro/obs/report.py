@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .trace import (M_DELIVER, M_INGRESS, M_PROPOSE, M_RECV, M_REPLY,
                     M_SEND)
@@ -175,7 +175,11 @@ def format_breakdown(stats: Dict[str, dict]) -> str:
     return "\n".join(lines) if lines else "no finished traces"
 
 
-def format_waterfall(trace: dict, width: int = 48) -> str:
+#: columns of a waterfall's bar.
+WATERFALL_WIDTH = 48
+
+
+def format_waterfall(trace: dict) -> str:
     """One trace as an offset-aligned waterfall of its marks."""
     marks = trace["marks"]
     t0, t1 = marks[0][1], marks[-1][1]
@@ -187,11 +191,11 @@ def format_waterfall(trace: dict, width: int = 48) -> str:
               f"{' (retried)' if trace.get('retried') else ''}")
     lines = [header]
     for phase, t, node, epoch, zxid in marks:
-        offset = int((t - t0) / span * (width - 1))
+        offset = int((t - t0) / span * (WATERFALL_WIDTH - 1))
         bar = " " * offset + "|"
         extra = f" epoch={epoch}" if epoch else ""
         extra += f" zxid={zxid:#x}" if zxid else ""
-        lines.append(f"  {phase:<8} +{t - t0:9.4f} ms  {bar:<{width + 1}}"
+        lines.append(f"  {phase:<8} +{t - t0:9.4f} ms  {bar:<{WATERFALL_WIDTH + 1}}"
                      f" {node}{extra}")
     for name, s0, s1, node, detail in trace.get("aux", ()):
         tag = f" {detail}" if detail else ""

@@ -58,15 +58,15 @@ class ObsConfig:
     An installed plane always keeps the metrics registry; ``trace``
     adds per-request milestone tracing.
 
-    ``runtime`` is populated at install time with the shared
-    :class:`Observability` instance so drivers that handed a config into
-    a workload can retrieve the tracer afterwards without changing any
-    workload return type.
+    ``runtime`` is not a knob: it is filled in at install time with the
+    shared :class:`Observability` instance so drivers that handed a
+    config into a workload can retrieve the tracer afterwards without
+    changing any workload return type.
     """
 
     trace: bool = True
     runtime: Optional["Observability"] = field(
-        default=None, repr=False, compare=False)
+        default=None, init=False, repr=False, compare=False)
 
 
 class Trace:

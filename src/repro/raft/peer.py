@@ -81,12 +81,15 @@ class RaftRole(str, Enum):
     LEADER = "LEADER"
 
 
+#: leader heartbeat period (also the backfill probe tick).
+HEARTBEAT_MS = 50.0
+#: election timeout drawn uniformly from [min, max) per attempt.
+ELECTION_TIMEOUT_MIN_MS = 250.0
+ELECTION_TIMEOUT_MAX_MS = 500.0
+
+
 @dataclass
 class RaftConfig:
-    heartbeat_ms: float = 50.0
-    #: election timeout drawn uniformly from [min, max) per attempt.
-    election_timeout_min_ms: float = 250.0
-    election_timeout_max_ms: float = 500.0
     #: compact the shippable log at the commit point once it trails by
     #: this many entries; laggards then catch up via InstallSnapshot.
     #: 0 disables compaction (suffix backfill only).
@@ -285,17 +288,17 @@ class RaftPeer(AtomicBroadcast):
                 else self.peer_ids)
 
     def _draw_timeout(self) -> float:
-        return self._rng.uniform(self.config.election_timeout_min_ms,
-                                 self.config.election_timeout_max_ms)
+        return self._rng.uniform(ELECTION_TIMEOUT_MIN_MS,
+                                 ELECTION_TIMEOUT_MAX_MS)
 
     def _term_at(self, index: int) -> int:
         return self._entries[index - 1].term if index else 0
 
     # -- lifecycle -------------------------------------------------------
 
-    def bootstrap(self, leader_id: str, epoch: int = 1) -> None:
+    def bootstrap(self, leader_id: str) -> None:
         """Install an initial leadership without running an election."""
-        self.current_term = epoch
+        self.current_term = 1
         self.leader_id = leader_id
         if leader_id == self.node_id:
             self.role = RaftRole.LEADER
@@ -401,13 +404,12 @@ class RaftPeer(AtomicBroadcast):
         """One loop per live incarnation: leader heartbeats double as
         backfill probes; followers suspect the leader at last contact +
         election timeout (``detector_wait``)."""
-        heartbeat = self.config.heartbeat_ms
         while self._alive:
             contact = self._last_leader_contact
             wait, due = detector_wait(self.env.now, contact,
-                                      self._timeout_ms, heartbeat)
+                                      self._timeout_ms, HEARTBEAT_MS)
             if self.role is RaftRole.LEADER or self.is_observer:
-                wait = heartbeat
+                wait = HEARTBEAT_MS
             yield self.env.timeout(wait)
             if not self._alive:
                 return
@@ -473,7 +475,7 @@ class RaftPeer(AtomicBroadcast):
         attempt clock, which is no word from the leader."""
         return (self.leader_id is not None and not self._electing
                 and (self.env.now - self._last_leader_contact)
-                < self.config.election_timeout_min_ms)
+                < ELECTION_TIMEOUT_MIN_MS)
 
     def _log_ok(self, last_log_term: int, last_log_index: int) -> bool:
         """Election restriction: candidate's log at least as up to date."""

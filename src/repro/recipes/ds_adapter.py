@@ -31,13 +31,15 @@ from .coordination import CoordClient
 
 __all__ = ["DsCoordClient"]
 
+#: How often ``wait_deletion`` re-reads the object it waits on.
+_DELETION_POLL_MS = 5.0
+
 
 class DsCoordClient(CoordClient):
     """Adapter from the abstract API to the (E)DS client library."""
 
-    def __init__(self, ds: DsClient, poll_interval_ms: float = 5.0):
+    def __init__(self, ds: DsClient):
         self.ds = ds
-        self.poll_interval_ms = poll_interval_ms
         self._monitor_count = 0
 
     @property
@@ -117,7 +119,7 @@ class DsCoordClient(CoordClient):
             found = yield from self.ds.rdp(object_id, ANY)
             if found is None:
                 return
-            yield self.ds.env.timeout(self.poll_interval_ms)
+            yield self.ds.env.timeout(_DELETION_POLL_MS)
 
     def ensure_liveness(self) -> None:
         """Start renewing leases taken out on this client's behalf by a

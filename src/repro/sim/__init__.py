@@ -13,7 +13,7 @@ from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Process,
 from .network import (MESSAGE_HEADER_BYTES, LatencyModel, Network,
                       TrafficRule, estimate_size)
 from .resources import FifoResource
-from .stats import ExperimentMetrics, IntervalThroughput, LatencyRecorder, summarize
+from .stats import IntervalThroughput, LatencyRecorder, summarize
 
 __all__ = [
     "Environment",
@@ -33,6 +33,5 @@ __all__ = [
     "FifoResource",
     "LatencyRecorder",
     "IntervalThroughput",
-    "ExperimentMetrics",
     "summarize",
 ]

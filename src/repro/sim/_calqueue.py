@@ -71,9 +71,9 @@ class CalendarQueue:
     __slots__ = ("env", "inv_width", "_seq", "_imm", "_wheel", "_occ",
                  "_extra", "_snap", "_si", "_cursor")
 
-    def __init__(self, env: Any, bucket_ms: float = DEFAULT_BUCKET_MS):
+    def __init__(self, env: Any):
         self.env = env
-        self.inv_width = 1.0 / bucket_ms
+        self.inv_width = 1.0 / DEFAULT_BUCKET_MS
         self._seq = 0
         #: pushes at exactly the current instant; drains FIFO after any
         #: equal-time entries already in the snapshot or extra heap.

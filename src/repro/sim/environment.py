@@ -52,9 +52,8 @@ class Environment:
         env.run(until=10_000.0)      # run 10 simulated seconds
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 kernel: Optional[str] = None):
-        self._now = float(initial_time)
+    def __init__(self, kernel: Optional[str] = None):
+        self._now = 0.0
         #: total events processed since construction; the wall-clock
         #: microbenchmark divides this by elapsed real time to get the
         #: kernel's events/s figure (BENCH_core.json).
@@ -131,11 +130,9 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue ``event`` for processing ``delay`` ms from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
-        self._push(self._now + delay, event)
+    def schedule(self, event: Event) -> None:
+        """Queue ``event`` for processing at the current instant."""
+        self._push(self._now, event)
 
     # -- factories -----------------------------------------------------------
 

@@ -266,12 +266,10 @@ class Network:
 
     def __init__(self, env: Environment,
                  latency: Optional[LatencyModel] = None,
-                 seed: int = 0,
-                 fifo: bool = True):
+                 seed: int = 0):
         self.env = env
         self.latency = latency or LatencyModel()
         self._rng = random.Random(seed)
-        self._fifo = fifo
         self._last_delivery: Dict[tuple[str, str], float] = {}
         self._sends_until_prune = _PRUNE_INTERVAL
         self._handlers: Dict[str, Callable[[str, Any], None]] = {}
@@ -443,16 +441,15 @@ class Network:
             if rules:
                 delay += self._extra_delay(src, dst, msg)
             arrival = now + delay
-            if self._fifo:
-                # TCP-like channels: per-(src, dst) deliveries never reorder.
-                channel = (src, dst)
-                last = self._last_delivery.get(channel)
-                if last is not None and last > arrival:
-                    arrival = last
-                self._last_delivery[channel] = arrival
-                self._sends_until_prune -= 1
-                if self._sends_until_prune <= 0:
-                    self._prune()
+            # TCP-like channels: per-(src, dst) deliveries never reorder.
+            channel = (src, dst)
+            last = self._last_delivery.get(channel)
+            if last is not None and last > arrival:
+                arrival = last
+            self._last_delivery[channel] = arrival
+            self._sends_until_prune -= 1
+            if self._sends_until_prune <= 0:
+                self._prune()
             # Inlined env.schedule (hot path: one push per message).
             env._push(arrival, _Delivery(self, src, dst, msg, size, handler))
         if not count:

@@ -7,7 +7,6 @@ reported per simulated second (ops/s), matching the paper's axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["LatencyRecorder", "IntervalThroughput", "summarize"]
@@ -91,25 +90,6 @@ class IntervalThroughput:
     def ops_per_second(self) -> float:
         window_s = (self.end_ms - self.start_ms) / 1000.0
         return self.completed / window_s
-
-
-@dataclass
-class ExperimentMetrics:
-    """One experiment cell: a (system, #clients) point in a figure."""
-
-    system: str
-    clients: int
-    throughput_ops: float = 0.0
-    mean_latency_ms: float = float("nan")
-    p99_latency_ms: float = float("nan")
-    client_kb_per_op: float = float("nan")
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    def row(self) -> str:
-        return (f"{self.system:<12} clients={self.clients:<3d} "
-                f"tput={self.throughput_ops:>10.1f} ops/s  "
-                f"lat={self.mean_latency_ms:>8.3f} ms  "
-                f"KB/op={self.client_kb_per_op:>8.3f}")
 
 
 def summarize(recorder: LatencyRecorder,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.retry import TIMED_OUT, ZK_RETRY_POLICY, RetryPolicy, arm_deadline
+from ..core.retry import TIMED_OUT, ZK_RETRY_POLICY, arm_deadline
 from ..sim import Environment, Event, Network
 from .data_tree import Stat
 from .errors import ConnectionLossError, SessionExpiredError, from_code
@@ -47,6 +47,10 @@ _DEFAULT_TIMEOUT_MS = 3000.0
 #: How often a call with no deadline (a blocking primitive) probes its
 #: replica's liveness — the stand-in for TCP noticing a broken socket.
 _BLOCK_PROBE_MS = 500.0
+
+#: How long a non-resilient :meth:`ZkClient.await_notification` waits
+#: before returning None so its caller re-checks state and re-arms.
+_REPOLL_MS = 2 * _BLOCK_PROBE_MS
 
 #: Per-attempt deadline for session re-establishment probes: short, so
 #: a reconnecting client walks the replica list quickly.
@@ -70,7 +74,6 @@ class ZkClient:
                  replicas: List[str], replica: Optional[str] = None,
                  session_timeout_ms: float = 2000.0,
                  track_zxid: bool = False, resilient: bool = False,
-                 retry: Optional[RetryPolicy] = None,
                  cached_reads: bool = False):
         self.env = env
         self.net = net
@@ -85,10 +88,9 @@ class ZkClient:
         #: lagging replica parks our reads instead of serving stale state.
         self.track_zxid = track_zxid
         self.last_zxid = 0
-        self.retry = retry or ZK_RETRY_POLICY
         # String-seeded so backoff jitter is deterministic per client
         # across processes (hash() of a str is salted per interpreter).
-        self._backoff = self.retry.start(f"zkclient-backoff-{node_id}")
+        self._backoff = ZK_RETRY_POLICY.start(f"zkclient-backoff-{node_id}")
 
         #: Session-resilience machinery (all inert unless ``resilient``).
         self.resilient = resilient
@@ -710,7 +712,6 @@ class ZkClient:
                 del self._event_waiters[path]
 
     def await_notification(self, path: str, waiter: Event,
-                           repoll_ms: float = 2 * _BLOCK_PROBE_MS,
                            deadline: Optional[Event] = None):
         """Wait for ``waiter``; how depends on the client's resilience.
 
@@ -722,7 +723,7 @@ class ZkClient:
         notification raised while this client's replica was crashed or
         cut off is lost for good, so waiting on the watch alone could
         hang forever. Returns the notification when it arrives; returns
-        None after ``repoll_ms`` so the caller can re-check state and
+        None after ``_REPOLL_MS`` so the caller can re-check state and
         re-arm.
 
         Resilient path — no re-poll: reconnect re-arms the watch set
@@ -733,7 +734,7 @@ class ZkClient:
         or the client closes mid-wait.
         """
         if not self.resilient:
-            probe = self.env.timeout(repoll_ms)
+            probe = self.env.timeout(_REPOLL_MS)
             yield self.env.any_of([waiter, probe])
             if waiter.triggered:
                 return waiter.value

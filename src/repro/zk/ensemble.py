@@ -26,17 +26,16 @@ class ZkEnsemble:
     #: client implementation handed out by :meth:`client` (EZK overrides).
     client_class = ZkClient
 
-    def __init__(self, env: Optional[Environment] = None, n_replicas: int = 3,
-                 config: Optional[ZkConfig] = None,
-                 net: Optional[Network] = None, seed: int = 0,
+    def __init__(self, n_replicas: int = 3,
+                 config: Optional[ZkConfig] = None, seed: int = 0,
                  latency: Optional[LatencyModel] = None,
                  name_prefix: str = "zk", n_observers: int = 0):
         if n_replicas < 1 or n_replicas % 2 == 0:
             raise ValueError("ensemble size must be odd and positive")
         if n_observers < 0:
             raise ValueError("n_observers must be non-negative")
-        self.env = env or Environment()
-        self.net = net or Network(self.env, latency=latency, seed=seed)
+        self.env = Environment()
+        self.net = Network(self.env, latency=latency, seed=seed)
         self.config = config or ZkConfig()
         self.replica_ids = [f"{name_prefix}{i}" for i in range(n_replicas)]
         self.observer_ids = [f"{name_prefix}{n_replicas + i}"

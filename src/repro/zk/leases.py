@@ -82,8 +82,15 @@ __all__ = [
 
 
 #: the window over which a replica counts a key's cacheable reads
-#: against ``LeaseConfig.min_reads``.
+#: against :data:`MIN_READS`.
 HEAT_WINDOW_MS = 100.0
+#: a key becomes lease-worthy once a replica sees this many cacheable
+#: reads for it inside one ``HEAT_WINDOW_MS`` window — cold keys keep
+#: the plain read path and cost no leader traffic.
+MIN_READS = 2
+#: how long a follower holds a read reply waiting for the leader's
+#: grant decision before answering plain (leader dark / election).
+GRANT_TIMEOUT_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -97,23 +104,12 @@ class LeaseConfig:
     #: at the holder (must be positive: holders stop serving strictly
     #: before expiry, writers resume strictly after expiry + grace).
     grace_ms: float = 50.0
-    #: a key becomes lease-worthy once a replica sees this many
-    #: cacheable reads for it inside one ``HEAT_WINDOW_MS`` window —
-    #: cold keys keep the plain read path and cost no leader traffic.
-    min_reads: int = 2
-    #: how long a follower holds a read reply waiting for the leader's
-    #: grant decision before answering plain (leader dark / election).
-    grant_timeout_ms: float = 250.0
 
     def validate(self) -> None:
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
         if self.grace_ms <= 0:
             raise ValueError("grace_ms must be positive")
-        if self.min_reads < 1:
-            raise ValueError("min_reads must be >= 1")
-        if self.grant_timeout_ms <= 0:
-            raise ValueError("grant_timeout_ms must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,7 @@ class LeaseStage:
             meta.session_id, op.path, key, self.node_id, meta.client_node,
             stat.mzxid))
         self.waits[key] = (meta, op, value, zxid, stat.mzxid, self.env.defer(
-            self.config.grant_timeout_ms, self._grant_timeout, key))
+            GRANT_TIMEOUT_MS, self._grant_timeout, key))
         return True
 
     def _leased_reply(self, meta, value, zxid: int, lease_id: int,
@@ -457,7 +453,7 @@ class LeaseStage:
             self._heat_window_start = now
         count = self._heat.get(path, 0) + 1
         self._heat[path] = count
-        return count >= self.config.min_reads
+        return count >= MIN_READS
 
     def _grant(self, session_id: int, client_node: str, path: str,
                mzxid: Optional[int] = None) -> Optional[Lease]:

@@ -74,7 +74,6 @@ from ..obs import (M_DELIVER, M_INGRESS, M_PROPOSE, M_REPLY,
                    ObsConfig)
 from ..raft import RaftConfig
 from .watches import EventType, WatchEvent, WatchManager
-from .zab import ZabConfig
 
 __all__ = ["ZkTimings", "ZkConfig", "ZkServer", "Forward", "ForwardSettled",
            "SessionPing", "StateEvent"]
@@ -107,10 +106,8 @@ class ZkConfig:
     #: "raft". The tree server, sessions, watches, leases and reads
     #: are kernel-agnostic — they program against the contract.
     kernel: str = "zab"
-    zab: ZabConfig = field(default_factory=ZabConfig)
     #: Raft tuning; None applies RaftConfig() when kernel="raft".
     raft: Optional[RaftConfig] = None
-    session_timeout_ms: float = 2000.0
     #: Session-consistent local reads (ZooKeeper's real read path).
     #: Replies and watch notifications carry the replica's zxid, clients
     #: stamp requests with their last-seen zxid, and lagging replicas

@@ -212,10 +212,6 @@ class ZabPeer(AtomicBroadcast):
             return self.peer_ids
         return self.peer_ids + self.observer_ids
 
-    @property
-    def last_zxid(self) -> int:
-        return self.log[-1].zxid if self.log else 0
-
     def _fan_out(self, msg: object) -> None:
         """Send ``msg`` to every learner (voting followers + observers).
 
@@ -234,10 +230,10 @@ class ZabPeer(AtomicBroadcast):
 
     # -- bootstrap ---------------------------------------------------------
 
-    def bootstrap(self, leader_id: str, epoch: int = 1) -> None:
+    def bootstrap(self, leader_id: str) -> None:
         """Establish an initial configuration without running an election."""
-        self.epoch = epoch
-        self._term = epoch
+        self.epoch = 1
+        self._term = 1
         self.leader_id = leader_id
         if leader_id == self.node_id:
             self.role = Role.LEADER

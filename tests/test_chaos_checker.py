@@ -19,8 +19,12 @@ from repro.chaos import (CounterModel, History, OpRecord, RecordingCoord,
                          RegisterModel, check_barrier_history,
                          check_counter_history, check_election_history,
                          check_linearizable, check_queue_history)
+from repro.chaos.explorer import _Workload
 from repro.recipes import ZkCoordClient
+from repro.recipes.barrier import BARRIER_ROOT
 from repro.recipes.counter import TraditionalSharedCounter
+from repro.recipes.util import ensure_object
+from repro.sim import Environment
 from repro.zk.server import ZkServer
 
 
@@ -178,6 +182,17 @@ def test_linearizable_register_rejects_stale_read():
     assert not verdict.ok
 
 
+def test_linearizable_register_places_in_doubt_write():
+    # The failed write may have landed: reading its value is legal, but
+    # reading a value nobody wrote is not.
+    ops = [op("c0", "write", arg=1, t0=0.0, t1=1.0),
+           op("c1", "write", arg=2, status="fail", t0=2.0, t1=3.0),
+           op("c0", "read", result=2, t0=4.0, t1=5.0)]
+    assert check_linearizable(ops, RegisterModel()).ok
+    ops[-1] = op("c0", "read", result=3, t0=4.0, t1=5.0)
+    assert not check_linearizable(ops, RegisterModel()).ok
+
+
 def test_linearizable_counter_places_or_drops_in_doubt():
     # The failed inc may or may not have landed: both reads are legal.
     ops = [op("c0", "inc", result=1, t0=0.0, t1=1.0),
@@ -188,6 +203,57 @@ def test_linearizable_counter_places_or_drops_in_doubt():
     assert check_linearizable(ops, CounterModel()).ok
     ops[-1] = op("c0", "read", result=3, t0=3.0, t1=4.0)
     assert not check_linearizable(ops, CounterModel()).ok
+
+
+# ---------------------------------------------------------------------------
+# recording and the explorer's recovery path
+# ---------------------------------------------------------------------------
+
+
+def test_recording_coord_records_update():
+    # Without its own ``update`` the wrapper would forward the call
+    # through ``__getattr__`` and log nothing.
+    env = Environment()
+    history = History()
+
+    class Inner:
+        def update(self, object_id, data):
+            yield env.timeout(1.0)
+            return "done"
+
+    coord = RecordingCoord(Inner(), history, "c0", env)
+    env.run(until=env.process(coord.update("/obj", b"v")))
+    [record] = history.ops()
+    assert (record.proc, record.op, record.key, record.arg, record.status,
+            record.result) == ("c0", "update", "/obj", b"v", "ok", "done")
+    assert (record.invoke_time, record.return_time) == (0.0, 1.0)
+
+
+def test_barrier_retry_passes_through_tolerant_enter():
+    # A retried traditional enter finds its own registration already
+    # there: ``enter`` raises, and the explorer's tolerant path must
+    # still take the client through the round.
+    ensemble, raw = make_chaos_ensemble("zk", seed=5)
+    env = ensemble.env
+    history = History()
+    coords = [RecordingCoord(ZkCoordClient(c), history, f"c{i}", env)
+              for i, c in enumerate(raw)]
+    workload = _Workload("barrier", "zk", coords, env, ops_per_client=1,
+                         rounds=1, span_ms=100.0)
+    env.run(until=env.process(workload.setup()))
+    registration = f"{BARRIER_ROOT}/0/{coords[0].client_id}"
+    env.run(until=env.process(ensure_object(coords[0], registration)))
+    entries = [env.process(workload._barrier_enter(i, 0))
+               for i in range(len(coords))]
+    env.run(until=env.all_of(entries))
+    ops = history.ops()
+    creates = [o for o in ops if o.op == "create" and o.key == registration]
+    assert [o.status for o in creates] == ["ok", "fail", "fail"], \
+        "enter and then the tolerant path should each retry the create"
+    enters = [o for o in ops if o.op == "enter"]
+    assert sorted(o.proc for o in enters) == ["c0", "c1", "c2"]
+    assert all(o.ok for o in enters)
+    assert check_barrier_history(ops, threshold=len(coords)).ok
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from repro.obs import ObsConfig
 from repro.zk import (BadVersionError, NodeExistsError, NoNodeError, Stat,
                       ZkEnsemble)
 from repro.zk.client import _DEFAULT_TIMEOUT_MS
-from repro.zk.leases import (CACHE_MISS, ClientReadCache, LeaseConfig,
-                             LeaseRequest, LeaseRevoke, LeaseTable)
+from repro.zk.leases import (CACHE_MISS, GRANT_TIMEOUT_MS, MIN_READS,
+                             ClientReadCache, LeaseConfig, LeaseRequest,
+                             LeaseRevoke, LeaseTable)
 from repro.zk.server import ZkConfig
 from repro.zk.txn import CreateSessionTxn, ErrorTxn
 
@@ -396,7 +397,7 @@ def test_dark_leader_read_is_answered_plain_after_grant_timeout(kernel):
     latencies = []
 
     def reads():
-        for _ in range(LEASES.min_reads):
+        for _ in range(MIN_READS):
             t0 = env.now
             data, _stat = yield from client.get_data("/hot")
             assert data == b"v1"
@@ -404,8 +405,8 @@ def test_dark_leader_read_is_answered_plain_after_grant_timeout(kernel):
 
     run(ens, reads())
     cold, parked = latencies
-    assert cold < 1.0                     # below min_reads: no grant asked
-    assert LEASES.grant_timeout_ms <= parked < LEASES.grant_timeout_ms + 1.0
+    assert cold < 1.0                     # below MIN_READS: no grant asked
+    assert GRANT_TIMEOUT_MS <= parked < GRANT_TIMEOUT_MS + 1.0
     assert client._cache.stats["installs"] == 0
     assert client._cache.data("/hot", env.now) is CACHE_MISS
 

@@ -43,8 +43,8 @@ def test_election_timeouts_are_seeded_and_per_node():
     assert draws("a", 1) != draws("a", 2), "seed must matter"
     assert draws("a", 1) != draws("b", 1), \
         "nodes must draw distinct timeouts or every election split-votes"
-    low = RaftConfig().election_timeout_min_ms
-    high = RaftConfig().election_timeout_max_ms
+    low = raft_peer_module.ELECTION_TIMEOUT_MIN_MS
+    high = raft_peer_module.ELECTION_TIMEOUT_MAX_MS
     assert all(low <= t < high for t in draws("a", 3))
 
 
@@ -156,9 +156,9 @@ def test_partitioned_follower_detector_never_spins(monkeypatch):
     window_ms = 5_000.0
     cluster.partition(["n2"])
     cluster.run(window_ms)
-    config = peer.config
-    assert len(wakeups) <= window_ms / config.heartbeat_ms + len(polls) + 1
-    assert len(polls) >= window_ms // config.election_timeout_max_ms, \
+    assert len(wakeups) <= (window_ms / raft_peer_module.HEARTBEAT_MS
+                            + len(polls) + 1)
+    assert len(polls) >= window_ms // raft_peer_module.ELECTION_TIMEOUT_MAX_MS, \
         "the cut-off follower must keep polling"
     assert peer.current_term == 1, "failed pre-votes never bump the term"
 

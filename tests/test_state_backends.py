@@ -21,8 +21,9 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MemoryState
+from repro.core import BudgetedState, MemoryState, SandboxLimits
 from repro.depspace import ANY, DsReplica, LeaseRecord, Prefix
+from repro.depspace.bft import RequestId
 from repro.eds import DsDirectState, EdsEnsemble
 from repro.ezk import ZkBufferedState
 from repro.sim import Environment, Network
@@ -311,3 +312,45 @@ def test_overlay_creation_order_survives_delete_and_recreate(make):
     proxy.create("/q/b")
     proxy.create("/q/a")
     assert [r.object_id for r in proxy.sub_objects("/q")] == ["/q/b", "/q/a"]
+
+
+# -- the budgeted proxy an extension's ``local`` is, over each backend ---------
+
+BACKENDS = [MemoryBackend, ZkBackend, DsBackend]
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_budgeted_cas_charges_one_op_per_call(make):
+    local = BudgetedState(make().begin(rollback=False), SandboxLimits())
+    local.create("/c", b"old")
+    assert local.cas("/c", b"old", b"new") is True          # hit
+    assert local.cas("/c", b"old", b"newer") is False       # miss
+    assert local.state_ops == 3
+    assert local.read("/c") == b"new"
+
+
+def _operation_proxy(backend):
+    """The proxy an operation extension runs on (EDS blocks only there)."""
+    if isinstance(backend, DsBackend):
+        return DsDirectState(backend.replica, "1", ts=1.0, events=[],
+                             request_id=RequestId("1", 1))
+    return backend.begin(rollback=False)
+
+
+def _parked_on(backend, proxy):
+    if isinstance(backend, MemoryBackend):
+        return proxy.blocked_on
+    if isinstance(backend, ZkBackend):
+        return [proxy.block_path]
+    assert proxy.blocked
+    return [w.op.template[0] for w in backend.replica._waiters["main"]]
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_budgeted_block_parks_on_a_missing_object(make):
+    backend = make()
+    proxy = _operation_proxy(backend)
+    local = BudgetedState(proxy, SandboxLimits())
+    local.block("/gate")
+    assert local.state_ops == 1
+    assert _parked_on(backend, proxy) == ["/gate"]
