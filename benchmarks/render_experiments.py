@@ -4,6 +4,11 @@
 Run after ``pytest benchmarks/ --benchmark-only``:
 
     python benchmarks/render_experiments.py
+
+The script owns the document up to ``FIRST_FOREIGN_HEADING`` and keeps
+everything from that heading on verbatim. ``tests/test_docs.py``
+renders the committed results in memory and checks that the committed
+document starts with exactly that text.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from pathlib import Path
 RESULTS = Path(__file__).parent / "results"
 TARGET = Path(__file__).parent.parent / "EXPERIMENTS.md"
 #: everything from this heading on is maintained outside this script.
-FIRST_FOREIGN_HEADING = "## Open-loop tail latency & kernel wall-clock"
+FIRST_FOREIGN_HEADING = \
+    "## Failure detection at the timeout, not the tick after it"
 
 #: Paper-side facts per experiment, quoted from §6 (and §7 for context).
 PAPER = {
@@ -151,8 +157,8 @@ def row_table(figure: dict) -> list[str]:
     return lines
 
 
-def main() -> None:
-    figures = load()
+def render(figures: dict) -> str:
+    """The part of EXPERIMENTS.md this script owns, from ``figures``."""
     out = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -278,9 +284,13 @@ def main() -> None:
         "(`tests/test_chaos_smoke.py`).",
         "",
     ])
-    tail = _foreign_tail()
-    TARGET.write_text("\n".join(out) + ("\n" + tail if tail else ""))
-    print(f"wrote {TARGET} ({len(out)} lines)")
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
+    text = render(load()) + _foreign_tail()
+    TARGET.write_text(text)
+    print(f"wrote {TARGET} ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":

@@ -99,6 +99,11 @@ _ALLOWED_EXPRESSIONS = (
     ast.arguments, ast.arg,
 )
 
+#: Largest right operand of ``**`` and ``<<``. The result of either
+#: grows with its right operand's *value*, so no step or op budget sees
+#: ``9 ** 9 ** 7`` coming; a literal bound keeps one result small.
+_MAX_GROWTH_OPERAND = 64
+
 _BANNED_EXPLANATIONS = {
     ast.While: "while loops are forbidden (unbounded execution)",
     ast.Import: "imports are forbidden",
@@ -213,6 +218,11 @@ def _collect_allowed_names(module: ast.Module,
     return allowed
 
 
+def _small_int_literal(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Constant) and node.value.__class__ is int
+            and node.value <= _MAX_GROWTH_OPERAND)
+
+
 def _check_node(node: ast.AST, allowed_names: Set[str],
                 violations: List[str]) -> None:
     node_type = type(node)
@@ -220,7 +230,19 @@ def _check_node(node: ast.AST, allowed_names: Set[str],
     if explanation is not None:
         violations.append(explanation)
         return
-    if isinstance(node, ast.Attribute):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        operand = node.right if node_type is ast.BinOp else node.value
+        if (isinstance(node.op, (ast.Pow, ast.LShift))
+                and not _small_int_literal(operand)):
+            violations.append(
+                f"{type(node.op).__name__} needs an int literal of at most "
+                f"{_MAX_GROWTH_OPERAND} on its right (unbounded growth)")
+    elif isinstance(node, (ast.For, ast.comprehension)):
+        if isinstance(node.iter, (ast.Set, ast.SetComp)):
+            violations.append(
+                "iterating a set display is forbidden (its order follows "
+                "the hash seed, which would split active replicas)")
+    elif isinstance(node, ast.Attribute):
         if node.attr.startswith("_"):
             violations.append(
                 f"underscore attribute access forbidden: .{node.attr}")

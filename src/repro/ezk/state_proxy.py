@@ -41,8 +41,8 @@ class ZkBufferedState(AbstractState):
     def to_multi_txn(self, result=None) -> MultiTxn:
         """The recorded write-set as one atomic multi-transaction, with
         ``result`` piggybacked and a requested block as its effect."""
-        effects = ([] if self.block_path is None
-                   else [("block", self.block_path)])
+        effects = (() if self.block_path is None
+                   else (("block", self.block_path),))
         return MultiTxn(list(self.overlay.txns), result_payload=result,
                         payload_set=True, effects=effects)
 

@@ -109,7 +109,7 @@ class RaftRecord:
     meta: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RaftEntry:
     term: int
     record: object

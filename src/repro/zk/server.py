@@ -214,13 +214,15 @@ class ZkServer:
         #: not its RPC deadline. Entries the client has given up on are
         #: aged out by the sweep loop (``_RELAY_TTL_MS``).
         self._relayed: Dict[Tuple[str, int], tuple] = {}
-        #: leader-only: (client_node, xid) -> zxid for every update this
+        #: leader-only: client_node -> {xid: zxid} for every update this
         #: leadership has proposed, rebuilt from the log on election.
         #: Clients reuse the xid when they retry after a timeout, so a
         #: hit here means the update already travelled the pipeline —
         #: re-executing it would double-apply non-idempotent extension
-        #: ops (see _prep).
-        self._proposed_xids: Dict[Tuple[str, int], int] = {}
+        #: ops (see _prep). Keyed per client rather than on a
+        #: (client_node, xid) pair: the table lives as long as the log,
+        #: and a tuple per entry was most of its size.
+        self._proposed_xids: Dict[str, Dict[int, int]] = {}
         #: leader-only: sessions whose CloseSessionTxn this leadership
         #: has *proposed* but possibly not yet applied. Closes the
         #: propose→apply fencing window (no update for the session may
@@ -577,8 +579,8 @@ class ZkServer:
         # second must not re-run the update (a second /queue/head
         # extension call would silently eat another element); answer it
         # from the already-proposed transaction instead.
-        key = (meta.client_node, meta.xid)
-        proposed = self._proposed_xids.get(key)
+        xids = self._proposed_xids.get(meta.client_node)
+        proposed = None if xids is None else xids.get(meta.xid)
         if proposed is not None:
             self._answer_duplicate(meta, proposed)
             return
@@ -619,7 +621,7 @@ class ZkServer:
                 txn = ErrorTxn(to_code(error), str(error))
                 in_spec = True
             zxid = self._propose(txn, meta, in_spec)
-        self._proposed_xids[(meta.client_node, meta.xid)] = zxid
+        self._proposed_xids.setdefault(meta.client_node, {})[meta.xid] = zxid
         self._mark_propose(meta, zxid)
 
     def _propose(self, txn: Txn, meta: Optional[RequestMeta],
@@ -749,10 +751,13 @@ class ZkServer:
             # Carry the at-most-once guard across elections: retries of
             # updates the *previous* leader proposed arrive here with
             # the same (client, xid) and must not re-execute.
-            self._proposed_xids = {
-                (record.meta.client_node, record.meta.xid): record.zxid
-                for record in self.broadcast.log if record.meta is not None
-            }
+            proposed: Dict[str, Dict[int, int]] = {}
+            for record in self.broadcast.log:
+                meta = record.meta
+                if meta is not None:
+                    proposed.setdefault(meta.client_node, {})[meta.xid] = (
+                        record.zxid)
+            self._proposed_xids = proposed
             for session_id in self.sessions.ids():
                 session = self.sessions.get(session_id)
                 self.heartbeats.track(session_id, session.timeout_ms,

@@ -11,7 +11,7 @@ transaction at any replica cannot fail. Failed validations become
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from ..sim import estimate_size
 
@@ -117,28 +117,35 @@ class SyncOp(Op):
 # ---------------------------------------------------------------------------
 
 class Txn:
-    """Marker base class for replicated transactions."""
+    """Marker base class for replicated transactions.
+
+    Every replica's log keeps each transaction for the whole run, so
+    the transaction types are slotted: no instance ``__dict__`` per
+    record (``tests/test_request_retention.py`` pins it).
+    """
+
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class CreateTxn(Txn):
     path: str               # final path (sequential suffix already resolved)
     data: bytes = b""
     ephemeral_owner: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteTxn(Txn):
     path: str
 
 
-@dataclass
+@dataclass(slots=True)
 class SetDataTxn(Txn):
     path: str
     data: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class MultiTxn(Txn):
     """Atomic batch; EZK piggybacks extension results in ``result_payload``.
 
@@ -152,22 +159,22 @@ class MultiTxn(Txn):
     #: True when result_payload is meaningful (extensions may legitimately
     #: return None, so presence cannot be inferred from the value).
     payload_set: bool = False
-    effects: List[tuple] = field(default_factory=list)
+    effects: Tuple[tuple, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class CreateSessionTxn(Txn):
     session_id: int
     timeout_ms: float
     client_id: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class CloseSessionTxn(Txn):
     session_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ErrorTxn(Txn):
     """A rejected update: keeps the zxid stream gapless, carries the error."""
 
@@ -179,7 +186,7 @@ class ErrorTxn(Txn):
 # Envelopes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RequestMeta:
     """Routing info a transaction carries so the right replica replies."""
 
@@ -260,7 +267,7 @@ class ZxidWatchNotification(WatchNotification):
     zxid: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnRecord:
     """One slot in the replicated log.
 

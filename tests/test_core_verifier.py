@@ -1,8 +1,13 @@
 """Unit tests for the AST white-list verifier."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.core import ExtensionRejectedError, VerifierConfig, verify_source
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 MINIMAL = '''
 class Ext(Extension):
@@ -265,6 +270,116 @@ class Ext(Extension):
     def handle_operation(self, request, local):
         return "{0.__class__.__init__.__globals__[__name__]}".format(local)
 ''', match="format")
+
+    def test_tower_of_powers(self):
+        # Regression: one expression, no state op, so no op budget saw
+        # it; accepted, it ran until the host ran out of memory.
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        return 9 ** 9 ** 7
+''', match="Pow")
+
+    def test_power_by_a_variable(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        return 2 ** len(request.data)
+''', match="Pow")
+
+    def test_power_past_the_literal_bound(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        return 2 ** 65
+''', match="Pow")
+
+    def test_augmented_power(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        x = 9
+        x **= x
+        return x
+''', match="Pow")
+
+    def test_shift_by_a_variable(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        n = int(local.read("/n"))
+        return 1 << n
+''', match="LShift")
+
+    def test_augmented_shift_by_a_bool(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        x = 1
+        x <<= True
+        return x
+''', match="LShift")
+
+    def test_loop_over_set_display(self):
+        # Regression: string hashes follow PYTHONHASHSEED, so replicas
+        # in separate processes would walk the set in different orders
+        # and, under EDS's active replication, diverge.
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        for name in {"a", "b", "c"}:
+            local.create("/log/" + name)
+        return None
+''', match="set display")
+
+    def test_comprehension_over_set_display(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        return [name for name in {"a", "b", "c"}]
+''', match="set display")
+
+    def test_comprehension_over_set_comprehension(self):
+        rejects('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        names = [r.object_id for r in local.sub_objects("/q")]
+        return [n for n in {n.upper() for n in names}]
+''', match="set display")
+
+
+class TestGrowthAndOrderBounds:
+    def test_small_literal_powers_and_shifts_allowed(self):
+        verify_source('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        x = int(local.read("/x"))
+        x **= 2
+        return x ** 64 + (1 << 62) + (x << 8)
+''')
+
+    def test_sorted_set_display_allowed(self):
+        # Sorting fixes the order, and membership tests never expose it.
+        verify_source('''
+class Ext(Extension):
+    def handle_operation(self, request, local):
+        if request.object_id in {"/a", "/b"}:
+            return [n for n in sorted({"b", "a"})]
+        return None
+''')
+
+    def test_no_shipped_extension_needs_either_construct(self):
+        from repro.chaos.storms import _LEASE_EXT
+        from repro.recipes.extensions import (BARRIER_EXT, COUNTER_EXT,
+                                              ELECTION_EXT, QUEUE_EXT)
+
+        example = ast.parse(EXAMPLES.joinpath("scfs_metadata.py").read_text())
+        rename = next(ast.literal_eval(node.value) for node in example.body
+                      if isinstance(node, ast.Assign)
+                      and node.targets[0].id == "RENAME_EXT")
+        for source in (BARRIER_EXT, COUNTER_EXT, ELECTION_EXT, QUEUE_EXT,
+                       _LEASE_EXT, rename):
+            verify_source(source)
 
 
 class TestConfig:

@@ -134,3 +134,20 @@ def test_checker_has_teeth():
                for p in _problems("doc.md", text)]
     assert flagged == ["zk/nowhere.py", "zk/server.py::NoSuchThing",
                        "zk/server.py:999999", "server.py", "repro/nowhere/"]
+
+
+def test_experiments_prefix_is_what_the_renderer_writes():
+    """EXPERIMENTS.md up to the renderer's first foreign heading is
+    exactly what ``benchmarks/render_experiments.py`` renders from the
+    committed ``benchmarks/results/*.json``, so a rerun changes nothing.
+    Text recorded by hand belongs below that heading."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "render_experiments", ROOT / "benchmarks" / "render_experiments.py")
+    renderer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(renderer)
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    rendered = renderer.render(renderer.load())
+    assert text.startswith(rendered)
+    assert text[len(rendered):].startswith(renderer.FIRST_FOREIGN_HEADING)

@@ -22,11 +22,19 @@ timer nothing waits on, either of which could only fire as a no-op.
 The PBFT replica's at-most-once record is bounded the same way, by a
 per-client watermark (``ExecutedIds``); a property test pins that it
 answers exactly as the set of executed ids it replaces.
+
+What a ZK-family replica must keep for the whole run, its log and the
+leader's at-most-once table, is kept small instead: no type the log
+holds carries an instance ``__dict__``, the table is keyed per client
+and rebuilt exactly from the log on election, and the traced bytes
+retained per committed write on an EZK queue run stay under a bound.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
+import tracemalloc
 import types
 
 import pytest
@@ -34,12 +42,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.depspace.bft import ExecutedIds, RequestId
 from repro.depspace.protocol import DsReply
+from repro.raft import RaftConfig
+from repro.raft.peer import RaftEntry
 from repro.recipes import ExtensionQueue
 from repro.sim import Callback, Event, Process, Timeout
 from repro.sim.events import _Condition, _noop
+from repro.zk import ZkEnsemble
 from repro.zk.leases import LeaseConfig, LeaseStage, WriteGate
 from repro.zk.server import ZkConfig
-from repro.zk.txn import ClientReply
+from repro.zk.txn import ClientReply, RequestMeta, Txn, TxnRecord
 from tests.recipe_helpers import make_coords, make_ensemble, run_all
 
 KERNELS = ("calendar", "heap")
@@ -255,3 +266,116 @@ def test_executed_ids_answer_exactly_as_a_set(steps):
     # A snapshot's ids rebuild the same record.
     rebuilt = ExecutedIds(set(executed))
     assert set(rebuilt) == reference
+
+
+# -- what the log keeps for the whole run --------------------------------------
+
+
+def _subclasses(cls) -> list:
+    found = []
+    for sub in cls.__subclasses__():
+        found += [sub, *_subclasses(sub)]
+    return found
+
+
+def test_log_types_carry_no_instance_dict():
+    # Every replica keeps every record for the whole run, so a dict per
+    # record (one per nested transaction and per meta, too) was most of
+    # a record's size. A new subclass or a base without __slots__
+    # brings it back; this catches both.
+    # dataclass(slots=True) replaces each class it decorates; until a
+    # collection, the dict-carrying originals still show as subclasses.
+    gc.collect()
+    txn_types = _subclasses(Txn)
+    assert len(txn_types) >= 7, txn_types
+    for cls in [TxnRecord, RaftEntry, RequestMeta, *txn_types]:
+        assert cls.__dictoffset__ == 0, f"{cls.__name__} has a __dict__"
+
+
+def _proposed_pairs(server) -> dict:
+    return {(client, xid): zxid
+            for client, xids in server._proposed_xids.items()
+            for xid, zxid in xids.items()}
+
+
+def _logged_pairs(server) -> dict:
+    return {(record.meta.client_node, record.meta.xid): record.zxid
+            for record in server.broadcast.log if record.meta is not None}
+
+
+@pytest.mark.parametrize("kernel", ["zab", "raft"])
+def test_at_most_once_table_after_failover_is_the_log(kernel):
+    config = ZkConfig(kernel=kernel)
+    if kernel == "raft":
+        config.raft = RaftConfig(seed=7)
+    ens = ZkEnsemble(n_replicas=3, seed=7, config=config)
+    ens.start()
+    old = ens.leader
+    clients = [ens.client(replica=node) for node in ens.replica_ids
+               if node != old.node_id]
+    connect(ens, clients)
+
+    def writes(tag):
+        for i, client in enumerate(clients):
+            yield from client.create(f"/{tag}{i}", b"0")
+            for k in range(5):
+                yield from client.set_data(f"/{tag}{i}", b"%d" % k)
+
+    run_all(ens, writes("a"))
+    assert _proposed_pairs(old) == _logged_pairs(old)
+    old.crash()
+
+    def elected():
+        while ens.leader in (None, old):
+            yield ens.env.timeout(1.0)
+
+    run_all(ens, elected())
+    new = ens.leader
+    # Rebuilt on election: the old leadership's sessions and writes.
+    inherited = _logged_pairs(new)
+    assert len(inherited) == 2 + 12
+    assert _proposed_pairs(new) == inherited
+    # Extended on propose: this leadership's writes join the same table.
+    run_all(ens, writes("b"))
+    assert len(_logged_pairs(new)) == 2 + 24
+    assert _proposed_pairs(new) == _logged_pairs(new)
+    assert all(new._proposed_xids.values())
+
+
+#: Traced bytes a committed write may leave live on an EZK queue run:
+#: three replica logs, the leader's at-most-once table and the tree's
+#: own bookkeeping. Plain dataclass records and a tuple-keyed table
+#: left about 776 B per write here; slotted ones leave about 551 B.
+_RETAINED_BYTES_PER_WRITE = 700
+
+
+def test_retained_bytes_per_committed_write():
+    ens = make_ensemble("ezk")
+    coords, _raw = make_coords(ens, "ezk", 2)
+    producer, consumer = (ExtensionQueue(c) for c in coords)
+    run_all(ens, producer.setup(register=True))
+    run_all(ens, consumer.setup(register=False))
+
+    def produce(n):
+        for i in range(n):
+            yield from producer.add(b"%d" % i)
+
+    def consume(n):
+        for _ in range(n):
+            yield from consumer.remove()
+
+    # Warm up first, so one-off allocations (caches, first-seen sizers,
+    # interned paths) are not billed to the measured writes.
+    run_all(ens, produce(20), consume(20))
+    gc.collect()
+    committed = len(ens.leader.broadcast.log)
+    tracemalloc.start()
+    try:
+        run_all(ens, produce(250), consume(250))
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    writes = len(ens.leader.broadcast.log) - committed
+    assert writes == 500
+    assert retained / writes < _RETAINED_BYTES_PER_WRITE, retained / writes
