@@ -93,8 +93,6 @@ KEEP_DEFS: Dict[str, str] = {
     "bench/__main__.py main.<locals>.run_figure":
         "the figure CLI's runner; no suite drives the CLI",
     "core/sandbox.py StepLimiter._trace": _EVALUATOR,
-    "chaos/nemesis.py Nemesis._do_kill_client":
-        "no seeded schedule draws a client kill yet",
     **{f"bench/wallclock.py {name}": _WALLCLOCK for name in (
         "run_kernel_bench", "measure_openloop", "run_openloop_bench",
         "run_zipf_hot_bench", "run_phase_breakdown", "write_phase_table")},

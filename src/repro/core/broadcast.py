@@ -81,6 +81,7 @@ it. :func:`detector_wait` is that rule, shared by Zab and Raft.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, insort
 from typing import Callable, List, Optional, Tuple
 
@@ -126,6 +127,9 @@ def detector_wait(now: float, last_contact: float, timeout_ms: float,
         return remaining, True
     return heartbeat_ms, remaining <= 0.0
 
+
+#: Key for bisecting a (zxid-sorted) log by zxid.
+_record_zxid = operator.attrgetter("zxid")
 
 #: kernels selectable via ``ZkConfig.kernel`` (the DS family runs PBFT).
 ZK_KERNELS = ("zab", "raft")
@@ -223,6 +227,14 @@ class AtomicBroadcast:
     @property
     def last_zxid(self) -> int:
         return self.log[-1].zxid if self.log else 0
+
+    def record(self, zxid: int):
+        """The log record stamped ``zxid``, or None if the log has none."""
+        log = self.log
+        idx = bisect_left(log, zxid, key=_record_zxid)
+        if idx < len(log) and log[idx].zxid == zxid:
+            return log[idx]
+        return None
 
     @property
     def next_zxid(self) -> int:

@@ -93,15 +93,17 @@ class ZkBufferedState(AbstractState):
 
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         base = object_id.rstrip("/") or "/"
-        validate_path(base)
         # Hot path for list-heavy extensions (the queue lists its whole
         # directory on every invocation): bulk-read the children without
         # per-child path validation or stat copies — only data and czxid
-        # are needed here. The final (seq, object_id) sort is total, so
-        # the iteration order of children_nodes does not matter.
+        # are needed here. A path the tree holds passed validation when
+        # it was created, so only a missing one is checked. The final
+        # (seq, object_id) sort is total, so the iteration order of
+        # children_nodes does not matter.
         try:
             pairs = self.overlay.children_nodes(base)
         except NoNodeError as exc:
+            validate_path(base)
             raise NoObjectError(str(exc)) from exc
         rows = [(node.stat.czxid, child, node.data) for child, node in pairs]
         # (seq, child) is unique, so the sort never compares data.

@@ -63,7 +63,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
 
 from ..core.broadcast import (AtomicBroadcast, NotLeaderError, detector_wait,
-                              make_zxid)
+                              make_zxid, zxid_counter)
 from ..sim import Environment
 
 __all__ = ["RaftConfig", "RaftPeer", "RaftRole", "RaftEntry", "RaftRecord",
@@ -269,6 +269,17 @@ class RaftPeer(AtomicBroadcast):
     @property
     def last_zxid(self) -> int:
         return self._entries[-1].record.zxid if self._entries else 0
+
+    def record(self, zxid: int):
+        """O(1): a record's zxid counter is its log index, and
+        ``_entries`` is never truncated at the front (a snapshot keeps
+        it whole), so no ``log`` view is built."""
+        index = zxid_counter(zxid)
+        if 0 < index <= len(self._entries):
+            record = self._entries[index - 1].record
+            if record.zxid == zxid:
+                return record
+        return None
 
     @property
     def next_zxid(self) -> int:

@@ -18,20 +18,11 @@ from .errors import (BadArgumentsError, NoChildrenForEphemeralsError,
                      BadVersionError)
 
 __all__ = ["Stat", "ZNode", "DataTree", "split_path", "parent_of",
-           "validate_path", "advance_sequence"]
-
-
-#: Paths that already passed validation — recipes hammer the same few
-#: hundred paths millions of times, so re-splitting each one is pure
-#: waste. Bounded; cleared wholesale if a workload somehow floods it.
-_VALID_PATHS: set = set()
-_VALID_PATHS_MAX = 65536
+           "validate_path", "checked_split", "advance_sequence"]
 
 
 def validate_path(path: str) -> None:
     """Reject malformed paths (must be absolute, no empty or dot components)."""
-    if path in _VALID_PATHS:
-        return
     if not path or path[0] != "/":
         raise BadArgumentsError(f"path must be absolute: {path!r}")
     if path != "/" and path.endswith("/"):
@@ -41,9 +32,25 @@ def validate_path(path: str) -> None:
             break
         if not component or component in (".", ".."):
             raise BadArgumentsError(f"bad path component in {path!r}")
-    if len(_VALID_PATHS) >= _VALID_PATHS_MAX:
-        _VALID_PATHS.clear()
-    _VALID_PATHS.add(path)
+
+
+def checked_split(path: str, known) -> Tuple[str, str]:
+    """:func:`split_path` of ``path``, validated on the way.
+
+    ``known`` holds paths that already passed :func:`validate_path` (a
+    tree's node table: every key in it did). A child of one of them
+    needs only its last component checked; any other path is validated
+    in full. Either way exactly the paths :func:`validate_path` accepts
+    get through, and nothing is cached.
+    """
+    head, sep, name = path.rpartition("/")
+    parent = head or "/"
+    if (not sep or head == "/" or not name or name == "." or name == ".."
+            or parent not in known):
+        validate_path(path)
+        if path == "/":
+            raise BadArgumentsError("cannot split the root path")
+    return parent, name
 
 
 def parent_of(path: str) -> str:
@@ -91,6 +98,10 @@ class ZNode:
     children: Set[str] = field(default_factory=set)
     #: Monotone counter feeding sequential-child suffixes.
     sequence_counter: int = 0
+    #: The key a tree holds this node under, the very ``str`` object:
+    #: a child listing hands it on, so a ``DeleteTxn`` in the log names
+    #: the string its ``CreateTxn`` already holds instead of a copy.
+    path: str = "/"
 
     @property
     def is_ephemeral(self) -> bool:
@@ -133,20 +144,30 @@ class DataTree:
             raise NoNodeError(path)
         return node
 
+    def _lookup(self, path: str) -> Optional[ZNode]:
+        """The node at ``path``, or None; a path the tree does not hold
+        is validated (a held one passed when it was created)."""
+        node = self._nodes.get(path)
+        if node is None:
+            checked_split(path, self._nodes)
+        return node
+
     def exists(self, path: str) -> Optional[Stat]:
         """Stat of ``path``, or None when absent (never raises NoNode)."""
-        validate_path(path)
-        node = self._nodes.get(path)
+        node = self._lookup(path)
         return node.stat.copy() if node is not None else None
 
     def get_data(self, path: str) -> Tuple[bytes, Stat]:
-        validate_path(path)
-        node = self.node(path)
+        node = self._lookup(path)
+        if node is None:
+            raise NoNodeError(path)
         return (node.data, node.stat.copy())
 
     def get_children(self, path: str) -> List[str]:
-        validate_path(path)
-        return sorted(self.node(path).children)
+        node = self._lookup(path)
+        if node is None:
+            raise NoNodeError(path)
+        return sorted(node.children)
 
     def ephemerals_of(self, session_id: int) -> List[str]:
         return sorted(self._ephemerals.get(session_id, ()))
@@ -169,10 +190,9 @@ class DataTree:
                sequential: bool = False,
                zxid: int = 0, now: float = 0.0) -> str:
         """Create a znode; returns the actual path (suffix-resolved if sequential)."""
-        validate_path(path)
+        parent_path, name = checked_split(path, self._nodes)
         if not isinstance(data, bytes):
             raise BadArgumentsError("znode data must be bytes")
-        parent_path, name = split_path(path)
         parent = self._nodes.get(parent_path)
         if parent is None:
             raise NoNodeError(f"parent missing: {parent_path}")
@@ -191,7 +211,7 @@ class DataTree:
         # Stat(czxid, mzxid, ctime, mtime, version, cversion,
         #      ephemeral_owner, data_length)
         stat = Stat(zxid, zxid, now, now, 0, 0, ephemeral_owner, len(data))
-        self._nodes[actual] = ZNode(data, stat)
+        self._nodes[actual] = ZNode(data, stat, path=actual)
         parent.children.add(name)
         advance_sequence(parent, name)
         parent.stat.cversion += 1
@@ -203,10 +223,11 @@ class DataTree:
     def set_data(self, path: str, data: bytes, version: int = -1,
                  zxid: int = 0, now: float = 0.0) -> Stat:
         """Overwrite data; ``version`` of -1 means unconditional."""
-        validate_path(path)
+        node = self._lookup(path)
         if not isinstance(data, bytes):
             raise BadArgumentsError("znode data must be bytes")
-        node = self.node(path)
+        if node is None:
+            raise NoNodeError(path)
         if version != -1 and node.stat.version != version:
             raise BadVersionError(
                 f"{path}: expected v{version}, at v{node.stat.version}")
@@ -219,10 +240,11 @@ class DataTree:
 
     def delete(self, path: str, version: int = -1) -> None:
         """Delete a childless znode; ``version`` of -1 means unconditional."""
-        validate_path(path)
+        node = self._lookup(path)
         if path == "/":
             raise BadArgumentsError("cannot delete the root")
-        node = self.node(path)
+        if node is None:
+            raise NoNodeError(path)
         if node.children:
             raise NotEmptyError(path)
         if version != -1 and node.stat.version != version:
@@ -270,7 +292,8 @@ class DataTree:
         self._ephemerals = {}
         for path, (data, stat, children, seq) in snapshot["nodes"].items():
             node = ZNode(data=data, stat=stat.copy(),
-                         children=set(children), sequence_counter=seq)
+                         children=set(children), sequence_counter=seq,
+                         path=path)
             self._nodes[path] = node
             if stat.ephemeral_owner is not None:
                 self._ephemerals.setdefault(

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .data_tree import (DataTree, Stat, ZNode, advance_sequence, split_path,
-                        validate_path)
+from .data_tree import (DataTree, Stat, ZNode, advance_sequence,
+                        checked_split, split_path)
 from .errors import (BadArgumentsError, NoChildrenForEphemeralsError,
                      NodeExistsError, NoNodeError, NotEmptyError,
                      BadVersionError)
@@ -60,27 +60,33 @@ class TreeOverlay:
         original = self._base.node(path)
         copy = ZNode(data=original.data, stat=original.stat.copy(),
                      children=set(original.children),
-                     sequence_counter=original.sequence_counter)
+                     sequence_counter=original.sequence_counter,
+                     path=original.path)
         self._nodes[path] = copy
         return copy
+
+    def _lookup(self, path: str) -> Optional[ZNode]:
+        """:meth:`_peek`, validating a path the view does not hold (one
+        it holds, even as a tombstone, passed when it was created)."""
+        node = self._peek(path)
+        if node is None and path not in self._nodes:
+            checked_split(path, self._base._nodes)
+        return node
 
     # -- read API (mirrors DataTree) ------------------------------------------
 
     def exists(self, path: str) -> Optional[Stat]:
-        validate_path(path)
-        node = self._peek(path)
+        node = self._lookup(path)
         return node.stat.copy() if node is not None else None
 
     def get_data(self, path: str) -> Tuple[bytes, Stat]:
-        validate_path(path)
-        node = self._peek(path)
+        node = self._lookup(path)
         if node is None:
             raise NoNodeError(path)
         return (node.data, node.stat.copy())
 
     def get_children(self, path: str) -> List[str]:
-        validate_path(path)
-        node = self._peek(path)
+        node = self._lookup(path)
         if node is None:
             raise NoNodeError(path)
         return sorted(node.children)
@@ -91,8 +97,10 @@ class TreeOverlay:
         Bulk read for directory-scan consumers (the EZK state proxy lists
         whole queue directories on every extension invocation): one pass
         over the children with plain dict probes, no per-child path
-        validation or stat copies. Iteration order is unspecified; the
-        nodes are shared, not copies — callers must not mutate them.
+        validation or stat copies. Each child path is the one its node
+        is keyed under (``ZNode.path``), not a fresh copy. Iteration
+        order is unspecified; the nodes are shared, not copies — callers
+        must not mutate them.
         """
         node = self._peek(path)
         if node is None:
@@ -110,7 +118,7 @@ class TreeOverlay:
                 entry = None  # deleted in-overlay; parent link is stale
             if entry is None:
                 raise NoNodeError(child)
-            pairs.append((child, entry))
+            pairs.append((entry.path, entry))
         return pairs
 
     # -- write API ------------------------------------------------------------
@@ -119,10 +127,9 @@ class TreeOverlay:
                ephemeral_owner: Optional[int] = None,
                sequential: bool = False,
                zxid: int = 0, now: float = 0.0) -> str:
-        validate_path(path)
+        parent_path, _ = checked_split(path, self._base._nodes)
         if not isinstance(data, bytes):
             raise BadArgumentsError("znode data must be bytes")
-        parent_path, _ = split_path(path)
         parent = self._peek(parent_path)
         if parent is None:
             raise NoNodeError(f"parent missing: {parent_path}")
@@ -139,7 +146,7 @@ class TreeOverlay:
 
         stat = Stat(czxid=zxid, mzxid=zxid, ctime=now, mtime=now,
                     ephemeral_owner=ephemeral_owner, data_length=len(data))
-        self._nodes[actual] = ZNode(data=data, stat=stat)
+        self._nodes[actual] = ZNode(data=data, stat=stat, path=actual)
         _, name = split_path(actual)
         parent.children.add(name)
         advance_sequence(parent, name)
@@ -150,10 +157,9 @@ class TreeOverlay:
 
     def set_data(self, path: str, data: bytes, version: int = -1,
                  zxid: int = 0, now: float = 0.0) -> Stat:
-        validate_path(path)
+        node = self._lookup(path)
         if not isinstance(data, bytes):
             raise BadArgumentsError("znode data must be bytes")
-        node = self._peek(path)
         if node is None:
             raise NoNodeError(path)
         if version != -1 and node.stat.version != version:
@@ -169,10 +175,9 @@ class TreeOverlay:
         return node.stat.copy()
 
     def delete(self, path: str, version: int = -1) -> None:
-        validate_path(path)
+        node = self._lookup(path)
         if path == "/":
             raise BadArgumentsError("cannot delete the root")
-        node = self._peek(path)
         if node is None:
             raise NoNodeError(path)
         if node.children:

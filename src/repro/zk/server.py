@@ -50,8 +50,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from bisect import bisect_right
-
 from ..sim import Environment, FifoResource, Network
 from .data_tree import DataTree, split_path
 from .errors import (ConnectionLossError, SessionExpiredError, ZkError,
@@ -59,7 +57,8 @@ from .errors import (ConnectionLossError, SessionExpiredError, ZkError,
 from .leases import (LEASE_MESSAGES, LeaseClientRequest, LeaseConfig,
                      LeaseStage)
 from .overlay import TreeOverlay
-from .sessions import ConsistencyTracker, ExpiryClock, SessionTable
+from .sessions import (ConsistencyTracker, ExpiryClock, ProposedXids,
+                       SessionTable)
 from .txn import (ClientReply, ClientRequest, CloseSessionOp, CloseSessionTxn,
                   CreateOp, CreateSessionOp, CreateSessionTxn, CreateTxn,
                   DeleteOp, DeleteTxn, ErrorTxn, ExistsOp, GetChildrenOp,
@@ -214,15 +213,15 @@ class ZkServer:
         #: not its RPC deadline. Entries the client has given up on are
         #: aged out by the sweep loop (``_RELAY_TTL_MS``).
         self._relayed: Dict[Tuple[str, int], tuple] = {}
-        #: leader-only: client_node -> {xid: zxid} for every update this
+        #: leader-only: client_node -> xid -> zxid for every update this
         #: leadership has proposed, rebuilt from the log on election.
         #: Clients reuse the xid when they retry after a timeout, so a
         #: hit here means the update already travelled the pipeline —
         #: re-executing it would double-apply non-idempotent extension
-        #: ops (see _prep). Keyed per client rather than on a
-        #: (client_node, xid) pair: the table lives as long as the log,
-        #: and a tuple per entry was most of its size.
-        self._proposed_xids: Dict[str, Dict[int, int]] = {}
+        #: ops (see _prep). The table lives as long as the log, so it
+        #: is keyed per client and each client's part is two int arrays
+        #: (:class:`ProposedXids`).
+        self._proposed_xids: Dict[str, ProposedXids] = {}
         #: leader-only: sessions whose CloseSessionTxn this leadership
         #: has *proposed* but possibly not yet applied. Closes the
         #: propose→apply fencing window (no update for the session may
@@ -621,7 +620,7 @@ class ZkServer:
                 txn = ErrorTxn(to_code(error), str(error))
                 in_spec = True
             zxid = self._propose(txn, meta, in_spec)
-        self._proposed_xids.setdefault(meta.client_node, {})[meta.xid] = zxid
+        ProposedXids.of(self._proposed_xids, meta.client_node)[meta.xid] = zxid
         self._mark_propose(meta, zxid)
 
     def _propose(self, txn: Txn, meta: Optional[RequestMeta],
@@ -660,11 +659,9 @@ class ZkServer:
         through the replica the client is *now* connected to. If it has
         applied, the reply is re-derived from the committed txn.
         """
-        log = self.broadcast.log
-        idx = bisect_right(log, zxid, key=lambda r: r.zxid)
-        if not idx or log[idx - 1].zxid != zxid:
+        record = self.broadcast.record(zxid)
+        if record is None:
             return
-        record = log[idx - 1]
         if zxid > self._applied_zxid:
             record.repoint(meta)
             return
@@ -751,11 +748,11 @@ class ZkServer:
             # Carry the at-most-once guard across elections: retries of
             # updates the *previous* leader proposed arrive here with
             # the same (client, xid) and must not re-execute.
-            proposed: Dict[str, Dict[int, int]] = {}
+            proposed: Dict[str, ProposedXids] = {}
             for record in self.broadcast.log:
                 meta = record.meta
                 if meta is not None:
-                    proposed.setdefault(meta.client_node, {})[meta.xid] = (
+                    ProposedXids.of(proposed, meta.client_node)[meta.xid] = (
                         record.zxid)
             self._proposed_xids = proposed
             for session_id in self.sessions.ids():

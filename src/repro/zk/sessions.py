@@ -5,17 +5,20 @@ and closure flow through the ordered transaction pipeline, so every
 replica agrees on which sessions exist and ephemeral cleanup happens
 consistently. Expiry detection, however, is a *leader* duty: the leader
 tracks heartbeats and proposes a ``CloseSessionTxn`` when a session goes
-quiet (mirroring ZooKeeper's session tracker).
+quiet (mirroring ZooKeeper's session tracker). So is the at-most-once
+guard over each client's requests (:class:`ProposedXids`).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["Session", "SessionTable", "HeartbeatTracker", "ExpiryClock",
-           "ConsistencyTracker"]
+           "ConsistencyTracker", "ProposedXids"]
 
 
 @dataclass
@@ -243,3 +246,56 @@ class ConsistencyTracker:
 
     def forget(self, session_id: int) -> None:
         self._floors.pop(session_id, None)
+
+
+class ProposedXids:
+    """One client's part of the leader's at-most-once guard: xid -> zxid.
+
+    Two parallel ``array('q')`` columns sorted by xid, 16 bytes an
+    entry: the guard lives as long as the log. A client numbers its
+    requests in order, so inserts are appends; one that arrives out of
+    order (a retry overtaken by a newer call) is inserted in place.
+    Answers ``get``, item assignment, ``items()`` and ``len()`` as an
+    ``{xid: zxid}`` dict would.
+    """
+
+    __slots__ = ("_xids", "_zxids")
+
+    def __init__(self):
+        self._xids = array("q")
+        self._zxids = array("q")
+
+    def get(self, xid: int, default: Optional[int] = None) -> Optional[int]:
+        xids = self._xids
+        idx = bisect_left(xids, xid)
+        if idx < len(xids) and xids[idx] == xid:
+            return self._zxids[idx]
+        return default
+
+    def __setitem__(self, xid: int, zxid: int) -> None:
+        xids = self._xids
+        if not xids or xids[-1] < xid:
+            xids.append(xid)
+            self._zxids.append(zxid)
+            return
+        idx = bisect_left(xids, xid)
+        if xids[idx] == xid:
+            self._zxids[idx] = zxid
+        else:
+            xids.insert(idx, xid)
+            self._zxids.insert(idx, zxid)
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        return zip(self._xids, self._zxids)
+
+    def __len__(self) -> int:
+        return len(self._xids)
+
+    @classmethod
+    def of(cls, table: Dict[str, "ProposedXids"],
+           client_node: str) -> "ProposedXids":
+        """``table[client_node]``, added empty if missing."""
+        xids = table.get(client_node)
+        if xids is None:
+            xids = table[client_node] = cls()
+        return xids

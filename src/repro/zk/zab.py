@@ -34,19 +34,16 @@ modelling an fsync'd transaction log.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
-from ..core.broadcast import (AtomicBroadcast, NotLeaderError, detector_wait,
-                              make_zxid, zxid_counter, zxid_epoch)
+from ..core.broadcast import (AtomicBroadcast, NotLeaderError, _record_zxid,
+                              detector_wait, make_zxid, zxid_counter,
+                              zxid_epoch)
 from ..sim import Environment
 from .txn import RequestMeta, Txn, TxnRecord
-
-#: Key for bisecting a (zxid-sorted) log by zxid.
-_record_zxid = operator.attrgetter("zxid")
 
 # Zxid helpers and NotLeaderError live in repro.core.broadcast now (the
 # kernel-neutral home); re-exported here for the historical import path.

@@ -13,10 +13,13 @@ import os
 
 import pytest
 
-from repro.chaos import (SESSION_SCENARIOS, check_lease_reads,
-                         check_session_log, random_schedule,
-                         random_storm_schedule, run_session_chaos)
+from repro.chaos import (SESSION_SCENARIOS, FaultAction, Nemesis, Schedule,
+                         check_lease_reads, check_session_log,
+                         random_schedule, random_storm_schedule,
+                         run_session_chaos)
 from repro.chaos.schedule import STORM_KINDS
+from repro.chaos.storms import check_committed_sessions
+from repro.zk import ZkEnsemble
 from repro.zk.txn import (CloseSessionTxn, CreateSessionTxn, CreateTxn,
                           ErrorTxn, MultiTxn, RequestMeta, SetDataTxn,
                           TxnRecord)
@@ -35,6 +38,56 @@ def test_session_storm_smoke_cell(system, scenario):
         f"schedule:\n{run.schedule.describe()}\n"
         f"nemesis log:\n" + "\n".join(run.nemesis_log)
     )
+
+
+def test_kill_client_schedule_reaps_the_session_once():
+    """A hand-written ``kill_client`` schedule (no seeded one draws it):
+    the dead client's session expires, its ephemeral is reaped by one
+    committed close on every replica, and the live client's stays."""
+    ens = ZkEnsemble(n_replicas=3, seed=5)
+    ens.start()
+    env = ens.env
+    victim = ens.client(session_timeout_ms=600.0)
+    survivor = ens.client()
+
+    def setup():
+        for client, path in ((victim, "/victim"), (survivor, "/survivor")):
+            yield from client.connect()
+            yield from client.create(path, b"", ephemeral=True)
+
+    env.run(until=env.process(setup()))
+    start = env.now
+    schedule = Schedule((FaultAction(start + 50.0, "kill_client",
+                                     target=victim.node_id),),
+                        quiesce_ms=start + 1500.0)
+    nemesis = Nemesis(ens, schedule, clients=[survivor, victim])
+    nemesis.start()
+    env.run(until=start + 2500.0)
+
+    assert any(f"kill client {victim.node_id}" in line
+               for line in nemesis.log), nemesis.log
+    leader = ens.leader
+    closes = [r for r in leader.broadcast.log
+              if r.zxid <= leader.broadcast.committed_zxid
+              and isinstance(r.txn, CloseSessionTxn)
+              and r.txn.session_id == victim.session_id]
+    assert len(closes) == 1
+    for server in ens.servers:
+        assert "/victim" not in server.tree
+        assert "/survivor" in server.tree
+        assert victim.session_id not in server.tree._ephemerals
+    result = check_committed_sessions(ens)
+    assert result.ok, result.reason
+
+
+def test_kill_client_of_an_unknown_target_is_refused():
+    ens = ZkEnsemble(n_replicas=3, seed=5)
+    ens.start()
+    schedule = Schedule((FaultAction(1.0, "kill_client", target="nobody"),),
+                        quiesce_ms=10.0)
+    Nemesis(ens, schedule, clients=[ens.client()]).start()
+    with pytest.raises(ValueError, match="no client 'nobody'"):
+        ens.env.run(until=5.0)
 
 
 def test_storms_reject_non_zk_systems():

@@ -25,9 +25,13 @@ answers exactly as the set of executed ids it replaces.
 
 What a ZK-family replica must keep for the whole run, its log and the
 leader's at-most-once table, is kept small instead: no type the log
-holds carries an instance ``__dict__``, the table is keyed per client
-and rebuilt exactly from the log on election, and the traced bytes
+holds carries an instance ``__dict__``, the table is two int arrays per
+client that answer as the dict they replace and are rebuilt exactly
+from the log on election, a removed queue element's ``DeleteTxn``
+names the very string its ``CreateTxn`` holds, and the traced bytes
 retained per committed write on an EZK queue run stay under a bound.
+A retried update is answered from its record, looked up without
+building a view of the whole log.
 """
 
 from __future__ import annotations
@@ -43,14 +47,17 @@ from hypothesis import given, settings, strategies as st
 from repro.depspace.bft import ExecutedIds, RequestId
 from repro.depspace.protocol import DsReply
 from repro.raft import RaftConfig
-from repro.raft.peer import RaftEntry
+from repro.raft.peer import RaftEntry, RaftPeer
 from repro.recipes import ExtensionQueue
 from repro.sim import Callback, Event, Process, Timeout
 from repro.sim.events import _Condition, _noop
 from repro.zk import ZkEnsemble
 from repro.zk.leases import LeaseConfig, LeaseStage, WriteGate
 from repro.zk.server import ZkConfig
-from repro.zk.txn import ClientReply, RequestMeta, Txn, TxnRecord
+from repro.zk.sessions import ProposedXids
+from repro.zk.txn import (ClientReply, CreateOp, CreateTxn, DeleteTxn,
+                          MultiTxn, RequestMeta, SetDataOp, SetDataTxn, Txn,
+                          TxnRecord)
 from tests.recipe_helpers import make_coords, make_ensemble, run_all
 
 KERNELS = ("calendar", "heap")
@@ -345,8 +352,10 @@ def test_at_most_once_table_after_failover_is_the_log(kernel):
 #: Traced bytes a committed write may leave live on an EZK queue run:
 #: three replica logs, the leader's at-most-once table and the tree's
 #: own bookkeeping. Plain dataclass records and a tuple-keyed table
-#: left about 776 B per write here; slotted ones leave about 551 B.
-_RETAINED_BYTES_PER_WRITE = 700
+#: left about 776 B per write here; slotted ones about 551 B; one
+#: string per znode path, no process-wide path cache and an int-array
+#: table about 479 B. The bound is that plus 10%.
+_RETAINED_BYTES_PER_WRITE = 530
 
 
 def test_retained_bytes_per_committed_write():
@@ -379,3 +388,138 @@ def test_retained_bytes_per_committed_write():
     writes = len(ens.leader.broadcast.log) - committed
     assert writes == 500
     assert retained / writes < _RETAINED_BYTES_PER_WRITE, retained / writes
+
+
+#: Xids around the table's edges: repeats, gaps and out-of-order inserts.
+_XIDS = st.integers(min_value=-3, max_value=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_XIDS, st.integers(min_value=0,
+                                             max_value=(1 << 40)),
+                          st.booleans()), max_size=80))
+def test_proposed_xids_answer_exactly_as_a_dict(steps):
+    table, reference = ProposedXids(), {}
+    for xid, zxid, probe_first in steps:
+        if probe_first:
+            assert table.get(xid) == reference.get(xid)
+            assert table.get(xid, -1) == reference.get(xid, -1)
+        table[xid] = zxid
+        reference[xid] = zxid
+        assert len(table) == len(reference)
+    for xid in range(-4, 32):
+        assert table.get(xid) == reference.get(xid)
+    assert dict(table.items()) == reference
+    assert [xid for xid, _zxid in table.items()] == sorted(reference)
+
+
+def test_queue_delete_names_the_string_its_create_holds():
+    ens = make_ensemble("ezk")
+    coords, _raw = make_coords(ens, "ezk", 2)
+    producer, consumer = (ExtensionQueue(c) for c in coords)
+    run_all(ens, producer.setup(register=True))
+    run_all(ens, consumer.setup(register=False))
+
+    def produce():
+        for i in range(30):
+            yield from producer.add(b"%d" % i)
+
+    def consume():
+        for _ in range(30):
+            yield from consumer.remove()
+
+    run_all(ens, produce(), consume())
+    for server in ens.servers:
+        created, deleted = {}, []
+        for record in server.broadcast.log:
+            txn = record.txn
+            subs = txn.txns if isinstance(txn, MultiTxn) else [txn]
+            for sub in subs:
+                if isinstance(sub, CreateTxn):
+                    created[sub.path] = sub.path
+                elif isinstance(sub, DeleteTxn):
+                    deleted.append(sub.path)
+        assert len(deleted) == 30
+        assert all(path is created[path] for path in deleted)
+
+
+def _failed_over(kernel):
+    """A three-replica ensemble that wrote from two follower clients,
+    lost its leader, and elected a new one."""
+    config = ZkConfig(kernel=kernel)
+    if kernel == "raft":
+        config.raft = RaftConfig(seed=7)
+    ens = ZkEnsemble(n_replicas=3, seed=7, config=config)
+    ens.start()
+    old = ens.leader
+    clients = [ens.client(replica=node) for node in ens.replica_ids
+               if node != old.node_id]
+    connect(ens, clients)
+
+    def writes():
+        for i, client in enumerate(clients):
+            yield from client.create(f"/d{i}", b"0")
+            yield from client.set_data(f"/d{i}", b"1")
+
+    run_all(ens, writes())
+    old.crash()
+
+    def elected():
+        while ens.leader in (None, old):
+            yield ens.env.timeout(1.0)
+
+    run_all(ens, elected())
+    run_all(ens, clients[0].set_data("/d0", b"2"))
+    return ens
+
+
+@pytest.mark.parametrize("kernel", ["zab", "raft"])
+def test_record_lookup_is_the_log_entry(kernel):
+    ens = _failed_over(kernel)
+    for server in ens.servers:
+        log = server.broadcast.log
+        assert len({record.zxid for record in log}) == len(log) > 4
+        for record in log:
+            assert server.broadcast.record(record.zxid) is record
+        last = log[-1].zxid
+        # Past the end, before the start, and the right counter under
+        # another epoch: none is a record.
+        for absent in (last + 1, 0, log[1].zxid + (7 << 32)):
+            assert server.broadcast.record(absent) is None
+
+
+@pytest.mark.parametrize("kernel", ["zab", "raft"])
+def test_duplicate_after_failover_is_answered_from_its_record(
+        kernel, monkeypatch):
+    ens = _failed_over(kernel)
+    new = ens.leader
+    answers, views = [], []
+    monkeypatch.setattr(new, "_succeed", lambda meta, value, zxid:
+                        answers.append((meta, value, zxid)))
+    if kernel == "raft":
+        log_view = RaftPeer.log
+
+        def counted(peer):
+            views.append(peer)
+            return log_view.fget(peer)
+
+        monkeypatch.setattr(RaftPeer, "log", property(counted))
+    # Updates the old leadership proposed, retried through the new one.
+    inherited = [record for record in new.broadcast.log
+                 if record.meta is not None
+                 and isinstance(record.txn, (CreateTxn, SetDataTxn))
+                 and record.zxid <= new._applied_zxid]
+    assert len(inherited) >= 4
+    views.clear()
+    for record in inherited:
+        txn, meta = record.txn, record.meta
+        retry = RequestMeta(new.node_id, meta.client_node, meta.session_id,
+                            meta.xid)
+        op = (CreateOp(txn.path, b"0") if isinstance(txn, CreateTxn)
+              else SetDataOp(txn.path, b"9"))
+        new._prep(retry, op)
+        value = (txn.path if isinstance(txn, CreateTxn)
+                 else new.tree.exists(txn.path))
+        assert answers == [(retry, value, record.zxid)]
+        answers.clear()
+    assert not views, "the duplicate path built a view of the whole log"
