@@ -74,10 +74,8 @@ CONFIGS = (
     "repro.raft.peer.RaftConfig",
     "repro.depspace.bft.BftConfig",
     "repro.obs.trace.ObsConfig",
-    "repro.bench.openloop.Workload",
 )
 
-_WALLCLOCK = "goes with the bench consolidation item (ROADMAP)"
 _EVALUATOR = "goes with the sandbox evaluator item (ROADMAP)"
 _SENSITIVITY = "an axis the sensitivity item varies (ROADMAP)"
 _RUN_SHAPE = ("a figure driver's seed or warm-up: " + _SENSITIVITY)
@@ -91,11 +89,8 @@ _EXTENSION_API = ("the extension deployment interface; EdsEnsemble(limits=)"
 #: are kept by their tag. Defs are ``path qualname`` under ``src/repro``.
 KEEP_DEFS: Dict[str, str] = {
     "bench/__main__.py main.<locals>.run_figure":
-        "the figure CLI's runner; no suite drives the CLI",
+        "the figure CLI's runner; no suite runs a figure target of the CLI",
     "core/sandbox.py StepLimiter._trace": _EVALUATOR,
-    **{f"bench/wallclock.py {name}": _WALLCLOCK for name in (
-        "run_kernel_bench", "measure_openloop", "run_openloop_bench",
-        "run_zipf_hot_bench", "run_phase_breakdown", "write_phase_table")},
 }
 #: config fields, as ``module.Class.field``.
 KEEP_FIELDS: Dict[str, str] = {
@@ -105,7 +100,6 @@ KEEP_FIELDS: Dict[str, str] = {
 }
 #: options, as ``path def(param=)`` under ``src/repro``.
 KEEP_OPTIONS: Dict[str, str] = {
-    "bench/openloop.py run_openloop_workload(seed=)": _RUN_SHAPE,
     **{f"bench/workload.py {name}": _RUN_SHAPE for name in (
         "run_counter_workload(seed=)", "run_barrier_workload(warmup_ms=)",
         "run_barrier_workload(seed=)", "run_election_workload(seed=)",
@@ -115,12 +109,6 @@ KEEP_OPTIONS: Dict[str, str] = {
         "run_read_heavy_workload(seed=)",
         "run_regular_op_latency(warmup_ms=)",
         "run_regular_op_latency(seed=)")},
-    **{f"bench/wallclock.py {name}": _WALLCLOCK for name in (
-        "measure_kernel(chains=)", "measure_kernel(horizon_ms=)",
-        "measure_openloop(clients=)", "measure_openloop(ops_per_client_s=)",
-        "measure_openloop(measure_ms=)", "measure_zipf_hot(measure_ms=)",
-        "run_phase_breakdown(measure_ms=)", "run_phase_breakdown(clients=)",
-        "write_phase_table(path=)", "run_guard(threshold=)")},
     "zk/ensemble.py ZkEnsemble.__init__(latency=)":
         "the LatencyModel: " + _SENSITIVITY,
     "depspace/ensemble.py DsEnsemble.__init__(latency=)":
@@ -143,24 +131,20 @@ SUITES: Dict[str, Tuple[List[List[str]], Dict[str, str]]] = {
     "tier1": ([_PYTEST + ["tests"]], {}),
     "figures": ([_PYTEST + [
         "benchmarks/", "--ignore=benchmarks/ledger",
-        "--ignore=benchmarks/test_wallclock_smoke.py",
         "--benchmark-disable"]], {}),
     "ledger": ([_PYTEST + ["benchmarks/ledger"]], {}),
-    "wallclock": ([
-        _PYTEST + ["benchmarks/test_wallclock_smoke.py"],
-        [_PY, "-m", "repro.bench.wallclock", "--guard"],
-    ], {}),
     "cli": ([
         [_PY, "-m", "repro.chaos", "--system", "zk", "--recipe", "counter",
          "--seed", "17", "--trace", "{tmp}/chaos-trace.jsonl"],
         [_PY, "-m", "repro.obs", "{tmp}/chaos-trace.jsonl", "--check"],
+        [_PY, "-m", "repro.bench", "phases"],
     ], {}),
     "chaos-full": ([_PYTEST + [
         "tests/test_chaos_explorer.py", "tests/test_chaos_sessions.py",
         "tests/test_chaos_smoke.py", "tests/test_chaos_replay.py",
         "tests/test_property_broadcast.py"]], {"CHAOS_FULL": "1"}),
 }
-DEFAULT_SUITES = ("tier1", "figures", "ledger", "cli", "wallclock")
+DEFAULT_SUITES = ("tier1", "figures", "ledger", "cli")
 
 #: the hook every traced process loads at startup (REACH_* from env).
 _SITECUSTOMIZE = '''
@@ -356,7 +340,8 @@ class CallGraph:
         self.param_calls: Dict[Tuple[str, str], List[_Site]] = {}
         self.owners: Dict[str, List[_Owner]] = {}
         #: name -> the def names a call of it may reach (class attrs,
-        #: ``super()``, classes without their own ``__init__``).
+        #: ``super()``, classes without their own ``__init__``, names
+        #: imported under another name).
         self.aliases: Dict[str, Set[str]] = {}
         #: def name -> (receiving call name, position or keyword).
         self.refs: Dict[str, List[Tuple[str, object]]] = {}
@@ -405,6 +390,13 @@ class CallGraph:
                                 self.aliases.setdefault(
                                     _call_name(target), set()).add(
                                         child.value.id)
+                    elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                        # ``from m import main as replay_main``
+                        for alias in child.names:
+                            if alias.asname:
+                                self.aliases.setdefault(
+                                    alias.asname, set()).add(
+                                        alias.name.rpartition(".")[2])
                     if isinstance(child, ast.Call):
                         self._note_call(child, owner)
                     visit(child, cls, owner)

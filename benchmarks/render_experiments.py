@@ -94,10 +94,10 @@ FOLLOW_UPS = {
 **Zab vs. Raft (consensus-kernel axis).** The tables above run the
 default kernels (Zab for zk/ezk, PBFT for ds/eds). With the kernel
 swapped via `ZkConfig(kernel="raft")` — reproduced by
-`PYTHONPATH=src python -m repro.bench.wallclock --workload fig8-queue
---kernel raft`, which records its rows under the `raft` section of
-`BENCH_core.json` so the default rows stay byte-identical — the fig8
-queue cell (32 clients) is within ~1.5% of Zab:
+`run_queue_workload(kind, 32, measure_ms=500.0,
+config=ZkConfig(kernel="raft"))` from `repro.bench.workload`, against
+`config=None` for Zab — the fig8 queue cell (32 clients) is within
+~1.5% of Zab:
 
 | system | kernel | throughput (ops/s) | mean latency (ms) | client KB/op |
 |---|---|---|---|---|
@@ -106,8 +106,10 @@ queue cell (32 clients) is within ~1.5% of Zab:
 | ezk | zab  | 11118.0 | 2.879 | 0.219 |
 | ezk | raft | 11108.0 | 2.896 | 0.220 |
 
-The read-heavy local-reads cell (`--workload read-heavy --kernel
-raft`) shows the one shape difference the kernels have: Raft followers
+The read-heavy local-reads cell (`run_read_heavy_workload(kind, 32,
+measure_ms=500.0, local_reads=True, n_observers=2, config=...)`
+against the same call with `pin_leader=True` and neither read knob)
+shows the one shape difference the kernels have: Raft followers
 learn the commit index from the *next* AppendEntries rather than
 Zab's immediate Commit fan-out, so follower reads trail the leader by
 up to one heartbeat and read scaling lands slightly lower —
@@ -122,7 +124,7 @@ def _foreign_tail() -> str:
     """Sections of the current EXPERIMENTS.md this script does not own.
 
     Later PRs record their tables below the fault phase (some through
-    their own tools, e.g. ``wallclock --phases``); re-rendering keeps
+    their own tools, e.g. ``python -m repro.bench phases``); re-rendering keeps
     them verbatim instead of truncating the document.
     """
     if not TARGET.exists():

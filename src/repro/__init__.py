@@ -5,8 +5,9 @@ Fischer, and Junqueira, *Extensible Distributed Coordination*
 (EuroSys 2015): a model for safely extending coordination services with
 sandboxed server-side code, implemented over two complete substrates —
 a crash-tolerant ZooKeeper (primary-backup, Zab-like broadcast) and a
-Byzantine-fault-tolerant DepSpace (tuple space over PBFT-style
-ordering) — plus the paper's recipes, benchmarks, and use cases.
+DepSpace built for Byzantine faults (tuple space over PBFT-style
+ordering; only reply corruption is injected, so Byzantine replicas
+stay unchecked) — plus the paper's recipes, benchmarks, and use cases.
 
 Package map
 -----------

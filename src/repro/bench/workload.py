@@ -107,8 +107,7 @@ class _Window:
         ops = self.throughput.completed
         window_bytes = self._client_bytes() - self._bytes_at_start
         kb_per_op = (window_bytes / 1024.0 / ops) if ops else float("nan")
-        # One sort for all three percentiles (the sample list can run to
-        # hundreds of thousands of entries under open-loop drivers).
+        # One sort for all three percentiles.
         ordered = sorted(self.latency.samples)
 
         def pct(p: float) -> float:
@@ -401,7 +400,7 @@ def run_read_heavy_workload(
       ``local_reads`` is then applied on top of it.
 
     Extras carry split read/write latencies, in-window op counts, and
-    ``sim_events`` for the wall-clock bench.
+    ``sim_events``.
     """
     kwargs = {}
     if config is not None:

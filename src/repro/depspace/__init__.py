@@ -1,10 +1,12 @@
-"""DepSpace-like coordination service (Byzantine fault tolerant).
+"""DepSpace-like coordination service (PBFT-style replication).
 
 An augmented tuple space (Linda-style matching plus test-and-set-like
 ``cas``/``replace``), stacked layers for policy enforcement and access
 control, and a PBFT-style total-order broadcast standing in for
 BFT-SMaRt. Clients multicast to all ``3f + 1`` replicas and vote on
-``f + 1`` matching replies.
+``f + 1`` matching replies. The only Byzantine fault the test suites
+inject is reply corruption; a replica that lies in the ordering
+protocol itself is unchecked until the ROADMAP's Byzantine-nemesis item.
 """
 
 from .access import AccessControl, AccessDeniedError

@@ -2,8 +2,11 @@
 
 From the bottom up: BFT ordering → **extension manager slot** → policy
 enforcement → access control → tuple space. Every replica executes every
-ordered request deterministically and replies; clients mask up to ``f``
-Byzantine answers by voting.
+ordered request deterministically and replies; clients wait for
+``f + 1`` matching answers, which masks up to ``f`` wrong replies. The
+test suites inject only corrupted replies: replicas that misbehave in
+the ordering protocol itself stay unchecked until the ROADMAP's
+Byzantine-nemesis item.
 
 The slot is one attribute, ``extensions`` (``None`` for plain DepSpace,
 or the replica's :class:`~repro.eds.integration.EdsBinding`):

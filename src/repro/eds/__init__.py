@@ -1,6 +1,6 @@
 """EXTENSIBLE DEPSPACE (EDS): the paper's §5.2 prototype.
 
-The Byzantine-fault-tolerant DepSpace substrate plus an extension layer
+The PBFT-replicated DepSpace substrate plus an extension layer
 at the bottom of the replica stack: operation extensions execute
 deterministically at every replica inside the ordered request; event
 extensions react to tuple insertions/removals/lease expiries and may

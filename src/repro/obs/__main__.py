@@ -20,7 +20,7 @@ from .report import (breakdown, check_trace, format_breakdown,
                      format_waterfall, load_traces)
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs", description="render a JSONL trace dump")
     parser.add_argument("path", help="trace file (one JSON trace per line)")
@@ -29,7 +29,7 @@ def main(argv=None) -> int:
                              "N finished traces")
     parser.add_argument("--check", action="store_true",
                         help="validate well-formedness; exit 1 on defects")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     traces = load_traces(args.path)
     print(f"{len(traces)} traces "

@@ -1,7 +1,8 @@
 """Trace-file analysis: phase decomposition, waterfalls, well-formedness.
 
-Consumed by ``python -m repro.obs`` (the CLI renderer), the wallclock
-bench (per-phase EXPERIMENTS.md table) and the obs test suite. Works on
+Consumed by ``python -m repro.obs`` (the CLI renderer),
+``python -m repro.bench phases`` (the per-phase EXPERIMENTS.md table)
+and the obs test suite. Works on
 the dict form of traces — either ``Trace.to_dict()`` objects straight
 from a live tracer or lines parsed back from a JSONL dump.
 """

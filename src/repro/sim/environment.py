@@ -54,9 +54,9 @@ class Environment:
 
     def __init__(self, kernel: Optional[str] = None):
         self._now = 0.0
-        #: total events processed since construction; the wall-clock
-        #: microbenchmark divides this by elapsed real time to get the
-        #: kernel's events/s figure (BENCH_core.json).
+        #: total events processed since construction; the ledger's
+        #: ``bare_events_per_wall_s`` (benchmarks/ledger/micro.py)
+        #: divides this by elapsed real time to get the kernel's events/s.
         self.events_processed = 0
         #: the run's observability plane (:class:`repro.obs.Observability`),
         #: installed by the first server whose config carries an
@@ -220,8 +220,9 @@ class Environment:
 
         # The loops below inline step(): at hundreds of thousands of
         # events per run the per-event method call is measurable
-        # (BENCH_core.json). events_processed is settled on exit so the
-        # counter stays honest even if an event handler raises.
+        # (benchmarks/ledger/micro.py). events_processed is settled on
+        # exit so the counter stays honest even if an event handler
+        # raises.
         # Withdrawn entries are skipped without touching the clock or
         # the count.
         queue = self._queue

@@ -232,7 +232,8 @@ class _Delivery:
 
     The environment's heap only requires a ``_process()`` method, so the
     per-message cost is one small object instead of an Event plus a
-    six-variable closure (see the BENCH_core.json microbenchmark).
+    six-variable closure (``send_us`` in benchmarks/ledger/micro.py
+    prices it).
     """
 
     __slots__ = ("net", "src", "dst", "msg", "size", "handler")

@@ -1,8 +1,8 @@
 """Leader-granted read leases and the client-side read cache.
 
 PR 3 scaled reads across followers and observers, but every read still
-costs one client<->replica round trip. For the Zipfian populations the
-open-loop driver models, a handful of hot keys dominate that traffic —
+costs one client<->replica round trip. For Zipfian populations (the
+ledger's ``ezk_zipf_open``), a handful of hot keys dominate that traffic —
 exactly the regime where a *lease* pays: the leader grants a session a
 short per-key read lease, piggybacked on an ordinary read reply, and
 the client then serves ``get_data``/``exists`` for that key from its

@@ -11,11 +11,18 @@ ranges in backticks. Each such reference is checked against the tree:
 * ``path:line`` and ``path:a–b`` lie inside their file.
 
 Commands, globs and absolute paths in backticks are not references.
+Commands are checked on their own, anywhere in the text and across a
+line wrap: ``python -m <module>`` names a module (or a package with a
+``__main__``) under ``src/`` or an installed one, such as ``pytest``,
+and ``python3 <path>.py`` a file in the tree. A command in a span that
+starts ``git checkout <commit> &&`` runs at that commit, not at this
+one, and is left alone.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -32,6 +39,9 @@ EXTENSIONS = (".py", ".md", ".json", ".jsonl", ".yml", ".yaml", ".toml",
 
 _SPAN = re.compile(r"`([^`\n]+)`")
 _LINES = re.compile(r"^(?P<path>[\w./-]+):(?P<a>\d+)(?:[–-](?P<b>\d+))?$")
+_COMMAND = re.compile(r"\bpython3?\s+(?:-m\s+(?P<module>[A-Za-z_][\w.]*)"
+                      r"|(?P<script>[\w./-]+\.py)\b)")
+_PINNED = re.compile(r"git checkout [0-9a-f]{7,40} &&[^`]*$")
 
 
 @lru_cache(maxsize=None)
@@ -118,6 +128,35 @@ def _problems(doc: str, text: str) -> List[str]:
     return problems
 
 
+def _module_exists(name: str) -> bool:
+    parts = name.split(".")
+    base = ROOT.joinpath("src", *parts)
+    if base.with_suffix(".py").is_file() or (base / "__main__.py").is_file():
+        return True
+    if (ROOT / "src" / parts[0]).exists():
+        return False
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:
+        return False
+
+
+def _command_problems(doc: str, text: str) -> List[str]:
+    problems = []
+    for match in _COMMAND.finditer(text):
+        if _PINNED.search(text[text.rfind("`", 0, match.start()) + 1:
+                               match.start()]):
+            continue
+        lineno = text.count("\n", 0, match.start()) + 1
+        where = f"{doc}:{lineno}: `{' '.join(match[0].split())}`"
+        module = (match["module"] or "").rstrip(".")
+        if module and not _module_exists(module):
+            problems.append(f"{where}: no such module")
+        elif match["script"] and not (ROOT / match["script"]).is_file():
+            problems.append(f"{where}: no such file")
+    return problems
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_doc_references_resolve(doc):
     problems = _problems(doc, (ROOT / doc).read_text())
@@ -134,6 +173,30 @@ def test_checker_has_teeth():
                for p in _problems("doc.md", text)]
     assert flagged == ["zk/nowhere.py", "zk/server.py::NoSuchThing",
                        "zk/server.py:999999", "server.py", "repro/nowhere/"]
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_doc_commands_resolve(doc):
+    problems = _command_problems(doc, (ROOT / doc).read_text())
+    assert not problems, "\n".join(problems)
+
+
+def test_command_checker_has_teeth():
+    """A missing module or script is reported, wrapped or not; present
+    ones, installed tools and commands pinned to a commit pass."""
+    text = ("`python -m repro.bench.nowhere` and `python -m\n"
+            "repro.nowhere --flag`, `python3 benchmarks/nowhere.py`.\n"
+            "`python -m repro.zk` has no `__main__`.\n"
+            "`python -m repro.bench phases`, `python -m pytest -q`,\n"
+            "`python3\nbenchmarks/reach.py`, `python -m repro.obs`.\n"
+            "`git checkout 8c9bb4d && PYTHONPATH=src python -m\n"
+            "repro.bench.nowhere`\n")
+    assert _command_problems("doc.md", text) == [
+        "doc.md:1: `python -m repro.bench.nowhere`: no such module",
+        "doc.md:1: `python -m repro.nowhere`: no such module",
+        "doc.md:2: `python3 benchmarks/nowhere.py`: no such file",
+        "doc.md:3: `python -m repro.zk`: no such module",
+    ]
 
 
 def test_experiments_prefix_is_what_the_renderer_writes():

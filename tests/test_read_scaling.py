@@ -4,11 +4,13 @@ Covers the zxid-consistent read layer end to end: follower-local reads
 under partition, read-your-writes across a fail-over to a lagging
 replica, watch-notification-then-read ordering, ``sync()``
 linearizability, observer quorum behaviour, the ConnectionLoss retry
-backoff, and the EDS unordered-read opt-in.
+backoff, the EDS unordered-read opt-in, and the read-heavy driver's
+scaling claim.
 """
 
 import pytest
 
+from repro.bench.workload import run_read_heavy_workload
 from repro.depspace import DsEnsemble
 from repro.depspace.server import DsConfig
 from repro.ezk import EzkEnsemble
@@ -397,3 +399,22 @@ class TestDsUnorderedReadOptIn:
             return value
 
         assert run(ens, scenario())[0] == ("k", 1)
+
+
+# ---------------------------------------------------------------------------
+# The read-heavy driver: local reads + observers beat the leader
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", ["zab", "raft"])
+def test_measure_read_heavy_scales(kernel):
+    """Local reads plus two observers out-serve the leader-only baseline
+    on the 90/10 read-heavy driver (the README's read-scaling claim),
+    over either consensus kernel."""
+    config = ZkConfig(kernel=kernel)
+    base = run_read_heavy_workload("zk", 16, measure_ms=200.0,
+                                   pin_leader=True, config=config)
+    scaled = run_read_heavy_workload("zk", 16, measure_ms=200.0,
+                                     local_reads=True, n_observers=2,
+                                     config=config)
+    assert base.completed_ops > 0 and scaled.completed_ops > 0
+    assert scaled.throughput_ops > base.throughput_ops

@@ -6,7 +6,9 @@ the heapq kernel, not a semantic one: replay lines from the chaos
 explorer and the committed figure JSONs must not depend on which kernel
 ran them. These tests pin that equivalence at three levels — a synthetic
 event soup engineered to hit bucket boundaries, a full protocol workload,
-and the wallclock driver.
+and runs that outlast their withdrawn timers. The kernel's wall-clock
+dispatch rate is measured apart from them, by ``bare_events_per_wall_s``
+in benchmarks/ledger/micro.py.
 """
 
 from __future__ import annotations
