@@ -77,9 +77,11 @@ class EventNotice:
 class AbstractState:
     """The ``local`` reference an extension uses to touch service state.
 
-    Backends provide concrete implementations: EZK's buffered overlay
-    proxy (write-set becomes one multi-transaction) and EDS's direct
-    undo-logged proxy (executed deterministically at every replica).
+    Backends provide concrete implementations, both writing live state
+    with an undo log: EZK's buffered proxy (writes the leader's
+    speculative tree under a savepoint; the write-set becomes one
+    multi-transaction) and EDS's direct proxy (executed
+    deterministically at every replica).
     """
 
     def create(self, object_id: str, data: bytes = b"") -> str:

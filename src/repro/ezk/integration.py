@@ -5,7 +5,8 @@ exactly:
 
 * the extension manager intercepts requests at the **preprocessor
   stage** (:meth:`EzkBinding.intercept`) and redirects matches to
-  extensions; the recorded write-set becomes one multi-transaction that
+  extensions, which write the leader's speculative tree under a
+  savepoint; the recorded write-set becomes one multi-transaction that
   travels the unchanged Zab pipeline, with the extension's result
   piggybacked for the final processor to hand to the client;
 * **reads that match an extension** are routed to the leader like
@@ -16,12 +17,13 @@ exactly:
   replica holding the watch when a matching acknowledged event
   extension exists;
 * **registration** uses the standard API: ``create("/em/<name>", code)``.
-  The leader verifies the code at prep time (a rejected extension aborts
-  before anything is proposed); the committed create then registers the
-  extension deterministically at every replica. Acknowledgement is a
-  create of ``/em/<name>/ack-<client>``; deregistration deletes the
-  extension's data object. ``/em``'s children are the index object that
-  recovery reads (§3.8).
+  The leader verifies the code and writes the create into its
+  speculative tree at prep time (a rejected extension, or a name already
+  taken, aborts before anything is proposed); the committed create then
+  registers the extension deterministically at every replica.
+  Acknowledgement is a create of ``/em/<name>/ack-<client>``;
+  deregistration deletes the extension's data object. ``/em``'s
+  children are the index object that recovery reads (§3.8).
 """
 
 from __future__ import annotations
@@ -144,15 +146,18 @@ class EzkBinding(ExtensionBinding):
 
     def _begin(self, _record) -> ZkBufferedState:
         server = self.server
-        return ZkBufferedState(server._spec_tree, now=server.env.now)
+        return ZkBufferedState(server._spec_tree, server.broadcast.next_zxid,
+                               server.env.now)
 
     # -- prep-stage interception (leader) -----------------------------------
 
     def intercept(self, meta: RequestMeta, op: Op) -> Optional[MultiTxn]:
         """The multi-transaction an extension rewrote ``op`` into, if any.
 
-        A failed extension raises :class:`ZkError`; its overlay is simply
-        discarded, so the service state is untouched.
+        The run writes the leader's speculative tree, which
+        :meth:`ZkServer._propose` then finds already written. A failed
+        extension raises :class:`ZkError` after its writes are rolled
+        back, so the service state is untouched.
         """
         try:
             registration = self._intercept_registration(meta, op)
@@ -178,10 +183,13 @@ class EzkBinding(ExtensionBinding):
             return None  # an ack child: let the normal create proceed
         source = op.data.decode("utf-8")
         self.manager.verify_cached(source, relative)
-        owner = str(meta.session_id)
-        packed = pack_registration(owner, source)
-        return MultiTxn([CreateTxn(op.path, packed, None)],
-                        result_payload=op.path, payload_set=True)
+        packed = pack_registration(str(meta.session_id), source)
+        server = self.server
+        path = server._spec_tree.create(op.path, packed,
+                                        zxid=server.broadcast.next_zxid,
+                                        now=server.env.now)
+        return MultiTxn([CreateTxn(path, packed, None)],
+                        result_payload=path, payload_set=True)
 
     # -- apply-stage hooks (every replica) ------------------------------------
 

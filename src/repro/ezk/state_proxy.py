@@ -1,11 +1,15 @@
-"""EZK's buffered state proxy: extensions run against a tree overlay.
+"""EZK's buffered state proxy: extensions write the speculative tree.
 
 The paper's §5.1.2: while an operation extension executes at the
 leader's preprocessor stage, the state proxy records all modifications;
 afterwards the extension manager emits one **multi-transaction** that
-flows through the unchanged Zab pipeline. Reads see the extension's own
-writes (the overlay), the authoritative tree is untouched until commit,
-and a crash simply discards the overlay.
+flows through the unchanged Zab pipeline. The proxy writes the leader's
+speculative tree directly, under a savepoint (DESIGN §5.3): reads see the
+extension's own writes, a failed run rolls the tree back, and a
+successful one keeps its writes and hands its write set over as that
+multi-transaction. The committed tree is untouched until commit. This
+is the model of EDS's direct proxy, direct writes plus undo; only where
+the writes become durable differs.
 """
 
 from __future__ import annotations
@@ -16,51 +20,71 @@ from ..core.api import AbstractState, ObjectRecord
 from ..core.errors import CoordStateError, NoObjectError, ObjectExistsError
 from ..zk.data_tree import DataTree, validate_path
 from ..zk.errors import NodeExistsError, NoNodeError, ZkError
-from ..zk.overlay import TreeOverlay
-from ..zk.txn import MultiTxn
+from ..zk.txn import CreateTxn, DeleteTxn, MultiTxn, SetDataTxn, Txn
 
 __all__ = ["ZkBufferedState"]
 
-#: Overlay-created nodes are stamped with this plus their create's index
-#: in the write set as czxid: younger than every committed node, and in
-#: creation order among themselves (a path deleted and created again is
-#: the youngest).
+#: While a run lasts, the nodes it creates are stamped with this plus
+#: their create's index in the write set as czxid: younger than every
+#: committed node, and in creation order among themselves (a path
+#: deleted and created again is the youngest). The run's multi-txn
+#: restamps them with its own zxid.
 _PENDING_SEQ_BASE = 1 << 62
 
 
 class ZkBufferedState(AbstractState):
-    """AbstractState over a :class:`TreeOverlay` of the leader's spec tree."""
+    """AbstractState over the leader's speculative tree, under a savepoint.
 
-    def __init__(self, base: DataTree, now: float = 0.0):
-        self._base = base
+    ``zxid`` is the stamp the run's multi-txn will be proposed under,
+    ``now`` the time it is proposed at.
+    """
+
+    def __init__(self, tree: DataTree, zxid: int = 0, now: float = 0.0):
+        self._tree = tree
+        self._zxid = zxid
         self._now = now
-        self.rollback()
+        #: The write set, in order.
+        self.txns: List[Txn] = []
+        self.block_path: Optional[str] = None
+        tree.savepoint()
 
     # -- helpers -----------------------------------------------------------
 
     def to_multi_txn(self, result=None) -> MultiTxn:
-        """The recorded write-set as one atomic multi-transaction, with
-        ``result`` piggybacked and a requested block as its effect."""
+        """Keep the run's writes and return its write set as one atomic
+        multi-transaction, with ``result`` piggybacked and a requested
+        block as its effect."""
+        tree = self._tree
+        for txn in self.txns:
+            if txn.__class__ is CreateTxn and txn.path in tree:
+                stat = tree.node(txn.path).stat
+                stat.czxid = stat.mzxid = self._zxid
+        tree.release()
         effects = (() if self.block_path is None
                    else (("block", self.block_path),))
-        return MultiTxn(list(self.overlay.txns), result_payload=result,
+        # An exact-size copy: the appended list is over-allocated, and
+        # the log keeps what is handed over here.
+        return MultiTxn(list(self.txns), result_payload=result,
                         payload_set=True, effects=effects)
 
     def rollback(self) -> None:
-        """Drop the buffered write set; the base tree was never touched."""
-        self.overlay = TreeOverlay(self._base)
-        self.block_path: Optional[str] = None
+        """Undo the run's writes and drop its write set."""
+        self._tree.rollback()
+        self.txns = []
+        self.block_path = None
 
     def _create(self, object_id: str, data: bytes,
                 owner: Optional[int] = None) -> str:
         try:
-            return self.overlay.create(
+            path = self._tree.create(
                 object_id, data, ephemeral_owner=owner, now=self._now,
-                zxid=_PENDING_SEQ_BASE + len(self.overlay.txns))
+                zxid=_PENDING_SEQ_BASE + len(self.txns))
         except NodeExistsError as exc:
             raise ObjectExistsError(str(exc)) from exc
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
+        self.txns.append(CreateTxn(path, data, owner))
+        return path
 
     # -- AbstractState -------------------------------------------------------
 
@@ -69,27 +93,30 @@ class ZkBufferedState(AbstractState):
 
     def delete(self, object_id: str) -> None:
         try:
-            self.overlay.delete(object_id)
+            self._tree.delete(object_id)
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
         except ZkError as exc:
             raise CoordStateError(str(exc)) from exc
+        self.txns.append(DeleteTxn(object_id))
 
     def read(self, object_id: str) -> bytes:
         try:
-            data, _stat = self.overlay.get_data(object_id)
+            data, _stat = self._tree.get_data(object_id)
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
         return data
 
     def exists(self, object_id: str) -> bool:
-        return self.overlay.exists(object_id) is not None
+        return self._tree.exists(object_id) is not None
 
     def update(self, object_id: str, data: bytes) -> None:
         try:
-            self.overlay.set_data(object_id, data)
+            self._tree.set_data(object_id, data, zxid=self._zxid,
+                                now=self._now)
         except NoNodeError as exc:
             raise NoObjectError(str(exc)) from exc
+        self.txns.append(SetDataTxn(object_id, data))
 
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         base = object_id.rstrip("/") or "/"
@@ -101,11 +128,11 @@ class ZkBufferedState(AbstractState):
         # (seq, object_id) sort is total, so the iteration order of
         # children_nodes does not matter.
         try:
-            pairs = self.overlay.children_nodes(base)
+            nodes = self._tree.children_nodes(base)
         except NoNodeError as exc:
             validate_path(base)
             raise NoObjectError(str(exc)) from exc
-        rows = [(node.stat.czxid, child, node.data) for child, node in pairs]
+        rows = [(node.stat.czxid, node.path, node.data) for node in nodes]
         # (seq, child) is unique, so the sort never compares data.
         rows.sort()
         return [ObjectRecord(child, data, seq) for seq, child, data in rows]

@@ -13,7 +13,6 @@ from .errors import (BadArgumentsError, BadVersionError, ConnectionLossError,
                      NoChildrenForEphemeralsError, NodeExistsError,
                      NoNodeError, NotEmptyError, SessionExpiredError, ZkError)
 from .leases import ClientReadCache, LeaseConfig, LeaseTable
-from .overlay import TreeOverlay
 from .server import (Forward, ForwardSettled, StateEvent,
                      ZkConfig, ZkServer, ZkTimings)
 from .sessions import ExpiryClock, HeartbeatTracker, Session, SessionTable
@@ -27,7 +26,7 @@ from .zab import NotLeaderError, Role, ZabConfig, ZabPeer
 __all__ = [
     "ZkClient", "SessionState", "ZkEnsemble", "ZkServer", "ZkConfig",
     "ZkTimings", "LeaseConfig", "LeaseTable", "ClientReadCache",
-    "DataTree", "Stat", "ZNode", "TreeOverlay",
+    "DataTree", "Stat", "ZNode",
     "SessionTable", "Session", "HeartbeatTracker", "ExpiryClock",
     "WatchManager", "WatchEvent", "EventType",
     "ZabPeer", "ZabConfig", "Role", "NotLeaderError",

@@ -6,6 +6,13 @@ session dies), sequential nodes (server-assigned monotone suffixes),
 and child listings. The tree is deterministic: applying the same
 transaction sequence always produces the same state, which both the Zab
 pipeline and the BFT comparison tests rely on.
+
+A tree can also take a **savepoint**: an undo log that keeps each node
+as it was before its first write, so a batch of writes is rolled back
+or kept as a whole. The leader's speculative tree takes one around a
+``MultiOp`` and around each extension run (EZK's state proxy), which
+therefore write that one tree directly, as EDS's proxy writes its tuple
+space.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .errors import (BadArgumentsError, NoChildrenForEphemeralsError,
                      BadVersionError)
 
 __all__ = ["Stat", "ZNode", "DataTree", "split_path", "parent_of",
-           "validate_path", "checked_split", "advance_sequence"]
+           "validate_path"]
 
 
 def validate_path(path: str) -> None:
@@ -103,10 +110,6 @@ class ZNode:
     #: the string its ``CreateTxn`` already holds instead of a copy.
     path: str = "/"
 
-    @property
-    def is_ephemeral(self) -> bool:
-        return self.stat.ephemeral_owner is not None
-
 
 def advance_sequence(parent: ZNode, name: str) -> None:
     """Move ``parent``'s counter past ``name``'s 10-digit suffix, if any.
@@ -129,6 +132,9 @@ class DataTree:
         self._nodes: Dict[str, ZNode] = {"/": ZNode()}
         #: session id -> set of ephemeral paths owned by that session.
         self._ephemerals: Dict[int, Set[str]] = {}
+        #: The open savepoint's undo log: path -> the node before the
+        #: savepoint's first write to it (None: it did not exist).
+        self._undo: Optional[Dict[str, Optional[ZNode]]] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -169,6 +175,23 @@ class DataTree:
             raise NoNodeError(path)
         return sorted(node.children)
 
+    def children_nodes(self, path: str) -> List[ZNode]:
+        """The node of every child of ``path``.
+
+        Bulk read for directory-scan consumers (the EZK state proxy lists
+        whole queue directories on every extension invocation): one pass
+        over the children with plain dict probes, no path validation or
+        stat copies. A child's path is ``ZNode.path``, the key the tree
+        holds it under. Iteration order is unspecified; the nodes are
+        shared, not copies — callers must not mutate them.
+        """
+        node = self._nodes.get(path)
+        if node is None:
+            raise NoNodeError(path)
+        prefix = "/" if path == "/" else path + "/"
+        nodes = self._nodes
+        return [nodes[prefix + name] for name in node.children]
+
     def ephemerals_of(self, session_id: int) -> List[str]:
         return sorted(self._ephemerals.get(session_id, ()))
 
@@ -198,6 +221,8 @@ class DataTree:
             raise NoNodeError(f"parent missing: {parent_path}")
         if parent.stat.ephemeral_owner is not None:
             raise NoChildrenForEphemeralsError(parent_path)
+        if self._undo is not None:
+            self._save(parent_path)
         if sequential:
             suffix = f"{parent.sequence_counter:010d}"
             parent.sequence_counter += 1
@@ -207,6 +232,8 @@ class DataTree:
             actual = path
         if actual in self._nodes:
             raise NodeExistsError(actual)
+        if self._undo is not None:
+            self._save(actual)
 
         # Stat(czxid, mzxid, ctime, mtime, version, cversion,
         #      ephemeral_owner, data_length)
@@ -231,6 +258,8 @@ class DataTree:
         if version != -1 and node.stat.version != version:
             raise BadVersionError(
                 f"{path}: expected v{version}, at v{node.stat.version}")
+        if self._undo is not None:
+            self._save(path)
         node.data = data
         node.stat.version += 1
         node.stat.mzxid = zxid
@@ -250,17 +279,24 @@ class DataTree:
         if version != -1 and node.stat.version != version:
             raise BadVersionError(
                 f"{path}: expected v{version}, at v{node.stat.version}")
-        del self._nodes[path]
         parent_path, name = split_path(path)
+        if self._undo is not None:
+            self._save(path)
+            self._save(parent_path)
+        del self._nodes[path]
         parent = self._nodes[parent_path]
         parent.children.discard(name)
         parent.stat.cversion += 1
         parent.stat.num_children = len(parent.children)
+        self._unindex(node)
+
+    def _unindex(self, node: ZNode) -> None:
+        """Drop ``node`` from the ephemeral index, if it is there."""
         owner = node.stat.ephemeral_owner
         if owner is not None:
             owned = self._ephemerals.get(owner)
             if owned is not None:
-                owned.discard(path)
+                owned.discard(node.path)
                 if not owned:
                     del self._ephemerals[owner]
 
@@ -274,6 +310,45 @@ class DataTree:
         for path in doomed:
             self.delete(path)
         return doomed
+
+    # -- savepoint (batched writes kept or undone as a whole) ----------------
+
+    def savepoint(self) -> None:
+        """Open an undo log: from here each node is saved once, before
+        the first write to it, until :meth:`rollback` or :meth:`release`.
+        Savepoints do not nest."""
+        if self._undo is not None:
+            raise RuntimeError("a savepoint is already open")
+        self._undo = {}
+
+    def _save(self, path: str) -> None:
+        undo = self._undo
+        if path not in undo:
+            node = self._nodes.get(path)
+            undo[path] = None if node is None else ZNode(
+                node.data, node.stat.copy(), set(node.children),
+                node.sequence_counter, node.path)
+
+    def rollback(self) -> None:
+        """Put back every node the open savepoint saved (the ephemeral
+        index with them) and close it; without one, nothing happens."""
+        undo, self._undo = self._undo or {}, None
+        nodes = self._nodes
+        for path, saved in undo.items():
+            current = nodes.get(path)
+            if current is not None:
+                self._unindex(current)
+                if saved is None:
+                    del nodes[path]
+            if saved is not None:
+                nodes[saved.path] = saved
+                owner = saved.stat.ephemeral_owner
+                if owner is not None:
+                    self._ephemerals.setdefault(owner, set()).add(saved.path)
+
+    def release(self) -> None:
+        """Keep the writes made under the open savepoint, and close it."""
+        self._undo = None
 
     # -- snapshot / restore (state transfer) ----------------------------------
 

@@ -3,8 +3,11 @@
 Mirrors the architecture in the paper's Figure 3:
 
 * the **prep** stage (leader only) validates update operations against a
-  speculative tree (current state + all prepped-but-uncommitted txns) and
-  turns them into deterministic transactions;
+  speculative tree (current state + all prepped-but-uncommitted txns),
+  writes them into it, and turns them into deterministic transactions.
+  A ``MultiOp`` and an extension run write it under a savepoint
+  (:meth:`~repro.zk.data_tree.DataTree.savepoint`), so a failure rolls
+  the whole batch back; nothing reaches that tree twice;
 * the **proposal** stage is :class:`~repro.zk.zab.ZabPeer`;
 * the **final** stage applies committed transactions at every replica,
   answers the originating client, and fires watches.
@@ -56,7 +59,6 @@ from .errors import (ConnectionLossError, SessionExpiredError, ZkError,
                      from_code, to_code)
 from .leases import (LEASE_MESSAGES, LeaseClientRequest, LeaseConfig,
                      LeaseStage)
-from .overlay import TreeOverlay
 from .sessions import (ConsistencyTracker, ExpiryClock, ProposedXids,
                        SessionTable)
 from .txn import (ClientReply, ClientRequest, CloseSessionOp, CloseSessionTxn,
@@ -601,46 +603,41 @@ class ZkServer:
                 self._reply_error(meta, error)
                 return
             if txn is not None:
-                # The extension ran against the speculative tree; its
-                # write-set is applied and proposed in this same event so
-                # the next prep sees it (atomicity under pipelining). The
-                # extra leader CPU it consumed is billed as a queue item —
-                # only on the matched path, so regular clients see none
-                # of it (§6.2's <0.4% overhead claim).
+                # The extension wrote the speculative tree; its write-set
+                # is proposed in this same event, so the next prep sees
+                # it (atomicity under pipelining). The extra leader CPU
+                # it consumed is billed as a queue item — only on the
+                # matched path, so regular clients see none of it
+                # (§6.2's <0.4% overhead claim).
                 self.cpu.submit(self.timings.extension_exec_ms)
-                zxid = self._propose(txn, meta)
         if txn is None:
             try:
                 txn = self._translate(meta, op, spec)
-                in_spec = op.__class__ in _SPEC_TRANSLATED
             except ZkError as error:
                 # Faithful to ZooKeeper: rejected updates still travel
                 # the ordered pipeline as error transactions (which
                 # change no tree).
                 txn = ErrorTxn(to_code(error), str(error))
-                in_spec = True
-            zxid = self._propose(txn, meta, in_spec)
+        zxid = self._propose(txn, meta)
         ProposedXids.of(self._proposed_xids, meta.client_node)[meta.xid] = zxid
         self._mark_propose(meta, zxid)
 
-    def _propose(self, txn: Txn, meta: Optional[RequestMeta],
-                 in_spec: bool = False) -> int:
+    def _propose(self, txn: Txn, meta: Optional[RequestMeta]) -> int:
         """The leader's one propose site: client updates, extension
         rewrites, event-extension writes and expiry closes all end here.
 
-        ``txn`` is applied to the speculative tree (unless the prep
-        translation already wrote it there: ``in_spec``), its commit is
-        fenced behind the leases on what it writes, and it is proposed,
-        all in one event. The fence comes first, while the spec still
-        holds what a session close deletes.
+        Whoever made ``txn`` already wrote it into the speculative tree,
+        stamped with the zxid the propose() below assigns; only a
+        session close reaches that tree here. Its commit is fenced
+        behind the leases on what it writes, and it is proposed, all in
+        one event. The fence comes first, while the spec still holds
+        what a session close deletes.
         """
         broadcast = self.broadcast
         if self.leases is not None:
             self.leases.fence_commit(txn, broadcast.next_zxid, meta)
-        if not in_spec:
-            # Stamped with the zxid the propose() below assigns.
-            _apply_txn_to_tree(self._spec_tree, txn,
-                               zxid=broadcast.next_zxid, now=self.env.now)
+        if txn.__class__ is CloseSessionTxn:
+            self._spec_tree.kill_session(txn.session_id)
         return broadcast.propose(txn, meta)
 
     def _mark_propose(self, meta: RequestMeta, zxid: int) -> None:
@@ -691,41 +688,21 @@ class ZkServer:
         self._succeed(meta, value, zxid)
 
     def _translate(self, meta: RequestMeta, op: Op, spec: DataTree) -> Txn:
-        """Turn a validated update op into a deterministic txn. A single
-        create, set or delete writes ``spec`` itself (see
-        ``_SPEC_TRANSLATED``); every other txn reaches it in
-        :meth:`_propose`."""
-        if isinstance(op, CreateOp):
-            owner = meta.session_id if op.ephemeral else None
-            # Stamp the zxid the upcoming propose() will assign: czxid
-            # order in the spec tree must match the authoritative tree,
-            # or extensions that list by creation order ("oldest
-            # client") silently degrade to name order.
-            actual = spec.create(op.path, op.data, ephemeral_owner=owner,
-                                 sequential=op.sequential,
-                                 zxid=self.broadcast.next_zxid, now=self.env.now)
-            return CreateTxn(actual, op.data, owner)
-        if isinstance(op, SetDataOp):
-            spec.set_data(op.path, op.data, op.version,
-                          zxid=self.broadcast.next_zxid, now=self.env.now)
-            return SetDataTxn(op.path, op.data)
-        if isinstance(op, DeleteOp):
-            spec.delete(op.path, op.version)
-            return DeleteTxn(op.path)
+        """Turn a validated update op into a deterministic txn, writing
+        it into the speculative tree ``spec`` (a session op leaves that
+        to :meth:`_propose`). A ``MultiOp`` writes its sub-ops under a
+        savepoint, so a failing one leaves ``spec`` as it was."""
+        if isinstance(op, (CreateOp, SetDataOp, DeleteOp)):
+            return self._write(meta, op, spec)
         if isinstance(op, MultiOp):
-            overlay = TreeOverlay(spec)
-            for sub in op.ops:
-                if isinstance(sub, CreateOp):
-                    owner = meta.session_id if sub.ephemeral else None
-                    overlay.create(sub.path, sub.data, ephemeral_owner=owner,
-                                   sequential=sub.sequential)
-                elif isinstance(sub, SetDataOp):
-                    overlay.set_data(sub.path, sub.data, sub.version)
-                elif isinstance(sub, DeleteOp):
-                    overlay.delete(sub.path, sub.version)
-                else:
-                    raise ZkError(f"op not allowed in multi: {sub!r}")
-            return MultiTxn(overlay.txns)
+            spec.savepoint()
+            try:
+                txns = [self._write(meta, sub, spec) for sub in op.ops]
+            except ZkError:
+                spec.rollback()
+                raise
+            spec.release()
+            return MultiTxn(txns)
         if isinstance(op, CreateSessionOp):
             return CreateSessionTxn(0, op.timeout_ms, op.client_id)
         if isinstance(op, CloseSessionOp):
@@ -739,6 +716,28 @@ class ZkServer:
             self._closing_sessions.add(meta.session_id)
             return CloseSessionTxn(meta.session_id)
         raise ZkError(f"unknown update operation: {op!r}")
+
+    def _write(self, meta: RequestMeta, op: Op, spec: DataTree) -> Txn:
+        """Write one create, set or delete into ``spec``; its txn.
+
+        Stamped with the zxid the upcoming propose() will assign: czxid
+        order in the spec tree must match the authoritative tree, or
+        extensions that list by creation order ("oldest client")
+        silently degrade to name order.
+        """
+        zxid, now = self.broadcast.next_zxid, self.env.now
+        if isinstance(op, CreateOp):
+            owner = meta.session_id if op.ephemeral else None
+            actual = spec.create(op.path, op.data, ephemeral_owner=owner,
+                                 sequential=op.sequential, zxid=zxid, now=now)
+            return CreateTxn(actual, op.data, owner)
+        if isinstance(op, SetDataOp):
+            spec.set_data(op.path, op.data, op.version, zxid=zxid, now=now)
+            return SetDataTxn(op.path, op.data)
+        if isinstance(op, DeleteOp):
+            spec.delete(op.path, op.version)
+            return DeleteTxn(op.path)
+        raise ZkError(f"op not allowed in multi: {op!r}")
 
     def _on_role_change(self) -> None:
         if self.leases is not None:
@@ -1075,8 +1074,9 @@ def _copy_tree(tree: DataTree) -> DataTree:
 
 def _apply_txn_to_tree(tree: DataTree, txn: Txn, zxid: int, now: float,
                        events: Optional[List[StateEvent]] = None) -> Any:
-    """Apply one txn; optionally collect state events. Returns the result."""
-    apply = _TXN_APPLIERS.get(txn.__class__)
+    """Apply one tree txn; optionally collect state events. Returns the
+    result."""
+    apply = _TREE_APPLIERS.get(txn.__class__)
     if apply is None:
         raise ZkError(f"unknown txn: {txn!r}")
     return apply(tree, txn, zxid, now, events)
@@ -1115,15 +1115,6 @@ def _apply_multi(tree, txn, zxid, now, events):
             for sub in txn.txns]
 
 
-def _session_create_on_tree(tree, txn, zxid, now, events):
-    return None  # session txns are handled by the server, not the tree
-
-
-def _session_close_on_tree(tree, txn, zxid, now, events):
-    tree.kill_session(txn.session_id)
-    return None
-
-
 #: Txns that change the committed tree: :meth:`ZkServer._apply` looks
 #: here first, since nearly every committed txn is one of these.
 _TREE_APPLIERS = {
@@ -1132,19 +1123,6 @@ _TREE_APPLIERS = {
     DeleteTxn: _apply_delete,
     MultiTxn: _apply_multi,
 }
-
-#: Every txn a bare tree understands (the leader's speculative tree,
-#: members of a multi): session txns only reap ephemerals here.
-_TXN_APPLIERS = {
-    **_TREE_APPLIERS,
-    CreateSessionTxn: _session_create_on_tree,
-    CloseSessionTxn: _session_close_on_tree,
-}
-
-#: Update ops whose prep translation writes the speculative tree itself
-#: (it validates the op and resolves a sequential name there), so
-#: :meth:`ZkServer._propose` must not apply their txn a second time.
-_SPEC_TRANSLATED = (CreateOp, SetDataOp, DeleteOp)
 
 #: Txns :meth:`ZkServer._apply` hands to the server rather than the tree.
 _SERVER_APPLIERS = {

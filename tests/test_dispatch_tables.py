@@ -177,7 +177,7 @@ def test_dead_zab_peer_swallows_everything():
 # -- ZkServer._apply / _apply_txn_to_tree -------------------------------------
 
 #: The applier chain: errors and sessions at the server, the rest to the
-#: tree, whose own chain knows the session txns too.
+#: tree, whose own chain (a bare tree's) knows nothing else.
 SERVER_TXN_LADDER = [
     (ErrorTxn, ZkServer._apply_error),
     (CreateSessionTxn, ZkServer._apply_create_session),
@@ -188,8 +188,6 @@ TREE_TXN_LADDER = [
     (SetDataTxn, server_mod._apply_set_data),
     (DeleteTxn, server_mod._apply_delete),
     (MultiTxn, server_mod._apply_multi),
-    (CreateSessionTxn, server_mod._session_create_on_tree),
-    (CloseSessionTxn, server_mod._session_close_on_tree),
 ]
 
 
@@ -214,7 +212,7 @@ def test_apply_tables_cover_every_txn_class():
         if expected == ("tree", None):
             expected = ("server", None)   # unknown: _apply raises
         assert apply_route(cls) == expected, cls
-        assert (server_mod._TXN_APPLIERS.get(cls)
+        assert (server_mod._TREE_APPLIERS.get(cls)
                 is ladder_route(TREE_TXN_LADDER, cls)), cls
 
 
@@ -228,5 +226,7 @@ def test_tree_appliers_are_checked_first_and_hold_only_tree_txns():
 def test_bare_tree_rejects_txns_it_cannot_apply():
     with pytest.raises(ZkError):
         server_mod._apply_txn_to_tree(DataTree(), ErrorTxn("X"), 1, 0.0)
+    with pytest.raises(ZkError):
+        server_mod._apply_txn_to_tree(DataTree(), CloseSessionTxn(1), 1, 0.0)
     with pytest.raises(ZkError):
         server_mod._apply_txn_to_tree(DataTree(), Txn(), 1, 0.0)

@@ -8,7 +8,11 @@ ranges in backticks. Each such reference is checked against the tree:
   in the tree whose path ends with it;
 * ``file.py::Symbol`` (``Symbol`` may be dotted, ``Class.method``)
   names a function, class or assignment that the file's AST holds;
-* ``path:line`` and ``path:a–b`` lie inside their file.
+* ``path:line`` and ``path:a–b`` lie inside their file;
+* a CamelCase ``Name`` or ``Name.attr`` is a builtin, or each part is
+  the name of a class, def or assignment somewhere under ``src/``,
+  ``tests/``, ``benchmarks/`` or ``examples/`` (``WIRE_NAMES`` lists the
+  ZooKeeper words the docs quote, which name no code here).
 
 Commands, globs and absolute paths in backticks are not references.
 Commands are checked on their own, anywhere in the text and across a
@@ -22,6 +26,7 @@ one, and is left alone.
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib.util
 import re
 from functools import lru_cache
@@ -42,6 +47,16 @@ _LINES = re.compile(r"^(?P<path>[\w./-]+):(?P<a>\d+)(?:[–-](?P<b>\d+))?$")
 _COMMAND = re.compile(r"\bpython3?\s+(?:-m\s+(?P<module>[A-Za-z_][\w.]*)"
                       r"|(?P<script>[\w./-]+\.py)\b)")
 _PINNED = re.compile(r"git checkout [0-9a-f]{7,40} &&[^`]*$")
+_CAMEL = re.compile(r"(?P<name>[A-Z]\w*[a-z]\w*)(?:\.(?P<attr>\w+))?")
+#: the trees a CamelCase name may be defined in.
+CODE_TREES = ("src", "tests", "benchmarks", "examples")
+#: CamelCase words the docs quote from ZooKeeper itself, not from code.
+WIRE_NAMES = {
+    "ConnectionLoss": "ZooKeeper's error for a lost server connection",
+    "Exists": "ZooKeeper's exists request, quoted in the read path",
+    "GetData": "ZooKeeper's getData request, quoted in the read path",
+    "GetChildren": "ZooKeeper's getChildren request, quoted in the read path",
+}
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +141,60 @@ def _problems(doc: str, text: str) -> List[str]:
             elif _is_path(token) and _resolve(token) is None:
                 problems.append(f"{where}: no such path (or not unique)")
     return problems
+
+
+@lru_cache(maxsize=None)
+def _defined_names() -> frozenset:
+    """Every class, def and assignment target (``self.x = ...`` too)."""
+    names = set()
+    for tree in CODE_TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                               ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Store):
+                    names.add(node.attr)
+    return frozenset(names)
+
+
+def _name_problems(doc: str, text: str) -> List[str]:
+    defined = _defined_names()
+    problems = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for token in _SPAN.findall(line):
+            match = _CAMEL.fullmatch(token.strip())
+            if match is None or _is_path(token) or token in WIRE_NAMES:
+                continue
+            name, attr = match["name"], match["attr"]
+            if attr is None and hasattr(builtins, name):
+                continue
+            if name not in defined or (attr is not None
+                                       and attr not in defined):
+                problems.append(f"{doc}:{lineno}: `{token}`: names no code")
+    return problems
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_doc_names_resolve(doc):
+    problems = _name_problems(doc, (ROOT / doc).read_text())
+    assert not problems, "\n".join(problems)
+
+
+def test_name_checker_has_teeth():
+    """An undefined class or attribute is reported; defined names,
+    builtins, paths and the wire names pass."""
+    text = ("`TreeOverlay` `Zab.next_zxid` `DataTree.no_such_member`\n"
+            "`DataTree` `DataTree.savepoint` `ZkServer._spec_tree` "
+            "`ValueError` `BENCH_core.json` `GetData` `PASS` `ZkConfig()`\n")
+    flagged = [p.split(": `")[1].split("`")[0]
+               for p in _name_problems("doc.md", text)]
+    assert flagged == ["TreeOverlay", "Zab.next_zxid",
+                       "DataTree.no_such_member"]
 
 
 def _module_exists(name: str) -> bool:

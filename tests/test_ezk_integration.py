@@ -5,7 +5,7 @@ import pytest
 from repro.core import ExtensionRejectedError
 from repro.ezk import EzkEnsemble
 from repro.ezk.integration import pack_registration
-from repro.zk import ZkError
+from repro.zk import NodeExistsError, ZkError
 from repro.zk.server import StateEvent
 from repro.zk.watches import EventType
 
@@ -117,6 +117,31 @@ class TestRegistration:
         assert run(ensemble, scenario())[0] is None
         for binding in ensemble.bindings:
             assert binding.manager.names() == []
+
+    def test_duplicate_registration_refused_first_keeps_running(
+            self, ensemble):
+        # The leader writes the registration into its speculative tree
+        # at prep, so a name already taken fails there, as a plain
+        # create would, instead of reaching the pipeline.
+        client = connected(ensemble)
+
+        def scenario():
+            yield from client.create("/ctr", b"0")
+            yield from client.register_extension("ctr-inc", COUNTER_EXT)
+            try:
+                yield from client.register_extension("ctr-inc", QUEUE_EXT)
+            except NodeExistsError:
+                refused = True
+            else:
+                refused = False
+            value = yield from client.get_data("/ctr-increment")
+            yield ensemble.env.timeout(50.0)
+            return refused, value
+
+        refused, value = run(ensemble, scenario())[0]
+        assert refused
+        assert value == 1
+        assert ensemble.trees_consistent()
 
     def test_deregister_removes_everywhere(self, ensemble):
         client = connected(ensemble)

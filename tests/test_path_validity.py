@@ -1,17 +1,19 @@
 """A tree checks a path against what it holds, and accepts exactly what
 ``validate_path`` accepts.
 
-``DataTree`` and ``TreeOverlay`` skip the full check for a path they
-hold (it passed when its node was created) and check only the last
-component of a child of a held path; nothing is cached between calls.
+``DataTree`` skips the full check for a path it holds (it passed when
+its node was created) and checks only the last component of a child of
+a held path; nothing is cached between calls. It is checked bare and as
+an overlay: with writes laid over it under an open savepoint, as the
+leader's prep and EZK's state proxy write it.
 Every entry point must still accept exactly the paths
 :func:`~repro.zk.data_tree.validate_path` accepts, raise
 ``BadArgumentsError`` for any other before ``NoNodeError`` or
 ``NodeExistsError``, and, for a well-formed path, answer from the
 tree's contents alone. ``validate_path`` is the oracle, and a small
 model of which paths exist gives the answer for a well-formed one.
-``TreeOverlay.children_nodes``, the state proxy's bulk read, checks no
-path: it raises ``NoNodeError`` for any path the view does not hold,
+``DataTree.children_nodes``, the state proxy's bulk read, checks no
+path: it raises ``NoNodeError`` for any path the tree does not hold,
 and ``ZkBufferedState.sub_objects`` validates such a path before it
 answers ``NoObjectError``.
 """
@@ -24,12 +26,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import NoObjectError
 from repro.ezk import ZkBufferedState
 from repro.zk import (BadArgumentsError, DataTree, NodeExistsError,
-                      NoNodeError, NotEmptyError, TreeOverlay)
+                      NoNodeError, NotEmptyError)
 from repro.zk.data_tree import parent_of, validate_path
 
 #: Held by the base tree of every case.
 _BASE = ("/a", "/a/b", "/a/b/c", "/x", "/a.b")
-#: Created (and deleted) through an overlay over that base.
+#: Created (and deleted) under a savepoint over that base.
 _CREATED = ("/a/n", "/a/n/m")
 _DELETED = ("/x",)
 
@@ -61,8 +63,9 @@ def _base_tree() -> DataTree:
     return tree
 
 
-def _overlay() -> TreeOverlay:
-    overlay = TreeOverlay(_base_tree())
+def _overlay() -> DataTree:
+    overlay = _base_tree()
+    overlay.savepoint()
     for path in _CREATED:
         overlay.create(path, b"v")
     for path in _DELETED:
@@ -70,10 +73,9 @@ def _overlay() -> TreeOverlay:
     return overlay
 
 
-def _held(view) -> set:
-    if isinstance(view, DataTree):
-        return {"/", *_BASE}
-    return ({"/", *_BASE} | set(_CREATED)) - set(_DELETED)
+#: What the base tree holds, and what the overlay over it holds.
+_HELD_BASE = frozenset({"/", *_BASE})
+_HELD_OVERLAY = (_HELD_BASE | set(_CREATED)) - set(_DELETED)
 
 
 def _outcome(call):
@@ -127,7 +129,8 @@ def _check(view_factory, entry: str, call, path: str) -> None:
     if not _well_formed(path):
         assert got == ("raise", BadArgumentsError), (entry, path, got)
         return
-    want = _expected(entry, path, _held(view))
+    held = _HELD_OVERLAY if view_factory is _overlay else _HELD_BASE
+    want = _expected(entry, path, held)
     if want == "ok":
         assert got[0] == "ok", (entry, path, got)
         if entry == "exists":
@@ -155,7 +158,7 @@ def test_overlay_accepts_exactly_the_well_formed_paths(entry, path):
 def test_children_nodes_checks_no_path(path):
     overlay = _overlay()
     got = _outcome(lambda: overlay.children_nodes(path))
-    if path in _held(overlay):
+    if path in _HELD_OVERLAY:
         assert got[0] == "ok", (path, got)
     else:
         assert got == ("raise", NoNodeError), (path, got)
@@ -171,7 +174,7 @@ def test_sub_objects_accepts_exactly_the_well_formed_paths(object_id,
             state.create(path, b"v")
         for path in _DELETED:
             state.delete(path)
-    held = _held(state.overlay if mutated else state._base)
+    held = _HELD_OVERLAY if mutated else _HELD_BASE
     base = object_id.rstrip("/") or "/"
     got = _outcome(lambda: state.sub_objects(object_id))
     if not _well_formed(base):
@@ -196,9 +199,7 @@ def test_malformed_paths_are_named_cases():
 
 
 def test_child_listing_hands_on_the_keys_the_tree_holds():
-    tree = _base_tree()
+    tree = _overlay()
     keys = {path: path for path in tree.paths()}
-    overlay = TreeOverlay(tree)
-    for child, node in overlay.children_nodes("/a"):
-        assert child is keys[child]
-        assert node.path is child
+    for node in tree.children_nodes("/a"):
+        assert node.path is keys[node.path]

@@ -1,8 +1,13 @@
-"""Property-based tests: DataTree vs. a naive model, overlay equivalence."""
+"""Property-based tests: DataTree vs. a naive model, savepoints under
+the EZK state proxy (rollback and write-set replay)."""
+
+import copy
 
 from hypothesis import given, settings, strategies as st
 
-from repro.zk import DataTree, TreeOverlay, ZkError
+from repro.core import CoordStateError
+from repro.ezk import ZkBufferedState
+from repro.zk import DataTree, ZkError
 from repro.zk.server import _apply_txn_to_tree
 
 # Small path alphabet so operations actually collide.
@@ -70,58 +75,62 @@ def test_tree_matches_naive_model(ops):
     assert len(tree) == len(model) + 1  # the root
 
 
-@settings(max_examples=60, deadline=None)
-@given(_OPS)
-def test_overlay_replay_equals_direct_application(ops):
-    """Applying an overlay's txn list to the base reproduces its view."""
-    base = DataTree()
-    base.create("/a", b"seed")
-    view = TreeOverlay(base)
-    applied = []
+def _seeded_tree() -> DataTree:
+    tree = DataTree()
+    tree.create("/a", b"seed", zxid=1)
+    tree.create("/a/b", b"eph", ephemeral_owner=5, zxid=2)
+    tree.create("/c", zxid=3)
+    return tree
+
+
+def _run_proxy(proxy, ops) -> None:
+    """Drive an EZK state proxy with ``ops``; failures are skipped."""
     for op, path, data in ops:
         try:
             if op == "create":
-                view.create(path, data)
+                proxy.create(path, data)
             elif op == "set":
-                view.set_data(path, data)
+                proxy.update(path, data)
             else:
-                view.delete(path)
-            applied.append((op, path))
-        except ZkError:
+                proxy.delete(path)
+        except CoordStateError:
             pass
 
+
+def _nodes(tree) -> dict:
+    return {path: (node.data, node.stat, sorted(node.children),
+                   node.sequence_counter)
+            for path, node in tree._nodes.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPS)
+def test_write_set_replay_reproduces_released_tree(ops):
+    """A proxy's write set, replayed on a snapshot of the pre-run tree
+    under the run's zxid, reproduces the tree the run released."""
+    tree = _seeded_tree()
     replay = DataTree()
-    replay.restore(base.snapshot())
-    for txn in view.txns:
-        _apply_txn_to_tree(replay, txn, zxid=1, now=0.0)
-
-    for path in _PATHS:
-        in_view = view.exists(path)
-        in_replay = replay.exists(path)
-        assert (in_view is None) == (in_replay is None), path
-        if in_view is not None:
-            assert view.get_data(path)[0] == replay.get_data(path)[0]
-            assert in_view.version == in_replay.version
+    replay.restore(tree.snapshot())
+    proxy = ZkBufferedState(tree, zxid=9, now=2.0)
+    _run_proxy(proxy, ops)
+    _apply_txn_to_tree(replay, proxy.to_multi_txn(), zxid=9, now=2.0)
+    assert _nodes(replay) == _nodes(tree)
+    assert replay.fingerprint() == tree.fingerprint()
+    for owner in (5, 6):
+        assert replay.ephemerals_of(owner) == tree.ephemerals_of(owner)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_OPS)
-def test_overlay_never_mutates_base(ops):
-    base = DataTree()
-    base.create("/a", b"seed")
-    fingerprint = base.fingerprint()
-    view = TreeOverlay(base)
-    for op, path, data in ops:
-        try:
-            if op == "create":
-                view.create(path, data)
-            elif op == "set":
-                view.set_data(path, data)
-            else:
-                view.delete(path)
-        except ZkError:
-            pass
-    assert base.fingerprint() == fingerprint
+def test_rollback_restores_every_node(ops):
+    tree = _seeded_tree()
+    fingerprint, nodes = tree.fingerprint(), copy.deepcopy(_nodes(tree))
+    proxy = ZkBufferedState(tree, zxid=9, now=2.0)
+    _run_proxy(proxy, ops)
+    proxy.rollback()
+    assert tree.fingerprint() == fingerprint
+    assert _nodes(tree) == nodes
+    assert tree.ephemerals_of(5) == ["/a/b"]
 
 
 @settings(max_examples=40, deadline=None)

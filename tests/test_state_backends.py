@@ -1,11 +1,11 @@
 """One state contract, three backends.
 
-``MemoryState`` (the reference), EZK's buffered overlay proxy (whose
-write set is committed as one multi-transaction) and EDS's direct
-undo-logged proxy must agree, op by op, on return values and exception
-classes, and after every extension run on the objects' contents and
-``sub_objects`` order — including after a ``rollback()``, which must
-leave the pre-extension state.
+``MemoryState`` (the reference), EZK's buffered proxy (which writes the
+tree under a savepoint and commits its write set as one
+multi-transaction) and EDS's direct undo-logged proxy must agree, op by
+op, on return values and exception classes, and after every extension
+run on the objects' contents and ``sub_objects`` order — including
+after a ``rollback()``, which must leave the pre-extension state.
 
 The generator follows EZK's hierarchy discipline, which the flat
 backends do not enforce: parents exist before their children, only
@@ -28,7 +28,6 @@ from repro.eds import DsDirectState, EdsEnsemble
 from repro.ezk import ZkBufferedState
 from repro.sim import Environment, Network
 from repro.zk import DataTree
-from repro.zk.server import _apply_txn_to_tree
 
 # -- the three backends, behind one harness interface -------------------------
 
@@ -58,23 +57,26 @@ class ZkBackend:
         self.zxid = 0
 
     def begin(self, rollback):
-        return ZkBufferedState(self.tree)
+        # Each run is one multi-transaction with a zxid of its own.
+        self.zxid += 1
+        return ZkBufferedState(self.tree, self.zxid)
 
     def finish(self, proxy, rollback):
         if rollback:
             proxy.rollback()
             assert proxy.to_multi_txn().txns == []
             return
-        self.zxid += 1
-        _apply_txn_to_tree(self.tree, proxy.to_multi_txn(), zxid=self.zxid,
-                           now=0.0)
+        proxy.to_multi_txn()
 
     def view(self):
         return {path: self.tree.get_data(path)[0]
                 for path in self.tree.paths() if path != "/"}
 
     def proxy(self):
-        return ZkBufferedState(self.tree)
+        # A reader between runs: its savepoint closes at once.
+        proxy = ZkBufferedState(self.tree)
+        self.tree.release()
+        return proxy
 
 
 def make_replica():

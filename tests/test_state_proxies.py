@@ -24,7 +24,9 @@ class TestZkBufferedState:
         assert proxy.read("/ctr") == b"41"
         proxy.update("/ctr", b"42")
         assert proxy.read("/ctr") == b"42"
-        assert tree.get_data("/ctr")[0] == b"41"  # base untouched
+        assert tree.get_data("/ctr")[0] == b"42"  # written into the tree
+        proxy.rollback()
+        assert tree.get_data("/ctr")[0] == b"41"  # and undone
 
     def test_multi_txn_reflects_write_set(self, tree):
         proxy = ZkBufferedState(tree)
