@@ -117,7 +117,6 @@ KEEP_OPTIONS: Dict[str, str] = {
         "rd(space=)", "in_(space=)", "cas(lease_ms=)", "replace(space=)",
         "rdall(space=)")},
     "eds/client.py EdsClient.ensure_lease_renewal(lease_ms=)": _DEPSPACE_API,
-    "eds/state_proxy.py DsDirectState.__init__(space=)": _DEPSPACE_API,
     "eds/ensemble.py EdsEnsemble.__init__(verifier_config=)": _EXTENSION_API,
     "ezk/ensemble.py EzkEnsemble.__init__(verifier_config=)": _EXTENSION_API,
     "ezk/ensemble.py EzkEnsemble.__init__(limits=)": _EXTENSION_API,

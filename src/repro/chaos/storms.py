@@ -5,7 +5,7 @@ message bursts — while a fixed set of long-lived clients works through
 a recipe. Storms stress the *session machinery* itself:
 
 * a **session storm** (``churn`` scenario) spawns a wave of short-lived
-  resilient clients over the storm window. Each connects, drops an
+  clients over the storm window. Each connects, drops an
   ephemeral beat node, then either closes gracefully or goes silent
   (``abandon()``) and keeps probing a shared persistent node until the
   expiry fence answers ``SESSION_EXPIRED`` — a zombie write applied
@@ -125,7 +125,7 @@ def _churn_client(nemesis: Nemesis, action, storm_id: int, i: int):
     yield env.timeout(action.duration_ms * i / max(1, action.count))
     client = nemesis.ensemble.client(
         node_id=f"churn{storm_id}x{i}",
-        session_timeout_ms=_CHURN_TIMEOUT_MS, resilient=True)
+        session_timeout_ms=_CHURN_TIMEOUT_MS)
     try:
         yield from client.connect()
     except ZkError:
@@ -175,8 +175,7 @@ def _churn_client(nemesis: Nemesis, action, storm_id: int, i: int):
 def _fanout_writer(nemesis: Nemesis, action, storm_id: int):
     env = nemesis.env
     client = nemesis.ensemble.client(
-        node_id=f"fanwriter{storm_id}", session_timeout_ms=8000.0,
-        resilient=True)
+        node_id=f"fanwriter{storm_id}", session_timeout_ms=8000.0)
     try:
         yield from client.connect()
     except ZkError:
@@ -201,8 +200,7 @@ def _fanout_writer(nemesis: Nemesis, action, storm_id: int):
 def _watcher(nemesis: Nemesis, action, storm_id: int, i: int):
     env, stats = nemesis.env, nemesis.storm_stats
     client = nemesis.ensemble.client(
-        node_id=f"fanwatch{storm_id}x{i}", session_timeout_ms=8000.0,
-        resilient=True)
+        node_id=f"fanwatch{storm_id}x{i}", session_timeout_ms=8000.0)
     try:
         yield from client.connect()
     except ZkError:
@@ -243,8 +241,7 @@ def _lease_writer(nemesis: Nemesis, action, storm_id: int, w: int):
     beat = max(30.0, action.duration_ms / 16.0)
     yield env.timeout(w * beat / 2.0)
     client = nemesis.ensemble.client(
-        node_id=f"leasew{storm_id}x{w}", session_timeout_ms=8000.0,
-        resilient=True)
+        node_id=f"leasew{storm_id}x{w}", session_timeout_ms=8000.0)
     try:
         yield from client.connect()
     except ZkError:
@@ -324,7 +321,7 @@ def _lease_reader(nemesis: Nemesis, action, storm_id: int, i: int):
     yield env.timeout(action.duration_ms * i / max(1, 2 * action.count))
     client = nemesis.ensemble.client(
         node_id=f"leaser{storm_id}x{i}", session_timeout_ms=8000.0,
-        resilient=True, cached_reads=True)
+        cached_reads=True)
     try:
         yield from client.connect()
     except ZkError:
@@ -392,7 +389,7 @@ def run_session_chaos(system: str, scenario: str, seed: int,
                    n_observers=1)
     ensemble.start()
     env = ensemble.env
-    base = [ensemble.client(session_timeout_ms=8000.0, resilient=True)
+    base = [ensemble.client(session_timeout_ms=8000.0)
             for _ in range(2)]
 
     def setup():

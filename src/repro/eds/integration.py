@@ -32,7 +32,7 @@ from ..depspace.protocol import (CasOp, DsOp, InOp, InpOp, OutOp, RdAllOp,
                                  RdOp, RdpOp, ReplaceOp)
 from ..depspace.server import BLOCKED, DsEvent, DsReplica, Waiter
 from ..depspace.tuples import ANY, Prefix, _Any
-from .state_proxy import DsDirectState
+from .state_proxy import EXT_SPACE, DsDirectState
 
 __all__ = ["EdsBinding", "EM_SPACE", "describe_ds_op"]
 
@@ -108,7 +108,7 @@ _NOTICE_KINDS = {"inserted": "created", "updated": "changed",
 
 
 def _event_notice(event: DsEvent) -> Optional[EventNotice]:
-    if event.space != "main" or len(event.entry) != 2:
+    if event.space != EXT_SPACE or len(event.entry) != 2:
         return None
     name = event.entry[0]
     if not isinstance(name, str):
@@ -155,7 +155,7 @@ class EdsBinding(ExtensionBinding):
         if ran is None:
             return None
         proxy, result = ran
-        self.replica._wake_waiters("main", ts, events)
+        self.replica._wake_waiters(EXT_SPACE, ts, events)
         return (BLOCKED if proxy.blocked else result,)
 
     # -- extension lifecycle via the _em space ---------------------------------
@@ -203,7 +203,7 @@ class EdsBinding(ExtensionBinding):
             return DsDirectState(replica, record.owner, ts, [])
 
         def commit(proxy: DsDirectState) -> None:
-            replica._wake_waiters("main", ts, proxy.events)
+            replica._wake_waiters(EXT_SPACE, ts, proxy.events)
             if proxy.events:
                 self.on_events(proxy.events, ts)
 

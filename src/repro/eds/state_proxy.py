@@ -26,7 +26,11 @@ from ..depspace.server import BLOCKED, DsEvent, DsReplica
 from ..depspace.space import LeaseRecord, TupleSpace
 from ..depspace.tuples import ANY, Prefix
 
-__all__ = ["DsDirectState"]
+__all__ = ["DsDirectState", "EXT_SPACE"]
+
+#: The one tuple space extensions act on: the proxy reads and writes
+#: it, and only its events reach event extensions.
+EXT_SPACE = "main"
 
 
 class DsDirectState(AbstractState):
@@ -34,15 +38,13 @@ class DsDirectState(AbstractState):
 
     def __init__(self, replica: DsReplica, client_id: str, ts: float,
                  events: List[DsEvent],
-                 request_id: Optional[RequestId] = None,
-                 space: str = "main"):
+                 request_id: Optional[RequestId] = None):
         self._replica = replica
         self._client_id = client_id
         self._ts = ts
         #: state-change events this proxy's writes produced.
         self.events = events
         self._request_id = request_id
-        self._space = space
         self._undo: List[Callable[[TupleSpace], None]] = []
         self.blocked = False
 
@@ -57,13 +59,13 @@ class DsDirectState(AbstractState):
     def _insert(self, entry: tuple,
                 lease: Optional[LeaseRecord] = None) -> None:
         """Waiters wake once the whole extension has run, not per insert."""
-        self._replica.space(self._space).out(entry, lease=lease)
-        self.events.append(DsEvent("inserted", self._space, entry))
+        self._replica.space(EXT_SPACE).out(entry, lease=lease)
+        self.events.append(DsEvent("inserted", EXT_SPACE, entry))
         self._undo.append(lambda raw: raw.inp(entry))
 
     def rollback(self) -> None:
         """Undo every mutation this proxy performed, newest first."""
-        raw = self._replica.space(self._space)
+        raw = self._replica.space(EXT_SPACE)
         for undo in reversed(self._undo):
             undo(raw)
         self._undo.clear()
@@ -75,12 +77,12 @@ class DsDirectState(AbstractState):
             raise ObjectExistsError(object_id)
         entry = (object_id, data)
         self._replica._check_layers("out", self._client_id, entry,
-                                    self._space)
+                                    EXT_SPACE)
         self._insert(entry)
         return object_id
 
     def delete(self, object_id: str) -> None:
-        taken = self._replica._take(self._client_id, self._space,
+        taken = self._replica._take(self._client_id, EXT_SPACE,
                                     (object_id, ANY), self.events)
         if taken is None:
             raise NoObjectError(object_id)
@@ -88,32 +90,32 @@ class DsDirectState(AbstractState):
         self._undo.append(lambda raw: raw.put(key, entry, lease))
 
     def read(self, object_id: str) -> bytes:
-        found = self._exec(RdpOp((object_id, ANY), space=self._space))
+        found = self._exec(RdpOp((object_id, ANY), space=EXT_SPACE))
         if found is None:
             raise NoObjectError(object_id)
         return found[1]
 
     def exists(self, object_id: str) -> bool:
         return self._exec(
-            RdpOp((object_id, ANY), space=self._space)) is not None
+            RdpOp((object_id, ANY), space=EXT_SPACE)) is not None
 
     def update(self, object_id: str, data: bytes) -> None:
         entry = (object_id, data)
         self._replica._check_layers("replace", self._client_id, entry,
-                                    self._space)
-        raw = self._replica.space(self._space)
+                                    EXT_SPACE)
+        raw = self._replica.space(EXT_SPACE)
         taken = raw.take((object_id, ANY))
         if taken is None:
             raise NoObjectError(object_id)
         key, old, lease = taken
         raw.put(key, entry, lease)
-        self.events.append(DsEvent("updated", self._space, entry))
+        self.events.append(DsEvent("updated", EXT_SPACE, entry))
         self._undo.append(lambda raw: raw.put(key, old, lease))
 
     def sub_objects(self, object_id: str) -> List[ObjectRecord]:
         prefix = object_id.rstrip("/") + "/"
         found = self._exec(
-            RdAllOp((Prefix(prefix), ANY), space=self._space))
+            RdAllOp((Prefix(prefix), ANY), space=EXT_SPACE))
         return [ObjectRecord(name, data, index)
                 for index, (name, data) in enumerate(found)]
 
@@ -121,7 +123,7 @@ class DsDirectState(AbstractState):
         if self._request_id is None:
             raise CoordStateError(
                 "block() is only available to operation extensions")
-        result = self._exec(RdOp((object_id, ANY), space=self._space))
+        result = self._exec(RdOp((object_id, ANY), space=EXT_SPACE))
         if result is BLOCKED:
             self.blocked = True
         # Otherwise the object already exists: the caller proceeds.

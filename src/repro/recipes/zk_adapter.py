@@ -119,9 +119,9 @@ class ZkCoordClient(CoordClient):
             if stat is None:
                 self.zk.discard_waiter(object_id, waiter)
                 return
-            # Re-poll at a slow cadence: the deletion notification is
-            # lost for good if it was raised while our replica was
-            # crashed or cut off (the outer loop re-checks and re-arms).
+            # A deletion raised while our replica was cut off arrives
+            # as a synthesized notification after reconnect; a None
+            # (session gone) loops, and the re-check raises its error.
             notification = yield from self.zk.await_notification(
                 object_id, waiter)
             self.zk.discard_waiter(object_id, waiter)

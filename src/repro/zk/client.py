@@ -6,20 +6,17 @@ same shape as the paper's blocking pseudocode.
 
 The library handles session establishment, request/reply matching,
 timeouts with fail-over to another replica, watch-event dispatch, and
-keep-alive pings.
+tracked keep-alive pings.
 
-Clients built with ``resilient=True`` additionally run a session
-lifecycle state machine (CONNECTING → CONNECTED → SUSPENDED →
-EXPIRED/CLOSED): on connection loss they fail over with the shared
-:mod:`repro.core.retry` backoff, re-establish the session at another
-replica carrying the last-seen zxid, and *re-register their armed
-watches* — comparing the server's state against what was known when
-each watch was armed, and synthesizing the notification for any event
-that fired while the client was cut off. That replaces the lossy
-re-poll hack in :meth:`ZkClient.await_notification` on the reconnect
-path: a resilient client can wait on a watch indefinitely without
-losing events to a crashed replica. Off by default — default-path
-traffic and RNG draws are byte-identical to the non-resilient client.
+Every client runs ZooKeeper's session lifecycle state machine
+(CONNECTING → CONNECTED → SUSPENDED → EXPIRED/CLOSED): on connection
+loss it fails over with the shared :mod:`repro.core.retry` backoff,
+re-establishes the session at another replica carrying the last-seen
+zxid, and *re-registers its armed watches* — comparing the server's
+state against what was known when each watch was armed, and
+synthesizing the notification for any event that fired while the
+client was cut off. A client can therefore wait on a watch
+indefinitely without losing events to a crashed replica.
 """
 
 from __future__ import annotations
@@ -48,10 +45,6 @@ _DEFAULT_TIMEOUT_MS = 3000.0
 #: replica's liveness — the stand-in for TCP noticing a broken socket.
 _BLOCK_PROBE_MS = 500.0
 
-#: How long a non-resilient :meth:`ZkClient.await_notification` waits
-#: before returning None so its caller re-checks state and re-arms.
-_REPOLL_MS = 2 * _BLOCK_PROBE_MS
-
 #: Per-attempt deadline for session re-establishment probes: short, so
 #: a reconnecting client walks the replica list quickly.
 _REARM_TIMEOUT_MS = 1000.0
@@ -73,8 +66,7 @@ class ZkClient:
     def __init__(self, env: Environment, net: Network, node_id: str,
                  replicas: List[str], replica: Optional[str] = None,
                  session_timeout_ms: float = 2000.0,
-                 track_zxid: bool = False, resilient: bool = False,
-                 cached_reads: bool = False):
+                 track_zxid: bool = False, cached_reads: bool = False):
         self.env = env
         self.net = net
         self.node_id = node_id
@@ -92,8 +84,7 @@ class ZkClient:
         # across processes (hash() of a str is salted per interpreter).
         self._backoff = ZK_RETRY_POLICY.start(f"zkclient-backoff-{node_id}")
 
-        #: Session-resilience machinery (all inert unless ``resilient``).
-        self.resilient = resilient
+        #: Session lifecycle and reconnect machinery.
         self.state = SessionState.CONNECTING
         self.session_listeners: List[Callable[[SessionState], None]] = []
         #: armed-watch bookkeeping for reconnect re-registration:
@@ -138,9 +129,9 @@ class ZkClient:
             if zxid > self.last_zxid:
                 self.last_zxid = zxid
             if self._ping_xids and msg.xid in self._ping_xids:
-                # Tracked keep-alive (resilient clients): the pong is a
-                # liveness signal, and a fenced pong is how a client
-                # with no outstanding calls learns its session expired.
+                # Tracked keep-alive: the pong is a liveness signal, and
+                # a fenced pong is how a client with no outstanding
+                # calls learns its session expired.
                 self._ping_xids.discard(msg.xid)
                 if msg.ok:
                     self._last_pong = self.env.now
@@ -191,7 +182,7 @@ class ZkClient:
         """Issue one request; retries on another replica after a timeout."""
         if self._closed:
             raise ConnectionLossError("client closed")
-        if self.resilient and self.state is SessionState.EXPIRED \
+        if self.state is SessionState.EXPIRED \
                 and not isinstance(op, CloseSessionOp):
             raise SessionExpiredError("session expired")
         self._xid += 1
@@ -244,8 +235,7 @@ class ZkClient:
                     raise ConnectionLossError(
                         f"no replica answered after {attempts} attempts")
                 self._failover()
-                if self.resilient and self.session_id is not None \
-                        and not self._reconnecting:
+                if self.session_id is not None and not self._reconnecting:
                     # Re-establish at the new replica before retrying:
                     # re-arms our watches there and synthesizes any
                     # event that fired while the old replica was gone.
@@ -260,8 +250,7 @@ class ZkClient:
                     # jitter so retry storms don't synchronize during an
                     # election. The first retry keeps the fixed 50 ms
                     # delay; only later (rarer) retries draw jitter.
-                    if self.resilient:
-                        self._set_state(SessionState.SUSPENDED)
+                    self._set_state(SessionState.SUSPENDED)
                     delay = self._backoff.delay(loss_retries)
                     loss_retries += 1
                     yield self.env.timeout(delay)
@@ -276,10 +265,9 @@ class ZkClient:
                 if tracer is not None:
                     tracer.finish(self.node_id, xid, self.env.now, False)
                 raise from_code(reply.error_code, reply.error_message)
-            if self.resilient:
-                if self.state is SessionState.SUSPENDED:
-                    self._set_state(SessionState.CONNECTED)
-                self._note_watch(op, reply.value)
+            if self.state is SessionState.SUSPENDED:
+                self._set_state(SessionState.CONNECTED)
+            self._note_watch(op, reply.value)
             if self._cache is not None:
                 self._cache_note(op, reply)
             if obs is not None:
@@ -410,23 +398,6 @@ class ZkClient:
 
     def _ping_loop(self):
         interval = self.session_timeout_ms / 3.0
-        if not self.resilient:
-            while not self._closed and not self._abandoned:
-                # Keep-alives must survive the connected replica's death
-                # even without the resilient state machine: with expiry
-                # fencing on, a session silently starved of pings would
-                # be fenced out from under a client that is merely
-                # mid-failover on its request path.
-                if self.net.is_crashed(self.replica):
-                    self._failover()
-                self._xid += 1
-                # Fire-and-forget: the reply (if any) finds no pending
-                # future.
-                self.net.send(self.node_id, self.replica,
-                              ClientRequest(self.session_id or 0, self._xid,
-                                            PingOp()))
-                yield self.env.timeout(interval)
-            return
         while (not self._closed and not self._abandoned
                 and self.state is not SessionState.EXPIRED):
             self._xid += 1
@@ -454,7 +425,7 @@ class ZkClient:
                 except SessionExpiredError:
                     return
 
-    # -- session re-establishment (resilient clients) ----------------------
+    # -- session re-establishment ------------------------------------------
 
     def _reestablish(self):
         """Re-bind the session to the current replica after a suspicion.
@@ -713,32 +684,16 @@ class ZkClient:
 
     def await_notification(self, path: str, waiter: Event,
                            deadline: Optional[Event] = None):
-        """Wait for ``waiter``; how depends on the client's resilience.
+        """Wait for ``waiter``, the next watch notification for ``path``.
 
-        ``deadline`` (resilient path only) bounds the wait: when that
-        event fires first, None is returned — the watch stays armed
-        server-side, so callers must tolerate a later notification.
-
-        Non-resilient path — the historical re-poll safety net: a watch
-        notification raised while this client's replica was crashed or
-        cut off is lost for good, so waiting on the watch alone could
-        hang forever. Returns the notification when it arrives; returns
-        None after ``_REPOLL_MS`` so the caller can re-check state and
-        re-arm.
-
-        Resilient path — no re-poll: reconnect re-arms the watch set
-        and synthesizes missed events, so the watch alone is safe to
-        wait on. The periodic probe only checks replica health (a
-        crashed replica can't push notifications) and triggers
-        re-establishment; None is returned only if the session expires
-        or the client closes mid-wait.
+        Reconnect re-arms the watch set and synthesizes missed events,
+        so the watch alone is safe to wait on. The periodic probe only
+        checks replica health (a crashed replica can't push
+        notifications) and triggers re-establishment. None is returned
+        if ``deadline`` fires first (the watch stays armed server-side,
+        so callers must tolerate a later notification), or if the
+        session expires or the client closes mid-wait.
         """
-        if not self.resilient:
-            probe = self.env.timeout(_REPOLL_MS)
-            yield self.env.any_of([waiter, probe])
-            if waiter.triggered:
-                return waiter.value
-            return None
         while True:
             probe = self.env.timeout(_BLOCK_PROBE_MS)
             events = [waiter, probe]
@@ -780,4 +735,5 @@ class ZkClient:
             self.discard_waiter(path, waiter)
             if notification is not None:
                 return notification
-            # Lost-notification suspicion: loop to re-check and re-arm.
+            # The session expired or the client closed mid-wait: loop,
+            # and the re-check raises the session's error.

@@ -9,10 +9,13 @@ ranges in backticks. Each such reference is checked against the tree:
 * ``file.py::Symbol`` (``Symbol`` may be dotted, ``Class.method``)
   names a function, class or assignment that the file's AST holds;
 * ``path:line`` and ``path:a–b`` lie inside their file;
-* a CamelCase ``Name`` or ``Name.attr`` is a builtin, or each part is
-  the name of a class, def or assignment somewhere under ``src/``,
-  ``tests/``, ``benchmarks/`` or ``examples/`` (``WIRE_NAMES`` lists the
-  ZooKeeper words the docs quote, which name no code here).
+* a CamelCase ``Name`` is a builtin or the name of a class, def or
+  assignment somewhere under ``src/``, ``tests/``, ``benchmarks/`` or
+  ``examples/`` (``WIRE_NAMES`` lists the ZooKeeper words the docs
+  quote, which name no code here); in ``Name.attr``, when ``Name`` is a
+  class, ``attr`` is a member of it or of one of its bases (a def, a
+  class-body assignment or a ``self.attr`` store), else a name defined
+  somewhere in those trees.
 
 Commands, globs and absolute paths in backticks are not references.
 Commands are checked on their own, anywhere in the text and across a
@@ -25,10 +28,13 @@ one, and is left alone.
 
 from __future__ import annotations
 
+import abc
 import ast
 import builtins
+import enum
 import importlib.util
 import re
+import typing
 from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
@@ -144,22 +150,70 @@ def _problems(doc: str, text: str) -> List[str]:
 
 
 @lru_cache(maxsize=None)
+def _code() -> List[ast.Module]:
+    return [ast.parse(path.read_text()) for tree in CODE_TREES
+            for path in (ROOT / tree).rglob("*.py")]
+
+
+@lru_cache(maxsize=None)
 def _defined_names() -> frozenset:
     """Every class, def and assignment target (``self.x = ...`` too)."""
     names = set()
-    for tree in CODE_TREES:
-        for path in (ROOT / tree).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    names.add(node.name)
-                elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                               ast.Store):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(
-                        node.ctx, ast.Store):
-                    names.add(node.attr)
+    for module in _code():
+        for node in ast.walk(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store):
+                names.add(node.attr)
     return frozenset(names)
+
+
+def _base_name(expr: ast.expr) -> Optional[str]:
+    if isinstance(expr, ast.Subscript):     # Generic[T], NamedTuple[...]
+        expr = expr.value
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+@lru_cache(maxsize=None)
+def _classes() -> dict:
+    """Class name -> every class definition of that name."""
+    classes = {}
+    for module in _code():
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(node)
+    return classes
+
+
+def _has_member(name: str, attr: str, seen: set) -> bool:
+    """``attr`` is a member of class ``name`` or of one of its bases:
+    a def, a class-body assignment or a ``self.attr`` store. A base from
+    outside the tree is looked up in the standard modules the code
+    derives from."""
+    if name in seen:
+        return False
+    seen.add(name)
+    if name not in _classes():
+        return any(isinstance(cls, type)
+                   and any(attr in vars(k) for k in cls.__mro__)
+                   for cls in (getattr(module, name, None)
+                               for module in (builtins, enum, typing, abc)))
+    return any(
+        _member(node.body, attr) is not None
+        or any(isinstance(sub, ast.Attribute) and sub.attr == attr
+               and isinstance(sub.ctx, ast.Store)
+               and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+               for sub in ast.walk(node))
+        or any(base is not None and _has_member(base, attr, seen)
+               for base in map(_base_name, node.bases))
+        for node in _classes()[name])
 
 
 def _name_problems(doc: str, text: str) -> List[str]:
@@ -173,8 +227,13 @@ def _name_problems(doc: str, text: str) -> List[str]:
             name, attr = match["name"], match["attr"]
             if attr is None and hasattr(builtins, name):
                 continue
-            if name not in defined or (attr is not None
-                                       and attr not in defined):
+            if attr is None:
+                known = name in defined
+            elif name in _classes():
+                known = _has_member(name, attr, set())
+            else:
+                known = name in defined and attr in defined
+            if not known:
                 problems.append(f"{doc}:{lineno}: `{token}`: names no code")
     return problems
 
@@ -186,15 +245,19 @@ def test_doc_names_resolve(doc):
 
 
 def test_name_checker_has_teeth():
-    """An undefined class or attribute is reported; defined names,
-    builtins, paths and the wire names pass."""
+    """An undefined class or attribute is reported, and so is a def
+    named as a member of a class that does not hold it; defined names,
+    inherited members, builtins, paths and the wire names pass."""
     text = ("`TreeOverlay` `Zab.next_zxid` `DataTree.no_such_member`\n"
+            "`ZkClient._expire`\n"
             "`DataTree` `DataTree.savepoint` `ZkServer._spec_tree` "
+            "`ZkClient.session_id` `EzkEnsemble.client` "
+            "`SessionState.CONNECTED` `SessionState.value`\n"
             "`ValueError` `BENCH_core.json` `GetData` `PASS` `ZkConfig()`\n")
     flagged = [p.split(": `")[1].split("`")[0]
                for p in _name_problems("doc.md", text)]
     assert flagged == ["TreeOverlay", "Zab.next_zxid",
-                       "DataTree.no_such_member"]
+                       "DataTree.no_such_member", "ZkClient._expire"]
 
 
 def _module_exists(name: str) -> bool:

@@ -190,7 +190,7 @@ def test_zk_lease_gates_and_reconnect_probes(kernel):
     readers = [ens.client(replica=followers[0], cached_reads=True),
                ens.client(replica=leader, cached_reads=True)]
     writer = ens.client(replica=leader)
-    roamer = ens.client(replica=followers[1], resilient=True)
+    roamer = ens.client(replica=followers[1])
     connect(ens, readers + [writer, roamer])
     sampler = QueueSampler(ens.env)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.zk import SessionExpiredError, SessionState, ZkEnsemble
 from repro.zk.server import ZkServer
-from repro.zk.txn import CloseSessionTxn
+from repro.zk.txn import ClientRequest, CloseSessionTxn, ExistsOp
 from repro.zk.watches import EventType
 
 
@@ -50,7 +50,7 @@ def committed_close_txns(leader, session_id):
 
 class TestStateMachine:
     def test_suspend_then_reconnect_on_replica_crash(self, ensemble):
-        client = connected_client(ensemble, replica="zk1", resilient=True)
+        client = connected_client(ensemble, replica="zk1")
         states = []
         client.session_listeners.append(states.append)
 
@@ -69,8 +69,7 @@ class TestStateMachine:
         assert client.state is SessionState.CONNECTED
 
     def test_expired_is_terminal_client_side(self, ensemble):
-        client = connected_client(ensemble, session_timeout_ms=1000.0,
-                                  resilient=True)
+        client = connected_client(ensemble, session_timeout_ms=1000.0)
 
         def scenario():
             yield from client.create("/t", b"v0")
@@ -137,8 +136,7 @@ class TestExpiryFencing:
     def test_fenced_pong_after_partition_expires_client(self, ensemble):
         """A client with no outstanding calls learns of its expiry from
         the fenced keep-alive pong once the partition heals."""
-        client = connected_client(ensemble, session_timeout_ms=1000.0,
-                                  resilient=True)
+        client = connected_client(ensemble, session_timeout_ms=1000.0)
         sid = client.session_id
         ensemble.net.partition([client.node_id], ensemble.all_ids)
         run_until(ensemble, lambda: sid not in ensemble.leader.sessions)
@@ -224,7 +222,7 @@ class TestWatchSynthesis:
     def test_missed_data_event_is_synthesized(self, ensemble):
         writer = connected_client(ensemble, replica="zk0")
         watcher = connected_client(ensemble, replica="zk1",
-                                   session_timeout_ms=1500.0, resilient=True)
+                                   session_timeout_ms=1500.0)
 
         def scenario():
             yield from writer.create("/w", b"v0")
@@ -248,7 +246,7 @@ class TestWatchSynthesis:
     def test_missed_child_event_is_synthesized(self, ensemble):
         writer = connected_client(ensemble, replica="zk0")
         watcher = connected_client(ensemble, replica="zk1",
-                                   session_timeout_ms=1500.0, resilient=True)
+                                   session_timeout_ms=1500.0)
 
         def scenario():
             yield from writer.create("/parent", b"")
@@ -270,7 +268,7 @@ class TestWatchSynthesis:
         write after reconnect (not a spurious synthesized one)."""
         writer = connected_client(ensemble, replica="zk0")
         watcher = connected_client(ensemble, replica="zk1",
-                                   session_timeout_ms=1500.0, resilient=True)
+                                   session_timeout_ms=1500.0)
         states = []
         watcher.session_listeners.append(states.append)
 
@@ -290,3 +288,39 @@ class TestWatchSynthesis:
         note = run(ensemble, scenario())[0]
         assert note is not None
         assert note.event_type == EventType.NODE_DATA_CHANGED.value
+
+
+class TestOneClient:
+    def test_block_waits_on_its_watch_without_repolling(self, ensemble):
+        """A default client parked in ``block()`` on a path created 3 s
+        later, with no fault, sends one ``ExistsOp``: the watch alone
+        wakes it, and no timer re-polls the path."""
+        waiter = connected_client(ensemble)
+        creator = connected_client(ensemble)
+        sent = []
+        send = ensemble.net.send
+
+        def counting_send(src, dst, msg):
+            if src == waiter.node_id and isinstance(msg, ClientRequest):
+                sent.append(type(msg.op))
+            return send(src, dst, msg)
+
+        ensemble.net.send = counting_send
+
+        def late_create():
+            yield ensemble.env.timeout(3000.0)
+            yield from creator.create("/late", b"")
+
+        def park():
+            note = yield from waiter.block("/late")
+            return note.event_type, ensemble.env.now
+
+        ensemble.env.process(late_create())
+        event_type, woke_at = run(ensemble, park())[0]
+        assert event_type == EventType.NODE_CREATED.value
+        assert woke_at >= 3000.0
+        assert sent.count(ExistsOp) == 1
+
+    def test_ensemble_offers_no_second_client(self, ensemble):
+        with pytest.raises(ValueError):
+            ensemble.client(resilient=False)
